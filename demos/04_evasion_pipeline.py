@@ -21,8 +21,7 @@ from robustcp.evasion import (
     calibrate_smooth,
     class_distributions,
     lower_bounds_for,
-    mean_set_from_distributions,
-    sets_from_distributions,
+    predict,
     vanilla_worst_case_coverage,
 )
 from robustcp.scores import evaluate_sets
@@ -41,7 +40,8 @@ config = EvasionConfig(
     scheme=scheme, model=L2Ball(radius=RADIUS), mode="test-time",
     bound_kind="cdf", n_samples=2000, grid=BinGrid.uniform(51),
 )
-table, threshold = calibrate_smooth(oracle, x_cal, y_cal, ALPHA, config, seed=SEED)
+calibration = calibrate_smooth(oracle, x_cal, y_cal, ALPHA, config, seed=SEED)
+table, threshold = calibration.table, calibration.thresholds["vanilla"]
 print(f"smoothed calibration on {len(y_cal)} points: threshold {threshold:.4f}")
 
 # Certified floor on undefended coverage: if every calibration score can
@@ -53,16 +53,16 @@ for kind in ("mean", "cdf"):
 
 # Attack each test point, then build all three kinds of set on the SAME
 # Monte-Carlo draws so differences come from the bounds alone.
-vanilla_sets, mean_sets, cdf_sets = [], [], []
+per_point = []
 for i in range(len(y_test)):
     attacked = evade_l2(
         oracle, x_test[i], int(y_test[i]), RADIUS, scheme,
         substream(SEED, "attack", i), n_samples=128,
     )
-    dists = class_distributions(oracle, attacked, 3, config, SEED, i)
-    vanilla_sets.append(mean_set_from_distributions(dists, threshold))
-    mean_sets.append(sets_from_distributions(dists, threshold, replace(config, bound_kind="mean")))
-    cdf_sets.append(sets_from_distributions(dists, threshold, config))
+    per_point.append(class_distributions(oracle, attacked, 3, config, SEED, i))
+by_cdf = predict(per_point, calibration, config)
+by_mean = predict(per_point, calibration, replace(config, bound_kind="mean"))
+vanilla_sets, mean_sets, cdf_sets = by_cdf["vanilla"], by_mean["robust"], by_cdf["robust"]
 
 print(f"\nafter attacking all {len(y_test)} test points at r = {RADIUS} (= 0.5 sigma):")
 for name, sets in (("undefended", vanilla_sets), ("mean-bound", mean_sets), ("cdf-bound", cdf_sets)):

@@ -20,12 +20,7 @@ from robustcp.correction import (
     dkw_radius,
     hoeffding_radius,
 )
-from robustcp.evasion import (
-    EvasionConfig,
-    calibrate_smooth,
-    calibration_time_threshold,
-    corrected_calibrate,
-)
+from robustcp.evasion import EvasionConfig, calibrate_smooth
 from robustcp.smoothing import BinGrid, GaussianNoise, estimate_distribution, substream
 from robustcp.tasks import make_gaussian_mixture, tps_oracle
 
@@ -64,8 +59,10 @@ config = EvasionConfig(
     scheme=scheme, model=model, mode="calibration-time", bound_kind="cdf",
     n_samples=10_000, grid=grid, eta=ETA,
 )
-table, thr_corrected, ledger = corrected_calibrate(oracle, x_cal, y_cal, 0.1, config, seed=9)
-thr_plain = calibration_time_threshold(table, 0.1)
+calibration = calibrate_smooth(oracle, x_cal, y_cal, 0.1, config, seed=9)
+thr_corrected = calibration.thresholds["corrected"]
+thr_plain = calibration.thresholds["calibration-time"]
+ledger = calibration.ledger
 print(f"\ncorrected calibration on 100 points:")
 print(f"  uncorrected threshold {thr_plain:.4f}")
 print(f"  corrected threshold   {thr_corrected:.4f}  (lower, as it must be)")

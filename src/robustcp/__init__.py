@@ -36,15 +36,13 @@ from .correction import (
 )
 from .errors import ConfigurationError, InputError
 from .evasion import (
+    Calibration,
     CalibrationTable,
     EvasionConfig,
+    calibrate,
     calibrate_smooth,
-    calibration_time_threshold,
-    corrected_calibrate,
-    corrected_test_set,
-    smooth_mean_set,
-    test_time_corrected_sets,
-    test_time_sets,
+    class_distributions,
+    predict,
     vanilla_worst_case_coverage,
 )
 from .poisoning import (
@@ -91,6 +89,7 @@ __all__ = [
     "BinGrid",
     "BinaryBall",
     "BudgetLedger",
+    "Calibration",
     "CalibrationTable",
     "ConfigurationError",
     "ConservativeThreshold",
@@ -111,14 +110,13 @@ __all__ = [
     "bound_for_clean",
     "bound_for_observed",
     "build_region_table",
+    "calibrate",
     "calibrate_smooth",
-    "calibration_time_threshold",
+    "class_distributions",
     "conformal_quantile",
     "corrected_bound",
-    "corrected_calibrate",
     "corrected_distribution",
     "corrected_feature_poison_threshold",
-    "corrected_test_set",
     "coverage_distribution",
     "dkw_radius",
     "distribution_from_samples",
@@ -132,20 +130,18 @@ __all__ = [
     "hoeffding_radius",
     "inverse_quantile",
     "label_poison_threshold",
+    "predict",
     "prediction_set",
     "replay_feature_witness",
     "replay_label_witness",
     "sample_gaussian",
     "sample_sparse",
-    "smooth_mean_set",
     "sparse_cdf_lower",
     "sparse_cdf_upper",
     "sparse_mean_lower",
     "sparse_mean_upper",
     "subseed",
     "substream",
-    "test_time_corrected_sets",
-    "test_time_sets",
     "tps_score",
     "vanilla_worst_case_coverage",
     "worst_case_feature_quantile",

@@ -20,17 +20,14 @@ import numpy as np
 from .bounds import (
     BinaryBall,
     L2Ball,
-    bound_for_clean,
-    bound_for_observed,
     build_region_table,
     gaussian_mean_lower,
     gaussian_mean_upper,
     sparse_mean_lower,
     sparse_mean_upper,
 )
-from .correction import BudgetLedger, corrected_bound
 from .errors import ConfigurationError, InputError
-from .evasion import CalibrationTable, corrected_set_from_distributions
+from .evasion import Calibration, EvasionConfig, calibrate, predict
 from .experiments import ExperimentConfig, TaskSpec, run_experiment
 from . import formats
 from .poisoning import (
@@ -41,7 +38,7 @@ from .poisoning import (
     replay_feature_witness,
     replay_label_witness,
 )
-from .scores import PredictionSet, conformal_quantile, evaluate_sets, prediction_set
+from .scores import conformal_quantile, evaluate_sets
 from .smoothing import (
     BinGrid,
     GaussianNoise,
@@ -93,14 +90,30 @@ CONFIG_SCHEMA: dict[str, formats.ConfigField] = {
 }
 
 
-def _load_config(args) -> dict:
+# What a calibration artifact certifies: predict takes these keys from the
+# artifact's config echo and refuses settings that contradict them.
+_ARTIFACT_KEYS = (
+    "scheme", "sigma", "p0", "p1", "radius", "additions", "deletions",
+    "bound_kind", "alpha", "eta", "grid_edges",
+)
+
+
+def _load_config(args, artifact_config=None) -> dict:
     text = None
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
             raise InputError(f"{path}: no such config file")
         text = path.read_text()
-    return formats.resolve_config(CONFIG_SCHEMA, text, args.set or ())
+    inherited = {
+        key: CONFIG_SCHEMA[key].parse(key, str(value))
+        for key, value in (artifact_config or {}).items() if key in _ARTIFACT_KEYS
+    }
+    cfg = formats.resolve_config(CONFIG_SCHEMA, text, args.set or (), base=inherited)
+    conflicts = [f"{key}={value!r}" for key, value in inherited.items() if cfg[key] != value]
+    if conflicts:
+        raise ConfigurationError(f"the calibration artifact fixes {', '.join(conflicts)}")
+    return cfg
 
 
 def _validate_common(cfg: dict) -> None:
@@ -116,20 +129,23 @@ def _validate_common(cfg: dict) -> None:
         raise ConfigurationError(f"unknown mode {cfg['mode']!r}")
 
 
-def _scheme_and_model(cfg: dict):
-    """Cross-validated smoothing scheme and threat model pair."""
+def _evasion_config(cfg: dict) -> EvasionConfig:
+    """Cross-validated smoothing scheme and threat model pair, with bound settings."""
     if cfg["scheme"] == "gaussian":
         if cfg["additions"] or cfg["deletions"]:
             raise ConfigurationError("gaussian smoothing pairs with an L2 ball, not flips")
-        return GaussianNoise(sigma=cfg["sigma"]), L2Ball(radius=cfg["radius"])
-    if cfg["scheme"] == "sparse":
+        scheme, model = GaussianNoise(sigma=cfg["sigma"]), L2Ball(radius=cfg["radius"])
+    elif cfg["scheme"] == "sparse":
         if cfg["radius"]:
             raise ConfigurationError("sparse smoothing pairs with flip budgets, not an L2 radius")
-        return (
-            SparseFlipNoise(p0=cfg["p0"], p1=cfg["p1"]),
-            BinaryBall(additions=cfg["additions"], deletions=cfg["deletions"]),
-        )
-    raise ConfigurationError(f"unknown scheme {cfg['scheme']!r}")
+        scheme = SparseFlipNoise(p0=cfg["p0"], p1=cfg["p1"])
+        model = BinaryBall(additions=cfg["additions"], deletions=cfg["deletions"])
+    else:
+        raise ConfigurationError(f"unknown scheme {cfg['scheme']!r}")
+    return EvasionConfig(
+        scheme=scheme, model=model, mode=cfg["mode"], bound_kind=cfg["bound_kind"],
+        grid=BinGrid.uniform(cfg["grid_edges"]), eta=cfg["eta"],
+    )
 
 
 def _write_resolved(out_dir: Path, cfg: dict) -> None:
@@ -157,7 +173,7 @@ def _tensor_distributions(tensor: np.ndarray, grid: BinGrid):
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     _validate_common(cfg)
-    scheme, model = _scheme_and_model(cfg)
+    config = _evasion_config(cfg)
     out = _out_dir(args)
     tensor = formats.read_score_tensor(args.scores)
     labels = formats.read_labels_csv(args.labels)
@@ -170,52 +186,28 @@ def cmd_calibrate(args) -> int:
     if np.any(tensor < 0.0) or np.any(tensor > 1.0):
         raise InputError("scores must lie in [0, 1]")
 
-    grid = BinGrid.uniform(cfg["grid_edges"])
-    n = labels.size
     dists = [
-        distribution_from_samples(tensor[i, labels[i]], grid) for i in range(n)
+        distribution_from_samples(tensor[i, labels[i]], config.grid)
+        for i in range(labels.size)
     ]
-    means = np.array([d.mean for d in dists])
-    lower = np.array(
-        [bound_for_clean(d, model, scheme, "lower", cfg["bound_kind"]) for d in dists]
+    calibration = calibrate(dists, cfg["alpha"], config)
+    thresholds = calibration.thresholds
+    formats.write_calibration_artifact(
+        out / "calibration.json", calibration.table, thresholds, cfg
     )
-    table = CalibrationTable(
-        point_ids=np.arange(n),
-        smooth_means=means,
-        lower_bounds=lower,
-        distributions=dists,
-    )
-    thresholds = {
-        "vanilla": conformal_quantile(means, cfg["alpha"]),
-        "calibration-time": conformal_quantile(lower, cfg["alpha"]),
-    }
-    if cfg["eta"] > 0.0:
-        ledger = BudgetLedger(eta=cfg["eta"])
-        per_point = cfg["eta"] / (2.0 * n)
-        corrected = np.empty(n)
-        for i, d in enumerate(dists):
-            ledger.spend(f"calibration cdf band {i}", per_point)
-            corrected[i] = corrected_bound(
-                d, model, scheme, "lower", cfg["bound_kind"], per_point, observed=False
-            )
-        ledger.assert_within()
-        table.corrected_lower_bounds = corrected
-        thresholds["corrected"] = conformal_quantile(corrected, cfg["alpha"] - cfg["eta"])
-
-    formats.write_calibration_artifact(out / "calibration.json", table, thresholds, cfg)
     _write_resolved(out, cfg)
-    print(f"calibrated {n} points; thresholds: " + ", ".join(
+    print(f"calibrated {labels.size} points; thresholds: " + ", ".join(
         f"{k}={v:.6g}" for k, v in sorted(thresholds.items())
     ))
     return 0
 
 
 def cmd_predict(args) -> int:
-    cfg = _load_config(args)
+    table, thresholds, artifact_config = formats.read_calibration_artifact(args.artifact)
+    cfg = _load_config(args, artifact_config)
     _validate_common(cfg)
-    scheme, model = _scheme_and_model(cfg)
+    config = _evasion_config(cfg)
     out = _out_dir(args)
-    table, thresholds, _ = formats.read_calibration_artifact(args.artifact)
     tensor = formats.read_score_tensor(args.scores)
     labels = formats.read_labels_csv(args.labels) if args.labels else None
 
@@ -233,42 +225,11 @@ def cmd_predict(args) -> int:
         raise InputError("labels and scores disagree on the number of points")
     if np.any(tensor < 0.0) or np.any(tensor > 1.0):
         raise InputError("scores must lie in [0, 1]")
-    if cfg["eta"] > 0.0 and cfg["mode"] != "calibration-time":
-        raise ConfigurationError("corrected prediction is a calibration-time mode")
-    if cfg["eta"] > 0.0 and "corrected" not in thresholds:
-        raise ConfigurationError("eta > 0 but the artifact has no corrected threshold")
 
-    grid = table.distributions[0].grid if table.distributions else BinGrid.uniform(
-        cfg["grid_edges"]
+    grid = table.distributions[0].grid if table.distributions else config.grid
+    named = predict(
+        _tensor_distributions(tensor, grid), Calibration(table, thresholds), config
     )
-    per_point = _tensor_distributions(tensor, grid)
-    named: dict[str, list[PredictionSet]] = {"vanilla": [], "robust": []}
-    if cfg["eta"] > 0.0:
-        named["corrected"] = []
-    for dists in per_point:
-        means = np.array([d.mean for d in dists])
-        vanilla = prediction_set(means, thresholds["vanilla"])
-        if cfg["mode"] == "test-time":
-            upper = np.array(
-                [
-                    bound_for_observed(d, model, scheme, "upper", cfg["bound_kind"])
-                    for d in dists
-                ]
-            )
-            robust = prediction_set(upper, thresholds["vanilla"])
-        else:
-            robust = prediction_set(means, thresholds["calibration-time"])
-        assert vanilla.members <= robust.members, "vanilla set not inside robust set"
-        named["vanilla"].append(vanilla)
-        named["robust"].append(robust)
-        if cfg["eta"] > 0.0:
-            corrected = corrected_set_from_distributions(
-                dists, thresholds["corrected"], cfg["eta"]
-            )
-            assert vanilla.members <= corrected.members, (
-                "vanilla set not inside corrected set"
-            )
-            named["corrected"].append(corrected)
 
     formats.write_sets_csv(out / "sets.csv", named)
     methods = {}

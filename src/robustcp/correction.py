@@ -141,29 +141,37 @@ def corrected_bound(
 
 @dataclass
 class BudgetLedger:
-    """Accounting of a failure budget split across pipeline stages."""
+    """Accounting of a failure budget split across pipeline stages.
+
+    ``entries`` keeps every spend for auditing; ``spent`` is their
+    running total, summed in spend order.
+    """
 
     eta: float
     entries: list[tuple[str, float]] = field(default_factory=list)
+    _spent: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_eta(self.eta)
+        for _, amount in self.entries:
+            self._spent += amount
 
     def spend(self, label: str, amount: float) -> float:
         """Record a spend and fail loudly if the declared budget is exceeded."""
         if amount <= 0.0:
             raise ValueError("budget spends must be positive")
         self.entries.append((label, float(amount)))
-        if self.spent > self.eta + 1e-12:
+        self._spent += float(amount)
+        if self._spent > self.eta + 1e-12:
             raise ValueError(
-                f"failure budget exceeded: spent {self.spent:.6g} of {self.eta:.6g}"
+                f"failure budget exceeded: spent {self._spent:.6g} of {self.eta:.6g}"
             )
         return amount
 
     @property
     def spent(self) -> float:
-        return sum(amount for _, amount in self.entries)
+        return self._spent
 
     def assert_within(self) -> None:
-        if self.spent > self.eta + 1e-12:
+        if self._spent > self.eta + 1e-12:
             raise AssertionError("failure budget exceeded")

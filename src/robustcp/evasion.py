@@ -14,6 +14,10 @@ end:
 Both variants accept a mean-only or a binned-CDF bound.  Corrected
 variants additionally account for Monte-Carlo estimation error and give
 finite-sample guarantees at a declared failure budget.
+
+After estimation everything runs through two functions: :func:`calibrate`
+turns true-label calibration distributions into thresholds, and
+:func:`predict` turns per-class test distributions into sets.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import ThreatModel, bound_for_clean, bound_for_observed
-from .correction import BudgetLedger, bernstein_radius, corrected_bound, hoeffding_radius
+from .correction import BudgetLedger, bernstein_radius, corrected_bound
 from .errors import ConfigurationError
 from .scores import PredictionSet, conformal_quantile, inverse_quantile, prediction_set
 from .smoothing import (
@@ -37,20 +41,15 @@ from .smoothing import (
 __all__ = [
     "EvasionConfig",
     "CalibrationTable",
+    "Calibration",
     "ClassScoreOracle",
+    "calibrate",
+    "predict",
     "calibrate_smooth",
     "class_distributions",
-    "sets_from_distributions",
-    "mean_set_from_distributions",
     "lower_bounds_for",
-    "test_time_sets",
-    "calibration_time_threshold",
-    "smooth_mean_set",
     "vanilla_worst_case_coverage",
-    "corrected_calibrate",
-    "corrected_test_set",
     "corrected_set_from_distributions",
-    "test_time_corrected_sets",
 ]
 
 # Batch oracle for one class: (points, class_index, rng) -> scores in [0, 1].
@@ -102,6 +101,127 @@ class CalibrationTable:
         return len(self.distributions)
 
 
+@dataclass
+class Calibration:
+    """A calibration table, its thresholds by method, and the budget it spent.
+
+    ``ledger`` is None without correction, or when loaded from an artifact.
+    """
+
+    table: CalibrationTable
+    thresholds: dict[str, float]
+    ledger: BudgetLedger | None = None
+
+
+def _bounds(distributions, config: EvasionConfig, direction: str, observed: bool):
+    bound = bound_for_observed if observed else bound_for_clean
+    return np.array(
+        [
+            bound(d, config.model, config.scheme, direction, config.bound_kind)
+            for d in distributions
+        ]
+    )
+
+
+def calibrate(
+    distributions: list[ScoreDistribution],
+    alpha: float,
+    config: EvasionConfig,
+    point_ids: np.ndarray | None = None,
+) -> Calibration:
+    """Thresholds from the true-label smooth-score distributions of clean points.
+
+    "vanilla" is the conformal quantile of the smooth means and
+    "calibration-time" that of the certified lower bounds over the
+    forward ball around each clean point.  With ``config.eta`` > 0 each
+    point's binned CDF is also widened by a DKW band at eta / (2 n)
+    before taking the lower bound, and "corrected" is the quantile of
+    those at level alpha - eta, leaving eta / 2 of the failure budget
+    for the test side (see :func:`predict`).
+    """
+    n = len(distributions)
+    point_ids = np.arange(n) if point_ids is None else np.asarray(point_ids, dtype=int)
+    table = CalibrationTable(
+        point_ids=point_ids,
+        smooth_means=np.array([d.mean for d in distributions]),
+        lower_bounds=_bounds(distributions, config, "lower", observed=False),
+        distributions=list(distributions),
+    )
+    thresholds = {
+        "vanilla": conformal_quantile(table.smooth_means, alpha),
+        "calibration-time": conformal_quantile(table.lower_bounds, alpha),
+    }
+    eta = config.eta
+    if not eta > 0.0:
+        return Calibration(table, thresholds)
+    if not alpha > eta:
+        raise ConfigurationError("alpha must exceed the correction budget eta")
+    ledger = BudgetLedger(eta=eta)
+    per_point = eta / (2.0 * n)
+    corrected = np.empty(n)
+    for i, d in enumerate(distributions):
+        ledger.spend(f"calibration cdf band {int(point_ids[i])}", per_point)
+        corrected[i] = corrected_bound(
+            d, config.model, config.scheme, "lower", config.bound_kind, per_point,
+            observed=False,
+        )
+    ledger.assert_within()
+    table.corrected_lower_bounds = corrected
+    thresholds["corrected"] = conformal_quantile(corrected, alpha - eta)
+    return Calibration(table, thresholds, ledger)
+
+
+def predict(
+    per_point_distributions: list[list[ScoreDistribution]],
+    calibration: Calibration,
+    config: EvasionConfig,
+) -> dict[str, list[PredictionSet]]:
+    """Prediction sets for test points from their per-class distributions.
+
+    "vanilla" thresholds smooth means at the vanilla threshold.  "robust"
+    thresholds, in test-time mode, certified upper bounds over the
+    reversed ball around the observed input at the vanilla threshold, and
+    in calibration-time mode smooth means at the calibration-time one.
+    With ``config.eta`` > 0 (calibration-time only), "corrected" sets
+    spend through one ledger per point, the calibration side first.
+    """
+    thresholds = calibration.thresholds
+    corrected = config.eta > 0.0
+    if corrected and config.mode != "calibration-time":
+        raise ConfigurationError("corrected prediction is a calibration-time mode")
+    if corrected and "corrected" not in thresholds:
+        raise ConfigurationError("eta > 0 but the calibration has no corrected threshold")
+    # A calibration loaded from an artifact carries no ledger; the
+    # corrected calibration spends eta / 2 by construction.
+    calibration_side = (
+        calibration.ledger.spent if calibration.ledger is not None else config.eta / 2.0
+    )
+    named: dict[str, list[PredictionSet]] = {"vanilla": [], "robust": []}
+    if corrected:
+        named["corrected"] = []
+    for point_id, dists in enumerate(per_point_distributions):
+        means = np.array([d.mean for d in dists])
+        vanilla = prediction_set(means, thresholds["vanilla"])
+        if config.mode == "test-time":
+            upper = _bounds(dists, config, "upper", observed=True)
+            robust = prediction_set(upper, thresholds["vanilla"])
+        else:
+            robust = prediction_set(means, thresholds["calibration-time"])
+        assert vanilla.members <= robust.members, "vanilla set not inside robust set"
+        named["vanilla"].append(vanilla)
+        named["robust"].append(robust)
+        if corrected:
+            ledger = BudgetLedger(eta=config.eta)
+            ledger.spend("calibration side", calibration_side)
+            wide = corrected_set_from_distributions(
+                dists, thresholds["corrected"], config.eta, ledger, point_id
+            )
+            ledger.assert_within()
+            assert vanilla.members <= wide.members, "vanilla set not inside corrected set"
+            named["corrected"].append(wide)
+    return named
+
+
 def _estimate_for_class(
     oracle: ClassScoreOracle,
     x: np.ndarray,
@@ -127,12 +247,8 @@ def calibrate_smooth(
     config: EvasionConfig,
     seed: int,
     point_ids: np.ndarray | None = None,
-) -> tuple[CalibrationTable, float]:
-    """Estimate true-label smooth scores on clean calibration data.
-
-    Returns the calibration table (distributions, means, certified lower
-    bounds over the forward ball around each clean point) and the plain
-    conformal threshold of the smooth means.
+) -> Calibration:
+    """Estimate true-label smooth scores on clean calibration data, then :func:`calibrate`.
 
     Randomness is keyed by (seed, point id, class), never by array
     position, so permuting the calibration set permutes the table.
@@ -141,26 +257,15 @@ def calibrate_smooth(
     labels = np.asarray(labels, dtype=int)
     if inputs.shape[0] != labels.size:
         raise ValueError("inputs and labels must have equal length")
-    if point_ids is None:
-        point_ids = np.arange(labels.size)
-    point_ids = np.asarray(point_ids, dtype=int)
-    dists: list[ScoreDistribution] = []
-    lower = np.empty(labels.size)
-    for i in range(labels.size):
-        rng = substream(seed, "cal", int(point_ids[i]), int(labels[i]))
-        d = _estimate_for_class(oracle, inputs[i], int(labels[i]), config, rng)
-        dists.append(d)
-        lower[i] = bound_for_clean(
-            d, config.model, config.scheme, "lower", config.bound_kind
+    point_ids = np.arange(labels.size) if point_ids is None else np.asarray(point_ids, dtype=int)
+    dists = [
+        _estimate_for_class(
+            oracle, inputs[i], int(labels[i]), config,
+            substream(seed, "cal", int(point_ids[i]), int(labels[i])),
         )
-    means = np.array([d.mean for d in dists])
-    table = CalibrationTable(
-        point_ids=point_ids,
-        smooth_means=means,
-        lower_bounds=lower,
-        distributions=dists,
-    )
-    return table, conformal_quantile(means, alpha)
+        for i in range(labels.size)
+    ]
+    return calibrate(dists, alpha, config, point_ids)
 
 
 def class_distributions(
@@ -184,78 +289,17 @@ def class_distributions(
     ]
 
 
-def sets_from_distributions(
-    distributions: list[ScoreDistribution],
-    threshold: float,
-    config: EvasionConfig,
-) -> PredictionSet:
-    """Conservative set from precomputed per-class distributions."""
-    upper = np.array(
-        [
-            bound_for_observed(d, config.model, config.scheme, "upper", config.bound_kind)
-            for d in distributions
-        ]
-    )
-    return prediction_set(upper, threshold)
-
-
-def mean_set_from_distributions(
-    distributions: list[ScoreDistribution], threshold: float
-) -> PredictionSet:
-    """Plain smooth-mean set from precomputed per-class distributions."""
-    return prediction_set(np.array([d.mean for d in distributions]), threshold)
-
-
-def lower_bounds_for(table: CalibrationTable, config: EvasionConfig) -> np.ndarray:
+def lower_bounds_for(
+    table: CalibrationTable, config: EvasionConfig, observed: bool = False
+) -> np.ndarray:
     """Certified lower bounds of a calibration table under another config.
 
     Recomputes from the stored distributions, so one calibration pass can
-    serve several radii or bound kinds.
+    serve several radii or bound kinds.  ``observed`` takes the bound
+    over the reversed ball, for distributions estimated at inputs the
+    adversary may already have moved (poisoned calibration points).
     """
-    return np.array(
-        [
-            bound_for_clean(d, config.model, config.scheme, "lower", config.bound_kind)
-            for d in table.distributions
-        ]
-    )
-
-
-def test_time_sets(
-    oracle: ClassScoreOracle,
-    x: np.ndarray,
-    n_classes: int,
-    threshold: float,
-    config: EvasionConfig,
-    seed: int,
-    point_id: int,
-) -> PredictionSet:
-    """Conservative set at an observed input: certified upper bounds vs threshold.
-
-    The upper bound is taken over the reversed ball around the
-    observation, so it covers the clean input wherever the true
-    perturbation inside the threat model was.
-    """
-    dists = class_distributions(oracle, x, n_classes, config, seed, point_id)
-    return sets_from_distributions(dists, threshold, config)
-
-
-def calibration_time_threshold(table: CalibrationTable, alpha: float) -> float:
-    """Deflated threshold: the conformal quantile of certified lower bounds."""
-    return conformal_quantile(table.lower_bounds, alpha)
-
-
-def smooth_mean_set(
-    oracle: ClassScoreOracle,
-    x: np.ndarray,
-    n_classes: int,
-    threshold: float,
-    config: EvasionConfig,
-    seed: int,
-    point_id: int,
-) -> PredictionSet:
-    """Plain smooth-mean set, used with vanilla and calibration-time thresholds."""
-    dists = class_distributions(oracle, x, n_classes, config, seed, point_id)
-    return mean_set_from_distributions(dists, threshold)
+    return _bounds(table.distributions, config, "lower", observed)
 
 
 def vanilla_worst_case_coverage(
@@ -276,70 +320,6 @@ def vanilla_worst_case_coverage(
     return 1.0 - inverse_quantile(threshold, lower_bounds)
 
 
-# ------------------------------------------------------- corrected variants --
-
-
-def corrected_calibrate(
-    oracle: ClassScoreOracle,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    alpha: float,
-    config: EvasionConfig,
-    seed: int,
-    point_ids: np.ndarray | None = None,
-) -> tuple[CalibrationTable, float, BudgetLedger]:
-    """Calibration-time pipeline with finite-sample corrected lower bounds.
-
-    Each calibration point's binned CDF is widened by a DKW band at
-    eta / (2 n) before taking the lower bound, and the threshold is the
-    quantile at level alpha - eta, leaving eta / 2 of the failure budget
-    for the test side (see :func:`corrected_test_set`).
-    """
-    eta = config.eta
-    if not eta > 0.0:
-        raise ConfigurationError("corrected calibration requires eta > 0")
-    if not alpha > eta:
-        raise ConfigurationError("alpha must exceed the correction budget eta")
-    table, _ = calibrate_smooth(oracle, inputs, labels, alpha, config, seed, point_ids)
-    n = len(table)
-    ledger = BudgetLedger(eta=eta)
-    per_point = eta / (2.0 * n)
-    corrected = np.empty(n)
-    for i, d in enumerate(table.distributions):
-        ledger.spend(f"calibration cdf band {int(table.point_ids[i])}", per_point)
-        corrected[i] = corrected_bound(
-            d, config.model, config.scheme, "lower", config.bound_kind, per_point,
-            observed=False,
-        )
-    table.corrected_lower_bounds = corrected
-    threshold = conformal_quantile(corrected, alpha - eta)
-    return table, threshold, ledger
-
-
-def corrected_test_set(
-    oracle: ClassScoreOracle,
-    x: np.ndarray,
-    n_classes: int,
-    threshold: float,
-    config: EvasionConfig,
-    seed: int,
-    point_id: int,
-    ledger: BudgetLedger | None = None,
-) -> PredictionSet:
-    """Test side of the corrected calibration-time pipeline.
-
-    Scores each class by its Monte-Carlo mean plus an empirical
-    Bernstein radius at eta / (2 n_classes), so the true smooth score of
-    the (unknown) true class clears the threshold whenever its bound
-    would.
-    """
-    eta = config.eta
-    if not eta > 0.0:
-        raise ConfigurationError("corrected prediction requires eta > 0")
-    dists = class_distributions(oracle, x, n_classes, config, seed, point_id)
-    return corrected_set_from_distributions(dists, threshold, eta, ledger, point_id)
-
-
 def corrected_set_from_distributions(
     distributions: list[ScoreDistribution],
     threshold: float,
@@ -347,7 +327,13 @@ def corrected_set_from_distributions(
     ledger: BudgetLedger | None = None,
     point_id: int = 0,
 ) -> PredictionSet:
-    """Corrected calibration-time set from precomputed distributions."""
+    """Corrected calibration-time set from precomputed distributions.
+
+    Scores each class by its Monte-Carlo mean plus an empirical
+    Bernstein radius at eta / (2 n_classes), so the true smooth score of
+    the (unknown) true class clears the threshold whenever its bound
+    would.
+    """
     n_classes = len(distributions)
     per_class = eta / (2.0 * n_classes)
     inflated = np.empty(n_classes)
@@ -356,39 +342,3 @@ def corrected_set_from_distributions(
             ledger.spend(f"test point {int(point_id)} class {c} mean radius", per_class)
         inflated[c] = d.mean + bernstein_radius(d.n_samples, d.variance, per_class)
     return prediction_set(inflated, threshold)
-
-
-def test_time_corrected_sets(
-    oracle: ClassScoreOracle,
-    x: np.ndarray,
-    n_classes: int,
-    threshold: float,
-    config: EvasionConfig,
-    seed: int,
-    point_id: int,
-    eta_mc: float,
-    eta_bound: float,
-) -> PredictionSet:
-    """Corrected variant of the test-time mode.
-
-    The threshold must come from plain Monte-Carlo calibration run at
-    level alpha - eta_mc - eta_bound; each class's certified upper bound
-    is taken on statistics widened at ``eta_bound`` and inflated by a
-    Hoeffding radius at ``eta_mc`` for the calibration-side Monte-Carlo
-    error, restoring a 1 - alpha guarantee overall.
-    """
-    if eta_mc <= 0.0 or eta_bound <= 0.0:
-        raise ConfigurationError("both correction budgets must be positive")
-    eps_mc = hoeffding_radius(config.n_samples, eta_mc)
-    dists = class_distributions(oracle, x, n_classes, config, seed, point_id)
-    upper = np.array(
-        [
-            corrected_bound(
-                d, config.model, config.scheme, "upper", config.bound_kind,
-                eta_bound, observed=True,
-            )
-            + eps_mc
-            for d in dists
-        ]
-    )
-    return prediction_set(upper, threshold)

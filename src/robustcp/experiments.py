@@ -27,19 +27,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .attacks import evade_binary, evade_l2, poison_features_attack, poison_labels_attack
-from .bounds import BinaryBall, L2Ball, ThreatModel, bound_for_observed
-from .correction import BudgetLedger
+from .bounds import BinaryBall, L2Ball, ThreatModel
 from .errors import ConfigurationError
 from .evasion import (
     EvasionConfig,
     calibrate_smooth,
-    calibration_time_threshold,
     class_distributions,
-    corrected_calibrate,
-    corrected_set_from_distributions,
     lower_bounds_for,
-    mean_set_from_distributions,
-    sets_from_distributions,
+    predict,
     vanilla_worst_case_coverage,
 )
 from .formats import atomic_write_text
@@ -208,6 +203,28 @@ def _metrics(sets, labels) -> dict[str, float]:
     }
 
 
+def _evasion_config(config: ExperimentConfig, **fields) -> EvasionConfig:
+    """Smoothing settings of a trial against its first threat model."""
+    return EvasionConfig(
+        scheme=scheme_for(config), model=models_for(config)[0],
+        n_samples=config.n_samples, grid=BinGrid.uniform(config.grid_edges), **fields,
+    )
+
+
+def _test_distributions(oracle, points, n_classes, cfg, ts):
+    return [
+        class_distributions(oracle, x, n_classes, cfg, ts, i) for i, x in enumerate(points)
+    ]
+
+
+def _poison_sets(per_test, calibration, threshold, cfg):
+    """Vanilla sets, and "robust" smooth-mean sets at a poisoning-safe threshold."""
+    guarded = replace(
+        calibration, thresholds={**calibration.thresholds, "calibration-time": threshold}
+    )
+    return predict(per_test, guarded, replace(cfg, mode="calibration-time", eta=0.0))
+
+
 @dataclass
 class TrialResult:
     """Per-trial metrics rows plus the thresholds that produced them.
@@ -288,62 +305,46 @@ def evasion_trial(config: ExperimentConfig, index: int) -> TrialResult:
     ts = subseed(config.seed, "trial", index)
     task, (x_cal, y_cal), (x_test, y_test) = generate_task(config.task, ts)
     oracle = _oracle_for(task, config.score_kind)
-    scheme = scheme_for(config)
-    models = models_for(config)
-    grid = BinGrid.uniform(config.grid_edges)
-    base = EvasionConfig(
-        scheme=scheme, model=models[0], mode="test-time", bound_kind="mean",
-        n_samples=config.n_samples, grid=grid,
-    )
-    table, threshold = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, base, seed=ts)
+    base = _evasion_config(config, mode="test-time", bound_kind="mean")
+    calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, base, seed=ts)
+    table, threshold = calibration.table, calibration.thresholds["vanilla"]
     n_classes = config.task.n_classes
     rows = []
     thresholds = {"clean": threshold}
 
-    clean_sets = []
-    for i in range(len(y_test)):
-        dists = class_distributions(oracle, x_test[i], n_classes, base, ts, i)
-        clean_sets.append(mean_set_from_distributions(dists, threshold))
+    # Calibration-time mode needs no bounds; only its vanilla sets are used.
+    clean = _test_distributions(oracle, x_test, n_classes, base, ts)
+    clean_sets = predict(clean, calibration, replace(base, mode="calibration-time"))
     rows.append(
-        {"radius": 0.0, "method": "vanilla", **_metrics(clean_sets, y_test)}
+        {"radius": 0.0, "method": "vanilla", **_metrics(clean_sets["vanilla"], y_test)}
     )
 
-    for model in models:
-        cfg_mean = replace(base, model=model, bound_kind="mean")
-        cfg_cdf = replace(base, model=model, bound_kind="cdf")
-        beta_mean = vanilla_worst_case_coverage(
-            table, threshold, lower_bounds_for(table, cfg_mean)
-        )
-        beta_cdf = vanilla_worst_case_coverage(
-            table, threshold, lower_bounds_for(table, cfg_cdf)
-        )
-        label = f"r={_radius_value(model):g}"
-        sets_vanilla, sets_mean, sets_cdf = [], [], []
-        for i in range(len(y_test)):
-            attacked = _attack_point(
-                oracle, x_test[i], int(y_test[i]), model, scheme,
-                substream(ts, "attack", label, i), config.attack_samples,
-            )
-            dists = class_distributions(oracle, attacked, n_classes, base, ts, i)
-            sets_vanilla.append(mean_set_from_distributions(dists, threshold))
-            sets_mean.append(sets_from_distributions(dists, threshold, cfg_mean))
-            sets_cdf.append(sets_from_distributions(dists, threshold, cfg_cdf))
+    for model in models_for(config):
         r = _radius_value(model)
-        rows.append(
-            {"radius": r, "method": "vanilla", **_metrics(sets_vanilla, y_test)}
-        )
-        rows.append(
-            {
-                "radius": r, "method": "mean-bound",
-                **_metrics(sets_mean, y_test), "beta": beta_mean,
-            }
-        )
-        rows.append(
-            {
-                "radius": r, "method": "cdf-bound",
-                **_metrics(sets_cdf, y_test), "beta": beta_cdf,
-            }
-        )
+        attacked = [
+            _attack_point(
+                oracle, x_test[i], int(y_test[i]), model, base.scheme,
+                substream(ts, "attack", f"r={r:g}", i), config.attack_samples,
+            )
+            for i in range(len(y_test))
+        ]
+        per_test = _test_distributions(oracle, attacked, n_classes, base, ts)
+        for kind in ("mean", "cdf"):
+            cfg = replace(base, model=model, bound_kind=kind)
+            sets = predict(per_test, calibration, cfg)
+            if kind == "mean":
+                rows.append(
+                    {"radius": r, "method": "vanilla", **_metrics(sets["vanilla"], y_test)}
+                )
+            rows.append(
+                {
+                    "radius": r, "method": f"{kind}-bound",
+                    **_metrics(sets["robust"], y_test),
+                    "beta": vanilla_worst_case_coverage(
+                        table, threshold, lower_bounds_for(table, cfg)
+                    ),
+                }
+            )
     return TrialResult(index, ts, rows, thresholds, time.perf_counter() - t0)
 
 
@@ -398,52 +399,36 @@ def feature_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
     ts = subseed(config.seed, "trial", index)
     task, (x_cal, y_cal), (x_test, y_test) = generate_task(config.task, ts)
     oracle = _oracle_for(task, config.score_kind)
-    scheme = scheme_for(config)
-    model = models_for(config)[0]
-    grid = BinGrid.uniform(config.grid_edges)
-    cfg = EvasionConfig(
-        scheme=scheme, model=model, mode="calibration-time",
-        bound_kind=config.bound_kind, n_samples=config.n_samples, grid=grid,
-    )
-    table, _ = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, cfg, seed=ts)
-    n_classes = config.task.n_classes
-    test_means = []
-    for i in range(len(y_test)):
-        dists = class_distributions(oracle, x_test[i], n_classes, cfg, ts, i)
-        test_means.append(np.array([d.mean for d in dists]))
+    cfg = _evasion_config(config, mode="calibration-time", bound_kind=config.bound_kind)
+    calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, cfg, seed=ts)
+    per_test = _test_distributions(oracle, x_test, config.task.n_classes, cfg, ts)
     rows = []
     thresholds = {}
     for k in config.budgets:
         if k == 0:
-            received, table_k = x_cal, table
+            calibration_k = calibration
         else:
             received, _ = poison_features_attack(
-                oracle, x_cal, y_cal, table, k, config.alpha, cfg,
+                oracle, x_cal, y_cal, calibration.table, k, config.alpha, cfg,
                 seed=subseed(ts, "attack", k), n_samples=config.attack_samples,
             )
-            table_k, _ = calibrate_smooth(
+            calibration_k = calibrate_smooth(
                 oracle, received, y_cal, config.alpha, cfg,
                 seed=subseed(ts, "defender", k),
             )
-        lower = np.array(
-            [
-                bound_for_observed(d, model, scheme, "lower", config.bound_kind)
-                for d in table_k.distributions
-            ]
-        )
-        q_vanilla = conformal_quantile(table_k.smooth_means, config.alpha)
+        table_k = calibration_k.table
         conservative = feature_poison_threshold(
-            table_k.smooth_means, lower, k, config.alpha
+            table_k.smooth_means, lower_bounds_for(table_k, cfg, observed=True),
+            k, config.alpha,
         )
-        sets_vanilla = [prediction_set(m, q_vanilla) for m in test_means]
-        sets_robust = [prediction_set(m, conservative.threshold) for m in test_means]
+        sets = _poison_sets(per_test, calibration_k, conservative.threshold, cfg)
         rows.append(
-            {"budget": k, "method": "vanilla", **_metrics(sets_vanilla, y_test)}
+            {"budget": k, "method": "vanilla", **_metrics(sets["vanilla"], y_test)}
         )
         rows.append(
-            {"budget": k, "method": "robust", **_metrics(sets_robust, y_test)}
+            {"budget": k, "method": "robust", **_metrics(sets["robust"], y_test)}
         )
-        thresholds[f"vanilla-k{k}"] = q_vanilla
+        thresholds[f"vanilla-k{k}"] = calibration_k.thresholds["vanilla"]
         thresholds[f"robust-k{k}"] = conservative.threshold
     return TrialResult(index, ts, rows, thresholds, time.perf_counter() - t0)
 
@@ -461,68 +446,37 @@ def corrected_trial(config: ExperimentConfig, index: int) -> TrialResult:
     ts = subseed(config.seed, "trial", index)
     task, (x_cal, y_cal), (x_test, y_test) = generate_task(config.task, ts)
     oracle = _oracle_for(task, config.score_kind)
-    scheme = scheme_for(config)
-    model = models_for(config)[0]
-    grid = BinGrid.uniform(config.grid_edges)
-    cfg = EvasionConfig(
-        scheme=scheme, model=model, mode="calibration-time",
-        bound_kind=config.bound_kind, n_samples=config.n_samples, grid=grid,
-        eta=config.eta,
+    cfg = _evasion_config(
+        config, mode="calibration-time", bound_kind=config.bound_kind, eta=config.eta
     )
-    table, thr_corrected, ledger = corrected_calibrate(
-        oracle, x_cal, y_cal, config.alpha, cfg, seed=ts
-    )
-    ledger.assert_within()
-    thr_plain = calibration_time_threshold(table, config.alpha)
-
-    n_classes = config.task.n_classes
-    sets_corrected, sets_plain = [], []
-    per_test = [
-        class_distributions(oracle, x_test[i], n_classes, cfg, ts, i)
-        for i in range(len(y_test))
-    ]
-    for i, dists in enumerate(per_test):
-        # One prediction's budget: the calibration half plus this point's half.
-        point_ledger = BudgetLedger(eta=config.eta)
-        point_ledger.spend("calibration side", ledger.spent)
-        sets_corrected.append(
-            corrected_set_from_distributions(
-                dists, thr_corrected, config.eta, point_ledger, i
-            )
-        )
-        point_ledger.assert_within()
-        sets_plain.append(mean_set_from_distributions(dists, thr_plain))
-
+    calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, cfg, seed=ts)
+    table = calibration.table
+    per_test = _test_distributions(oracle, x_test, config.task.n_classes, cfg, ts)
+    sets = predict(per_test, calibration, cfg)
     rows = [
-        {"method": "corrected-sets", **_metrics(sets_corrected, y_test)},
-        {"method": "uncorrected-sets", **_metrics(sets_plain, y_test)},
+        {"method": "corrected-sets", **_metrics(sets["corrected"], y_test)},
+        {"method": "uncorrected-sets", **_metrics(sets["robust"], y_test)},
     ]
-    thresholds = {"corrected": thr_corrected, "uncorrected": thr_plain}
+    thresholds = {
+        "corrected": calibration.thresholds["corrected"],
+        "uncorrected": calibration.thresholds["calibration-time"],
+    }
 
+    lower_plain = np.minimum(
+        lower_bounds_for(table, cfg, observed=True), table.smooth_means
+    )
     for k in config.budgets:
         conservative, poison_ledger = corrected_feature_poison_threshold(
-            table.distributions, model, scheme, k, config.alpha, config.eta,
+            table.distributions, cfg.model, cfg.scheme, k, config.alpha, config.eta,
             bound_kind=config.bound_kind,
         )
         poison_ledger.assert_within()
-        lower_plain = np.array(
-            [
-                bound_for_observed(d, model, scheme, "lower", config.bound_kind)
-                for d in table.distributions
-            ]
-        )
-        plain = feature_poison_threshold(
-            table.smooth_means, np.minimum(lower_plain, table.smooth_means),
-            k, config.alpha,
-        )
-        sets_k = [
-            mean_set_from_distributions(dists, conservative.threshold)
-            for dists in per_test
-        ]
+        plain = feature_poison_threshold(table.smooth_means, lower_plain, k, config.alpha)
+        sets_k = _poison_sets(per_test, calibration, conservative.threshold, cfg)
         rows.append(
             {
                 "budget": k, "method": "corrected-threshold",
-                **_metrics(sets_k, y_test),
+                **_metrics(sets_k["robust"], y_test),
             }
         )
         thresholds[f"corrected-k{k}"] = conservative.threshold

@@ -352,9 +352,11 @@ def resolve_config(
     schema: Mapping[str, ConfigField],
     text: str | None = None,
     overrides: Sequence[str] = (),
+    base: Mapping[str, object] | None = None,
 ) -> dict:
-    """Defaults, then config file values, then command-line overrides."""
+    """Defaults, then ``base`` values, then config file values, then command-line overrides."""
     values = {key: f.default for key, f in schema.items()}
+    values.update(base or {})
     if text is not None:
         values.update(parse_config_text(text, schema))
     for item in overrides:

@@ -12,6 +12,7 @@ import pytest
 
 from robustcp import formats
 from robustcp.cli import main
+from robustcp.correction import BudgetLedger
 from robustcp.errors import InputError
 from robustcp.poisoning import PoisonWitness, replay_feature_witness
 from robustcp.scores import PredictionSet
@@ -279,6 +280,61 @@ def test_predict_empty_input_exits_zero(workspace):
     assert code == 0
     sets = formats.read_sets_csv(workspace / "pred-empty" / "sets.csv")
     assert all(len(v) == 0 for v in sets.values())
+
+
+def predict(ws, artifact, out, *extra):
+    return run_cli(
+        "predict",
+        "--artifact", str(artifact),
+        "--scores", str(ws / "test.csv"),
+        "--labels", str(ws / "test-labels.csv"),
+        "--out", str(ws / out),
+        *extra,
+    )
+
+
+def test_predict_takes_threat_model_from_artifact(workspace):
+    artifact = calibrate(workspace)
+    assert predict(workspace, artifact, "bare") == 0
+    assert predict(
+        workspace, artifact, "flagged", "--set", "sigma=0.25", "--set", "radius=0.125"
+    ) == 0
+    for name in ("sets.csv", "metrics.json", "resolved-config.cfg"):
+        assert (workspace / "bare" / name).read_bytes() == (
+            workspace / "flagged" / name
+        ).read_bytes()
+
+
+def test_predict_rejects_settings_that_contradict_the_artifact(workspace, tmp_path):
+    artifact = calibrate(workspace)
+    assert predict(workspace, artifact, "p", "--set", "radius=0.5") == 4
+    assert predict(workspace, artifact, "p", "--set", "bound_kind=mean") == 4
+    config = tmp_path / "run.cfg"
+    config.write_text("sigma = 0.5\n")
+    assert predict(workspace, artifact, "p", "--config", str(config)) == 4
+    # mode is chosen at predict time: the artifact holds both thresholds.
+    assert predict(workspace, artifact, "p", "--set", "mode=calibration-time") == 0
+
+
+def test_corrected_predict_spends_through_one_ledger_per_point(workspace, monkeypatch):
+    artifact = calibrate(
+        workspace, out="calib-eta",
+        extra=("--set", "eta=0.01", "--set", "mode=calibration-time"),
+    )
+    spends = []
+    original = BudgetLedger.spend
+
+    def counted(self, label, amount):
+        spends.append(label)
+        return original(self, label, amount)
+
+    monkeypatch.setattr(BudgetLedger, "spend", counted)
+    assert predict(workspace, artifact, "pred-eta", "--set", "mode=calibration-time") == 0
+    n_points, n_classes = 8, 3
+    assert len(spends) == n_points * (n_classes + 1)
+    assert spends.count("calibration side") == n_points
+    sets = formats.read_sets_csv(workspace / "pred-eta" / "sets.csv")
+    assert set(sets) == {"vanilla", "robust", "corrected"}
 
 
 def test_certify_poisoning_feature_with_oracle(workspace):

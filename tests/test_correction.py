@@ -159,3 +159,20 @@ class TestBudgetLedger:
             BudgetLedger(eta=0.0)
         with pytest.raises(ValueError):
             BudgetLedger(eta=1.0)
+
+    def test_running_total_matches_summing_the_entries(self):
+        rng = substream(46, "ledger")
+        amounts = rng.uniform(0.1, 10.0, 3000)
+        amounts *= 0.5 / amounts.sum()
+        ledger = BudgetLedger(eta=0.5)
+        for i, amount in enumerate(amounts):
+            ledger.spend(f"spend {i}", float(amount))
+        # Left to right, as spends happen (sum() compensates from Python 3.12 on).
+        total = 0.0
+        for _, amount in ledger.entries:
+            total += amount
+        assert ledger.spent == total
+        assert len(ledger.entries) == amounts.size
+        ledger.assert_within()
+        with pytest.raises(ValueError, match="failure budget exceeded"):
+            ledger.spend("one too many", 1e-9)

@@ -1,26 +1,33 @@
 """Calibration and prediction under test-time perturbations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean
-from robustcp.correction import BudgetLedger, bernstein_radius
+from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean, bound_for_observed
+from robustcp.correction import BudgetLedger, bernstein_radius, corrected_bound
+from robustcp.errors import ConfigurationError
 from robustcp.evasion import (
     EvasionConfig,
+    calibrate,
     calibrate_smooth,
-    calibration_time_threshold,
     class_distributions,
-    corrected_calibrate,
     corrected_set_from_distributions,
     lower_bounds_for,
-    mean_set_from_distributions,
-    sets_from_distributions,
-    smooth_mean_set,
+    predict,
     vanilla_worst_case_coverage,
 )
-from robustcp.evasion import test_time_sets as certified_test_sets
-from robustcp.scores import conformal_quantile, inverse_quantile
-from robustcp.smoothing import GaussianNoise, SparseFlipNoise, substream
+from robustcp.scores import conformal_quantile, inverse_quantile, prediction_set
+from robustcp.smoothing import (
+    BinGrid,
+    GaussianNoise,
+    SparseFlipNoise,
+    distribution_from_samples,
+    substream,
+)
 from robustcp.tasks import make_binary_task, make_gaussian_mixture, tps_oracle
 
 N_CAL = 24
@@ -47,99 +54,75 @@ def gaussian_setup():
 @pytest.fixture(scope="module")
 def calibrated(gaussian_setup):
     _, oracle, x, y, config = gaussian_setup
-    table, threshold = calibrate_smooth(oracle, x, y, ALPHA, config, seed=17)
-    return table, threshold
+    return calibrate_smooth(oracle, x, y, ALPHA, config, seed=17)
 
 
 def test_calibrate_is_deterministic(gaussian_setup, calibrated):
     _, oracle, x, y, config = gaussian_setup
-    table, threshold = calibrated
-    again, thr_again = calibrate_smooth(oracle, x, y, ALPHA, config, seed=17)
-    assert thr_again == threshold
-    np.testing.assert_array_equal(again.smooth_means, table.smooth_means)
-    np.testing.assert_array_equal(again.lower_bounds, table.lower_bounds)
+    again = calibrate_smooth(oracle, x, y, ALPHA, config, seed=17)
+    assert again.thresholds == calibrated.thresholds
+    np.testing.assert_array_equal(again.table.smooth_means, calibrated.table.smooth_means)
+    np.testing.assert_array_equal(again.table.lower_bounds, calibrated.table.lower_bounds)
 
 
 def test_calibrate_seed_changes_estimates(gaussian_setup, calibrated):
     _, oracle, x, y, config = gaussian_setup
-    table, _ = calibrated
-    other, _ = calibrate_smooth(oracle, x, y, ALPHA, config, seed=18)
-    assert not np.array_equal(other.smooth_means, table.smooth_means)
+    other = calibrate_smooth(oracle, x, y, ALPHA, config, seed=18)
+    assert not np.array_equal(other.table.smooth_means, calibrated.table.smooth_means)
 
 
 def test_calibrate_is_exchangeable(gaussian_setup, calibrated):
     """Streams are keyed by point id, so permuting rows permutes the table."""
     _, oracle, x, y, config = gaussian_setup
-    table, threshold = calibrated
+    table = calibrated.table
     perm = substream(0, "perm").permutation(N_CAL)
-    shuffled, thr = calibrate_smooth(
+    shuffled = calibrate_smooth(
         oracle, x[perm], y[perm], ALPHA, config, seed=17, point_ids=np.arange(N_CAL)[perm]
     )
-    assert thr == threshold
-    np.testing.assert_array_equal(shuffled.smooth_means, table.smooth_means[perm])
-    np.testing.assert_array_equal(shuffled.lower_bounds, table.lower_bounds[perm])
+    assert shuffled.thresholds == calibrated.thresholds
+    np.testing.assert_array_equal(shuffled.table.smooth_means, table.smooth_means[perm])
+    np.testing.assert_array_equal(shuffled.table.lower_bounds, table.lower_bounds[perm])
 
 
 def test_threshold_is_quantile_of_means(calibrated):
-    table, threshold = calibrated
-    assert threshold == conformal_quantile(table.smooth_means, ALPHA)
+    threshold = calibrated.thresholds["vanilla"]
+    assert threshold == conformal_quantile(calibrated.table.smooth_means, ALPHA)
 
 
 def test_calibration_time_threshold_is_more_conservative(calibrated):
-    table, threshold = calibrated
-    guarded = calibration_time_threshold(table, ALPHA)
-    assert guarded == conformal_quantile(table.lower_bounds, ALPHA)
-    assert guarded <= threshold
+    guarded = calibrated.thresholds["calibration-time"]
+    assert guarded == conformal_quantile(calibrated.table.lower_bounds, ALPHA)
+    assert guarded <= calibrated.thresholds["vanilla"]
 
 
 def test_lower_bounds_recomputable_from_distributions(gaussian_setup, calibrated):
     _, _, _, _, config = gaussian_setup
-    table, _ = calibrated
+    table = calibrated.table
     np.testing.assert_array_equal(lower_bounds_for(table, config), table.lower_bounds)
+    observed = [
+        bound_for_observed(d, config.model, config.scheme, "lower", config.bound_kind)
+        for d in table.distributions
+    ]
+    np.testing.assert_array_equal(lower_bounds_for(table, config, observed=True), observed)
     # A larger ball certifies weaker (smaller) lower bounds.
-    import dataclasses
-
     wider = dataclasses.replace(config, model=L2Ball(radius=0.25))
     assert np.all(lower_bounds_for(table, wider) <= table.lower_bounds + 1e-12)
-
-
-def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
-    _, oracle, x, _, config = gaussian_setup
-    _, threshold = calibrated
-    for i in range(4):
-        via_fn = certified_test_sets(oracle, x[i], 3, threshold, config, seed=23, point_id=i)
-        dists = class_distributions(oracle, x[i], 3, config, seed=23, point_id=i)
-        via_dists = sets_from_distributions(dists, threshold, config)
-        assert via_fn.members == via_dists.members
 
 
 def test_set_nesting_vanilla_mean_cdf(gaussian_setup, calibrated):
     """Certified sets only ever grow the plain set, and the CDF route
     stays inside the mean route."""
-    import dataclasses
-
     _, oracle, x, _, config = gaussian_setup
-    _, threshold = calibrated
     mean_cfg = dataclasses.replace(config, bound_kind="mean")
-    for i in range(8):
-        dists = class_distributions(oracle, x[i], 3, config, seed=29, point_id=i)
-        plain = mean_set_from_distributions(dists, threshold)
-        cdf_set = sets_from_distributions(dists, threshold, config)
-        mean_set = sets_from_distributions(dists, threshold, mean_cfg)
+    dists = [class_distributions(oracle, x[i], 3, config, seed=29, point_id=i) for i in range(8)]
+    by_cdf = predict(dists, calibrated, config)
+    by_mean = predict(dists, calibrated, mean_cfg)
+    for plain, cdf_set, mean_set in zip(by_cdf["vanilla"], by_cdf["robust"], by_mean["robust"]):
         assert plain.members <= cdf_set.members <= mean_set.members
 
 
-def test_smooth_mean_set_is_plain_thresholding(gaussian_setup, calibrated):
-    _, oracle, x, _, config = gaussian_setup
-    _, threshold = calibrated
-    got = smooth_mean_set(oracle, x[0], 3, threshold, config, seed=23, point_id=0)
-    dists = class_distributions(oracle, x[0], 3, config, seed=23, point_id=0)
-    want = {c for c in range(3) if dists[c].mean >= threshold}
-    assert got.members == frozenset(want)
-
-
 def test_vanilla_worst_case_coverage_definition(calibrated):
-    table, threshold = calibrated
+    table, threshold = calibrated.table, calibrated.thresholds["vanilla"]
     beta = vanilla_worst_case_coverage(table, threshold)
     assert beta == 1.0 - inverse_quantile(threshold, table.lower_bounds)
     # Without an attack the floor is the usual empirical level.
@@ -147,25 +130,27 @@ def test_vanilla_worst_case_coverage_definition(calibrated):
     assert beta <= clean
 
 
-def test_corrected_calibrate_dominates_plain(gaussian_setup):
-    import dataclasses
-
+def test_corrected_calibrate_dominates_plain(gaussian_setup, calibrated):
     _, oracle, x, y, config = gaussian_setup
     cfg = dataclasses.replace(config, mode="calibration-time", eta=0.05)
-    table, threshold, ledger = corrected_calibrate(oracle, x, y, ALPHA, cfg, seed=17)
-    plain_table, _ = calibrate_smooth(oracle, x, y, ALPHA, cfg, seed=17)
+    corrected = calibrate_smooth(oracle, x, y, ALPHA, cfg, seed=17)
+    table, ledger = corrected.table, corrected.ledger
+    assert len(ledger.entries) == N_CAL
     assert ledger.spent <= cfg.eta / 2 + 1e-12
     assert np.all(table.corrected_lower_bounds <= table.lower_bounds + 1e-12)
-    assert threshold <= calibration_time_threshold(plain_table, ALPHA)
+    assert corrected.thresholds["corrected"] <= corrected.thresholds["calibration-time"]
+    # The plain thresholds do not depend on eta.
+    assert calibrated.ledger is None and "corrected" not in calibrated.thresholds
+    assert corrected.thresholds["calibration-time"] == calibrated.thresholds["calibration-time"]
 
 
 def test_corrected_set_contains_mean_set(gaussian_setup, calibrated):
     _, oracle, x, _, config = gaussian_setup
-    _, threshold = calibrated
+    threshold = calibrated.thresholds["vanilla"]
     eta = 0.02
     for i in range(4):
         dists = class_distributions(oracle, x[i], 3, config, seed=31, point_id=i)
-        plain = mean_set_from_distributions(dists, threshold)
+        plain = prediction_set(np.array([d.mean for d in dists]), threshold)
         ledger = BudgetLedger(eta)
         wide = corrected_set_from_distributions(dists, threshold, eta, ledger, i)
         assert plain.members <= wide.members
@@ -176,7 +161,7 @@ def test_corrected_set_contains_mean_set(gaussian_setup, calibrated):
 
 def test_corrected_set_membership_rule(gaussian_setup, calibrated):
     _, oracle, x, _, config = gaussian_setup
-    _, threshold = calibrated
+    threshold = calibrated.thresholds["vanilla"]
     eta = 0.02
     dists = class_distributions(oracle, x[1], 3, config, seed=31, point_id=1)
     got = corrected_set_from_distributions(dists, threshold, eta)
@@ -201,18 +186,117 @@ def test_binary_pipeline_end_to_end():
         bound_kind="cdf",
         n_samples=300,
     )
-    table, threshold = calibrate_smooth(oracle, x, y, ALPHA, config, seed=3)
+    calibration = calibrate_smooth(oracle, x, y, ALPHA, config, seed=3)
+    table = calibration.table
     assert np.all(table.lower_bounds <= table.smooth_means + 1e-12)
     expect = [
         bound_for_clean(d, config.model, config.scheme, "lower", "cdf")
         for d in table.distributions
     ]
     np.testing.assert_allclose(table.lower_bounds, expect)
-    ps = certified_test_sets(oracle, x[0], 3, threshold, config, seed=4, point_id=0)
-    assert ps.members <= frozenset(range(3))
+    dists = class_distributions(oracle, x[0], 3, config, seed=4, point_id=0)
+    sets = predict([dists], calibration, config)
+    assert sets["vanilla"][0].members <= sets["robust"][0].members <= frozenset(range(3))
 
 
 def test_length_mismatch_rejected(gaussian_setup):
     _, oracle, x, y, config = gaussian_setup
     with pytest.raises(ValueError):
         calibrate_smooth(oracle, x, y[:-1], ALPHA, config, seed=0)
+
+
+# ------------------------------------------------------ calibrate / predict --
+
+_GRID = BinGrid.uniform(21)
+_THREATS = {
+    "gaussian": (GaussianNoise(sigma=0.25), L2Ball(radius=0.125)),
+    # Unequal budgets make the reversed (observed) ball differ from the clean one.
+    "sparse": (SparseFlipNoise(0.1, 0.2), BinaryBall(additions=2, deletions=1)),
+}
+
+
+def _random_distribution(rng):
+    centre = rng.uniform(0.0, 1.0)
+    samples = np.clip(centre + rng.normal(0.0, rng.uniform(0.01, 0.3), 50), 0.0, 1.0)
+    return distribution_from_samples(samples, _GRID)
+
+
+def _members(scores, threshold) -> frozenset:
+    return frozenset(c for c, s in enumerate(scores) if s >= threshold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cal=st.integers(5, 30),
+    n_test=st.integers(1, 6),
+    n_classes=st.integers(2, 5),
+    threat=st.sampled_from(sorted(_THREATS)),
+    mode=st.sampled_from(["test-time", "calibration-time"]),
+    bound_kind=st.sampled_from(["mean", "cdf"]),
+    eta=st.sampled_from([0.0, 0.02]),
+)
+def test_calibrate_and_predict_properties(
+    seed, n_cal, n_test, n_classes, threat, mode, bound_kind, eta
+):
+    rng = substream(seed, "core")
+    scheme, model = _THREATS[threat]
+    config = EvasionConfig(
+        scheme=scheme, model=model, mode=mode, bound_kind=bound_kind, grid=_GRID, eta=eta
+    )
+    calibration = calibrate([_random_distribution(rng) for _ in range(n_cal)], ALPHA, config)
+    table, thresholds = calibration.table, calibration.thresholds
+
+    lower = [bound_for_clean(d, model, scheme, "lower", bound_kind) for d in table.distributions]
+    np.testing.assert_array_equal(table.lower_bounds, lower)
+    assert thresholds["vanilla"] == conformal_quantile(table.smooth_means, ALPHA)
+    assert thresholds["calibration-time"] == conformal_quantile(table.lower_bounds, ALPHA)
+    assert thresholds["calibration-time"] <= thresholds["vanilla"]
+    if eta > 0.0:
+        widened = [
+            corrected_bound(d, model, scheme, "lower", bound_kind, eta / (2 * n_cal))
+            for d in table.distributions
+        ]
+        np.testing.assert_array_equal(table.corrected_lower_bounds, widened)
+        assert thresholds["corrected"] == conformal_quantile(widened, ALPHA - eta)
+        assert thresholds["corrected"] <= thresholds["calibration-time"]
+        assert np.all(table.corrected_lower_bounds <= table.lower_bounds + 1e-12)
+        assert len(calibration.ledger.entries) == n_cal
+        assert calibration.ledger.spent == pytest.approx(eta / 2)
+    else:
+        assert set(thresholds) == {"vanilla", "calibration-time"}
+        assert calibration.ledger is None
+
+    test = [[_random_distribution(rng) for _ in range(n_classes)] for _ in range(n_test)]
+    if eta > 0.0 and mode == "test-time":
+        with pytest.raises(ConfigurationError):
+            predict(test, calibration, config)
+        return
+    sets = predict(test, calibration, config)
+    methods = {"vanilla", "robust", "corrected"} if eta > 0.0 else {"vanilla", "robust"}
+    assert set(sets) == methods
+    per_class = eta / (2 * n_classes)
+    for p, dists in enumerate(test):
+        means = [d.mean for d in dists]
+        vanilla = sets["vanilla"][p].members
+        assert vanilla == _members(means, thresholds["vanilla"])
+        if mode == "test-time":
+            upper = [bound_for_observed(d, model, scheme, "upper", bound_kind) for d in dists]
+            assert sets["robust"][p].members == _members(upper, thresholds["vanilla"])
+        else:
+            assert sets["robust"][p].members == _members(means, thresholds["calibration-time"])
+        assert vanilla <= sets["robust"][p].members
+        if eta > 0.0:
+            inflated = [
+                d.mean + bernstein_radius(d.n_samples, d.variance, per_class) for d in dists
+            ]
+            assert sets["corrected"][p].members == _members(inflated, thresholds["corrected"])
+            assert vanilla <= sets["corrected"][p].members
+    if mode == "test-time":
+        # Thresholds on either side of one observed-ball bound pin its exact value.
+        edge = bound_for_observed(test[0][0], model, scheme, "upper", bound_kind)
+        for threshold, inside in ((edge, True), (np.nextafter(edge, np.inf), False)):
+            pinned = dataclasses.replace(
+                calibration, thresholds={**thresholds, "vanilla": threshold}
+            )
+            assert (0 in predict(test, pinned, config)["robust"][0].members) == inside

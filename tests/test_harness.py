@@ -127,7 +127,7 @@ def test_poison_features_attack_preserves_binary_dtype():
         bound_kind="mean",
         n_samples=200,
     )
-    table, _ = calibrate_smooth(oracle, x, y, 0.2, config, seed=9)
+    table = calibrate_smooth(oracle, x, y, 0.2, config, seed=9).table
     poisoned, touched = poison_features_attack(
         oracle, x, y, table, 2, 0.2, config, seed=10, n_samples=64
     )
