@@ -109,6 +109,32 @@ def test_lower_bounds_recomputable_from_distributions(gaussian_setup, calibrated
     assert np.all(lower_bounds_for(table, wider) <= table.lower_bounds + 1e-12)
 
 
+def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
+    """Test-time robust sets are the observed-ball upper bounds of each
+    point's class distributions thresholded at the vanilla threshold, and
+    a point's set does not depend on the batch it is predicted in."""
+    _, oracle, x, _, config = gaussian_setup
+    threshold = calibrated.thresholds["vanilla"]
+    dists = [class_distributions(oracle, x[i], 3, config, seed=23, point_id=i) for i in range(4)]
+    batch = predict(dists, calibrated, config)["robust"]
+    for i in range(4):
+        upper = [
+            bound_for_observed(d, config.model, config.scheme, "upper", config.bound_kind)
+            for d in dists[i]
+        ]
+        assert batch[i].members == prediction_set(upper, threshold).members
+        assert predict([dists[i]], calibrated, config)["robust"][0].members == batch[i].members
+
+
+def test_smooth_mean_set_is_plain_thresholding(gaussian_setup, calibrated):
+    _, oracle, x, _, config = gaussian_setup
+    threshold = calibrated.thresholds["vanilla"]
+    dists = class_distributions(oracle, x[0], 3, config, seed=23, point_id=0)
+    got = predict([dists], calibrated, config)["vanilla"][0]
+    want = {c for c in range(3) if dists[c].mean >= threshold}
+    assert got.members == frozenset(want)
+
+
 def test_set_nesting_vanilla_mean_cdf(gaussian_setup, calibrated):
     """Certified sets only ever grow the plain set, and the CDF route
     stays inside the mean route."""
