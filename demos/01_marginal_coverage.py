@@ -17,9 +17,10 @@ from robustcp.scores import (
     prediction_set,
 )
 from robustcp.smoothing import substream, subseed
-from robustcp.tasks import make_gaussian_mixture, plain_score_matrix
+from robustcp.tasks import make_gaussian_mixture, oracle_for
 
 task = make_gaussian_mixture(n_classes=3, dim=4, separation=2.0, noise=1.0, seed=7)
+score = oracle_for(task, "tps")  # (points, rng) -> (n, classes) class probabilities
 N_CAL, N_TEST, ALPHA = 100, 500, 0.1
 
 # One split end to end.  The conformal threshold is the k-th smallest
@@ -28,8 +29,8 @@ N_CAL, N_TEST, ALPHA = 100, 500, 0.1
 rng_seed = 0
 x_cal, y_cal = task.sample(N_CAL, substream(rng_seed, "cal"))
 x_test, y_test = task.sample(N_TEST, substream(rng_seed, "test"))
-cal_matrix = plain_score_matrix(task, x_cal, "tps", substream(rng_seed, "score-cal"))
-test_matrix = plain_score_matrix(task, x_test, "tps", substream(rng_seed, "score-test"))
+cal_matrix = score(x_cal, substream(rng_seed, "score-cal"))
+test_matrix = score(x_test, substream(rng_seed, "score-test"))
 cal_scores = cal_matrix[np.arange(N_CAL), y_cal]
 
 print("one split, three miscoverage levels")
@@ -56,8 +57,8 @@ for trial in range(300):
     seed = subseed(1, "trial", trial)
     xc, yc = task.sample(N_CAL, substream(seed, "cal"))
     xt, yt = task.sample(N_TEST, substream(seed, "test"))
-    cm = plain_score_matrix(task, xc, "tps", substream(seed, "score-cal"))
-    tm = plain_score_matrix(task, xt, "tps", substream(seed, "score-test"))
+    cm = score(xc, substream(seed, "score-cal"))
+    tm = score(xt, substream(seed, "score-test"))
     q = conformal_quantile(cm[np.arange(N_CAL), yc], ALPHA)
     sets = [prediction_set(row, q) for row in tm]
     coverages.append(evaluate_sets(sets, yt).empirical_coverage)

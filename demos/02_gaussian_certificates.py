@@ -28,13 +28,13 @@ grid = BinGrid.uniform(51)
 
 
 def score_fn(points, rng):
-    """A [0, 1] score with structure: steeper near the origin."""
+    """A [0, 1] score with structure, steeper near the origin, as one class column."""
     margin = points[:, 0] - 0.3 * np.sin(4.0 * points[:, 1])
-    return 1.0 / (1.0 + np.exp(-3.0 * margin))
+    return 1.0 / (1.0 + np.exp(-3.0 * margin[:, None]))
 
 
 x = np.array([0.2, -0.1])
-dist = estimate_distribution(score_fn, x, scheme, 20_000, grid, substream(0, "demo"))
+(dist,) = estimate_distribution(score_fn, x, scheme, 20_000, grid, substream(0, "demo"))
 print(f"smooth score at x: mean {dist.mean:.4f}, variance {dist.variance:.5f}, "
       f"{dist.n_samples} draws")
 
@@ -72,7 +72,7 @@ rng = substream(0, "probe")
 for k in range(40):
     direction = rng.normal(size=2)
     x_shift = x + r * direction / np.linalg.norm(direction)
-    d = estimate_distribution(score_fn, x_shift, scheme, 20_000, grid, substream(0, "probe", k))
+    (d,) = estimate_distribution(score_fn, x_shift, scheme, 20_000, grid, substream(0, "probe", k))
     worst_lo = min(worst_lo, d.mean)
     worst_up = max(worst_up, d.mean)
 print(f"\nat r = 0.5 sigma: certified [{lo:.4f}, {up:.4f}], "

@@ -56,11 +56,11 @@ weights = substream(3, "weights").normal(size=32) / 4.0
 
 
 def score_fn(points, rng):
-    return 1.0 / (1.0 + np.exp(-(points @ weights)))
+    return 1.0 / (1.0 + np.exp(-(points @ weights[:, None])))  # one class column
 
 
 x = (substream(3, "point").uniform(size=32) < 0.4).astype(np.int8)
-dist = estimate_distribution(score_fn, x, scheme, 20_000, grid, substream(3, "mc"))
+(dist,) = estimate_distribution(score_fn, x, scheme, 20_000, grid, substream(3, "mc"))
 print(f"\nsmoothed score at a binary point: mean {dist.mean:.4f}")
 
 print("certified envelope as the flip ball grows (mean route vs cdf route)")

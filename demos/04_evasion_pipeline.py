@@ -26,12 +26,12 @@ from robustcp.evasion import (
 )
 from robustcp.scores import evaluate_sets
 from robustcp.smoothing import BinGrid, GaussianNoise, substream
-from robustcp.tasks import make_gaussian_mixture, tps_oracle
+from robustcp.tasks import make_gaussian_mixture, oracle_for
 
 ALPHA, SIGMA, RADIUS, SEED = 0.1, 0.5, 0.25, 5
 
 task = make_gaussian_mixture(n_classes=3, dim=4, separation=2.0, noise=1.0, seed=7)
-oracle = tps_oracle(task)
+oracle = oracle_for(task)
 x_cal, y_cal = task.sample(120, substream(SEED, "cal"))
 x_test, y_test = task.sample(30, substream(SEED, "test"))
 
@@ -59,7 +59,7 @@ for i in range(len(y_test)):
         oracle, x_test[i], int(y_test[i]), RADIUS, scheme,
         substream(SEED, "attack", i), n_samples=128,
     )
-    per_point.append(class_distributions(oracle, attacked, 3, config, SEED, i))
+    per_point.append(class_distributions(oracle, attacked, config, SEED, i))
 by_cdf = predict(per_point, calibration, config)
 by_mean = predict(per_point, calibration, replace(config, bound_kind="mean"))
 vanilla_sets, mean_sets, cdf_sets = by_cdf["vanilla"], by_mean["robust"], by_cdf["robust"]

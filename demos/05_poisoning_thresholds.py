@@ -21,14 +21,15 @@ from robustcp.poisoning import (
 )
 from robustcp.scores import conformal_quantile, evaluate_sets, prediction_set
 from robustcp.smoothing import substream
-from robustcp.tasks import make_gaussian_mixture, plain_score_matrix
+from robustcp.tasks import make_gaussian_mixture, oracle_for
 
 ALPHA = 0.1
 task = make_gaussian_mixture(n_classes=3, dim=4, separation=2.0, noise=1.0, seed=7)
+score = oracle_for(task, "tps")
 x_cal, y_cal = task.sample(100, substream(2, "cal"))
 x_test, y_test = task.sample(400, substream(2, "test"))
-cal_matrix = plain_score_matrix(task, x_cal, "tps", substream(2, "score-cal"))
-test_matrix = plain_score_matrix(task, x_test, "tps", substream(2, "score-test"))
+cal_matrix = score(x_cal, substream(2, "score-cal"))
+test_matrix = score(x_test, substream(2, "score-test"))
 observed = cal_matrix[np.arange(len(y_cal)), y_cal]
 
 # Feature poisoning: each score could have been anywhere above a

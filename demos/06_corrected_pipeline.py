@@ -22,7 +22,7 @@ from robustcp.correction import (
 )
 from robustcp.evasion import EvasionConfig, calibrate_smooth
 from robustcp.smoothing import BinGrid, GaussianNoise, estimate_distribution, substream
-from robustcp.tasks import make_gaussian_mixture, tps_oracle
+from robustcp.tasks import make_gaussian_mixture, oracle_for
 
 ETA = 0.01
 
@@ -42,10 +42,10 @@ grid = BinGrid.uniform(51)
 
 
 def score_fn(points, rng):
-    return 1.0 / (1.0 + np.exp(-2.0 * points[:, 0]))
+    return 1.0 / (1.0 + np.exp(-2.0 * points[:, :1]))  # one class column
 
 
-dist = estimate_distribution(score_fn, np.zeros(2), scheme, 10_000, grid, substream(9, "mc"))
+(dist,) = estimate_distribution(score_fn, np.zeros(2), scheme, 10_000, grid, substream(9, "mc"))
 plain = bound_for_clean(dist, model, scheme, "lower", "cdf")
 corrected = corrected_bound(dist, model, scheme, "lower", "cdf", ETA, observed=False)
 print(f"\nlower bound at r=0.125: uncorrected {plain:.4f}, corrected {corrected:.4f}")
@@ -53,7 +53,7 @@ print(f"\nlower bound at r=0.125: uncorrected {plain:.4f}, corrected {corrected:
 # Full corrected calibration.  The ledger records every spend; the sum
 # must stay within eta or the run aborts.
 task = make_gaussian_mixture(n_classes=3, dim=4, separation=2.0, noise=1.0, seed=7)
-oracle = tps_oracle(task)
+oracle = oracle_for(task)
 x_cal, y_cal = task.sample(100, substream(9, "cal"))
 config = EvasionConfig(
     scheme=scheme, model=model, mode="calibration-time", bound_kind="cdf",

@@ -14,9 +14,9 @@ import warnings
 import numpy as np
 
 from .bounds import BinaryBall, L2Ball, ThreatModel, bound_for_clean
-from .evasion import CalibrationTable, ClassScoreOracle, EvasionConfig
+from .evasion import CalibrationTable, EvasionConfig
 from .poisoning import PoisonWitness, worst_case_feature_quantile, worst_case_label_quantile
-from .smoothing import GaussianNoise, SparseFlipNoise, substream
+from .smoothing import GaussianNoise, ScoreOracle, SparseFlipNoise, sample_noise, substream
 
 __all__ = [
     "evade_l2",
@@ -27,36 +27,29 @@ __all__ = [
 
 
 def _smooth_objective(
-    oracle: ClassScoreOracle,
+    oracle: ScoreOracle,
     label: int,
     scheme,
     n_samples: int,
     rng: np.random.Generator,
 ):
-    """Monte-Carlo smooth-score estimate of one class, batched over candidates."""
+    """Monte-Carlo smooth-score estimate of one class, batched over candidates.
+
+    Each call draws one noise block and applies it to every candidate
+    (common random numbers), so candidates are compared on the same noise.
+    """
 
     def objective(candidates: np.ndarray) -> np.ndarray:
         candidates = np.atleast_2d(candidates)
-        n_cand, dim = candidates.shape
-        if isinstance(scheme, GaussianNoise):
-            noisy = np.repeat(candidates, n_samples, axis=0)
-            noisy = noisy + scheme.sigma * rng.standard_normal(noisy.shape)
-        elif isinstance(scheme, SparseFlipNoise):
-            flip_prob = np.where(candidates == 1, scheme.p1, scheme.p0)
-            flip_prob = np.repeat(flip_prob, n_samples, axis=0)
-            base = np.repeat(candidates, n_samples, axis=0)
-            flips = rng.random(base.shape) < flip_prob
-            noisy = np.where(flips, 1 - base, base)
-        else:
-            raise TypeError(f"unknown smoothing scheme: {scheme!r}")
-        scores = oracle(noisy, label, rng)
-        return np.asarray(scores, dtype=float).reshape(n_cand, n_samples).mean(axis=1)
+        noisy = sample_noise(candidates, scheme, n_samples, rng)
+        scores = np.asarray(oracle(noisy, rng), dtype=float)[:, label]
+        return scores.reshape(len(candidates), n_samples).mean(axis=1)
 
     return objective
 
 
 def evade_l2(
-    oracle: ClassScoreOracle,
+    oracle: ScoreOracle,
     x: np.ndarray,
     label: int,
     radius: float,
@@ -84,28 +77,24 @@ def evade_l2(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     coord = np.concatenate([np.eye(dim), -np.eye(dim)])
     candidates = np.concatenate([x[None, :], x + radius * dirs, x + radius * coord])
-    values = sign * objective(candidates)
-    best = candidates[int(np.argmin(values))]
-    best_value = values.min()
+    best = candidates[int(np.argmin(sign * objective(candidates)))]
 
     step = radius / 4.0
     for _ in range(n_refine):
-        moves = best[None, :] + step * np.concatenate([np.eye(dim), -np.eye(dim)])
+        moves = best[None, :] + step * coord
         # Project each move back onto the ball around the clean input.
         delta = moves - x[None, :]
         norms = np.linalg.norm(delta, axis=1, keepdims=True)
         scale = np.minimum(1.0, radius / np.maximum(norms, 1e-12))
-        moves = x[None, :] + delta * scale
-        values = sign * objective(moves)
-        if values.min() < best_value:
-            best_value = values.min()
-            best = moves[int(np.argmin(values))]
+        # The incumbent comes first, re-scored on the same noise as its moves.
+        moves = np.concatenate([best[None, :], x[None, :] + delta * scale])
+        best = moves[int(np.argmin(sign * objective(moves)))]
     assert np.linalg.norm(best - x) <= radius * (1.0 + 1e-9), "left the threat ball"
     return best
 
 
 def evade_binary(
-    oracle: ClassScoreOracle,
+    oracle: ScoreOracle,
     x: np.ndarray,
     label: int,
     additions: int,
@@ -125,28 +114,25 @@ def evade_binary(
     objective = _smooth_objective(oracle, label, scheme, n_samples, rng)
     sign = -1.0 if maximize else 1.0
     adds_left, dels_left = additions, deletions
-    current_value = sign * objective(x[None, :])[0]
     while adds_left > 0 or dels_left > 0:
         feasible = np.nonzero((x == 0) if dels_left == 0 else
                               (x == 1) if adds_left == 0 else
                               np.ones_like(x, dtype=bool))[0]
         if feasible.size == 0:
             break
-        flipped = np.repeat(x[None, :], feasible.size, axis=0)
-        flipped[np.arange(feasible.size), feasible] = 1 - flipped[
-            np.arange(feasible.size), feasible
-        ]
-        values = sign * objective(flipped)
-        j = int(np.argmin(values))
-        if values[j] >= current_value:
+        # Row 0 stays put; row j + 1 flips bit feasible[j].  All rows are
+        # scored on the same noise, so the incumbent is re-scored each round.
+        rows = np.repeat(x[None, :], feasible.size + 1, axis=0)
+        flip = np.arange(1, feasible.size + 1), feasible
+        rows[flip] = 1 - rows[flip]
+        j = int(np.argmin(sign * objective(rows)))
+        if j == 0:
             break
-        current_value = values[j]
-        bit = feasible[j]
-        if x[bit] == 0:
+        if x[feasible[j - 1]] == 0:
             adds_left -= 1
         else:
             dels_left -= 1
-        x = flipped[j]
+        x = rows[j]
     assert int(np.sum((clean == 0) & (x == 1))) <= additions, "addition budget"
     assert int(np.sum((clean == 1) & (x == 0))) <= deletions, "deletion budget"
     return x
@@ -176,7 +162,7 @@ def poison_labels_attack(
 
 
 def poison_features_attack(
-    oracle: ClassScoreOracle,
+    oracle: ScoreOracle,
     inputs: np.ndarray,
     labels: np.ndarray,
     table: CalibrationTable,

@@ -19,6 +19,7 @@ the classic baseline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +205,19 @@ def build_region_table(
     return RegionTable(clean_mass=clean, adv_mass=adv, ratio=ratio)
 
 
+@functools.lru_cache(maxsize=32)
+def _region_table(additions: int, deletions: int, p0: float, p1: float) -> RegionTable:
+    """Shared, read-only region table for the bound dispatchers.
+
+    A run certifies against a handful of (radii, noise) settings, so a
+    small cache serves every bound call after the first per setting.
+    """
+    table = build_region_table(additions, deletions, p0, p1)
+    for values in (table.clean_mass, table.adv_mass, table.ratio):
+        values.flags.writeable = False
+    return table
+
+
 def _greedy_transfer(budgets: np.ndarray, table: RegionTable, maximize: bool) -> np.ndarray:
     """Exact extreme of sum(h * adv_mass) s.t. sum(h * clean_mass) = budget, 0 <= h <= 1.
 
@@ -298,7 +312,7 @@ def bound_for_clean(
         fn = gaussian_cdf_upper if direction == "upper" else gaussian_cdf_lower
         return fn(dist, r, s)
     if isinstance(model, BinaryBall) and isinstance(scheme, SparseFlipNoise):
-        table = build_region_table(model.additions, model.deletions, scheme.p0, scheme.p1)
+        table = _region_table(model.additions, model.deletions, scheme.p0, scheme.p1)
         if kind == "mean":
             fn = sparse_mean_upper if direction == "upper" else sparse_mean_lower
             return fn(dist.mean, table)

@@ -33,8 +33,11 @@ from .scores import PredictionSet, conformal_quantile, inverse_quantile, predict
 from .smoothing import (
     BinGrid,
     ScoreDistribution,
+    ScoreOracle,
     SmoothingScheme,
+    distribution_from_samples,
     estimate_distribution,
+    score_samples,
     substream,
 )
 
@@ -42,7 +45,6 @@ __all__ = [
     "EvasionConfig",
     "CalibrationTable",
     "Calibration",
-    "ClassScoreOracle",
     "calibrate",
     "predict",
     "calibrate_smooth",
@@ -51,12 +53,6 @@ __all__ = [
     "vanilla_worst_case_coverage",
     "corrected_set_from_distributions",
 ]
-
-# Batch oracle for one class: (points, class_index, rng) -> scores in [0, 1].
-from typing import Callable
-
-ClassScoreOracle = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
-
 
 @dataclass(frozen=True)
 class EvasionConfig:
@@ -222,25 +218,8 @@ def predict(
     return named
 
 
-def _estimate_for_class(
-    oracle: ClassScoreOracle,
-    x: np.ndarray,
-    class_index: int,
-    config: EvasionConfig,
-    rng: np.random.Generator,
-) -> ScoreDistribution:
-    return estimate_distribution(
-        lambda pts, gen: oracle(pts, class_index, gen),
-        x,
-        config.scheme,
-        config.n_samples,
-        config.grid,
-        rng,
-    )
-
-
 def calibrate_smooth(
-    oracle: ClassScoreOracle,
+    oracle: ScoreOracle,
     inputs: np.ndarray,
     labels: np.ndarray,
     alpha: float,
@@ -250,43 +229,39 @@ def calibrate_smooth(
 ) -> Calibration:
     """Estimate true-label smooth scores on clean calibration data, then :func:`calibrate`.
 
-    Randomness is keyed by (seed, point id, class), never by array
-    position, so permuting the calibration set permutes the table.
+    Randomness is keyed by (seed, point id), never by array position, so
+    permuting the calibration set permutes the table.
     """
     inputs = np.asarray(inputs)
     labels = np.asarray(labels, dtype=int)
     if inputs.shape[0] != labels.size:
         raise ValueError("inputs and labels must have equal length")
     point_ids = np.arange(labels.size) if point_ids is None else np.asarray(point_ids, dtype=int)
-    dists = [
-        _estimate_for_class(
-            oracle, inputs[i], int(labels[i]), config,
-            substream(seed, "cal", int(point_ids[i]), int(labels[i])),
-        )
-        for i in range(labels.size)
-    ]
+    dists = []
+    for x, label, point_id in zip(inputs, labels, point_ids):
+        rng = substream(seed, "cal", int(point_id))
+        scores = score_samples(oracle, x, config.scheme, config.n_samples, rng)
+        dists.append(distribution_from_samples(scores[:, label], config.grid))
     return calibrate(dists, alpha, config, point_ids)
 
 
 def class_distributions(
-    oracle: ClassScoreOracle,
+    oracle: ScoreOracle,
     x: np.ndarray,
-    n_classes: int,
     config: EvasionConfig,
     seed: int,
     point_id: int,
 ) -> list[ScoreDistribution]:
     """Estimate one smooth-score distribution per class at a test input.
 
-    Splitting estimation from bounding lets callers reuse the same
-    Monte-Carlo draws across several threat radii or bound kinds.
+    All classes come from one noise batch and one oracle call.  Splitting
+    estimation from bounding lets callers reuse the same Monte-Carlo
+    draws across several threat radii or bound kinds.
     """
-    return [
-        _estimate_for_class(
-            oracle, x, c, config, substream(seed, "test", int(point_id), c)
-        )
-        for c in range(n_classes)
-    ]
+    return estimate_distribution(
+        oracle, x, config.scheme, config.n_samples, config.grid,
+        substream(seed, "test", int(point_id)),
+    )
 
 
 def lower_bounds_for(

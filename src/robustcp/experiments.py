@@ -45,13 +45,7 @@ from .poisoning import (
 )
 from .scores import conformal_quantile, evaluate_sets, prediction_set
 from .smoothing import BinGrid, GaussianNoise, SparseFlipNoise, subseed, substream
-from .tasks import (
-    aps_oracle,
-    make_binary_task,
-    make_gaussian_mixture,
-    plain_score_matrix,
-    tps_oracle,
-)
+from .tasks import make_binary_task, make_gaussian_mixture, oracle_for
 
 __all__ = [
     "TaskSpec",
@@ -175,10 +169,6 @@ def models_for(config: ExperimentConfig) -> list[ThreatModel]:
     return [BinaryBall(additions=a, deletions=d) for a, d in config.flips]
 
 
-def _oracle_for(task, score_kind: str):
-    return tps_oracle(task) if score_kind == "tps" else aps_oracle(task)
-
-
 def _radius_value(model: ThreatModel) -> float:
     if isinstance(model, L2Ball):
         return float(model.radius)
@@ -211,10 +201,8 @@ def _evasion_config(config: ExperimentConfig, **fields) -> EvasionConfig:
     )
 
 
-def _test_distributions(oracle, points, n_classes, cfg, ts):
-    return [
-        class_distributions(oracle, x, n_classes, cfg, ts, i) for i, x in enumerate(points)
-    ]
+def _test_distributions(oracle, points, cfg, ts):
+    return [class_distributions(oracle, x, cfg, ts, i) for i, x in enumerate(points)]
 
 
 def _poison_sets(per_test, calibration, threshold, cfg):
@@ -274,12 +262,9 @@ def marginal_trial(config: ExperimentConfig, index: int) -> TrialResult:
     t0 = time.perf_counter()
     ts = subseed(config.seed, "trial", index)
     task, (x_cal, y_cal), (x_test, y_test) = generate_task(config.task, ts)
-    cal_matrix = plain_score_matrix(
-        task, x_cal, config.score_kind, substream(ts, "plain", "cal")
-    )
-    test_matrix = plain_score_matrix(
-        task, x_test, config.score_kind, substream(ts, "plain", "test")
-    )
+    plain = oracle_for(task, config.score_kind)
+    cal_matrix = plain(x_cal, substream(ts, "plain", "cal"))
+    test_matrix = plain(x_test, substream(ts, "plain", "test"))
     cal_scores = cal_matrix[np.arange(len(y_cal)), y_cal]
     alphas = config.alphas or (config.alpha,)
     rows = []
@@ -304,16 +289,15 @@ def evasion_trial(config: ExperimentConfig, index: int) -> TrialResult:
     t0 = time.perf_counter()
     ts = subseed(config.seed, "trial", index)
     task, (x_cal, y_cal), (x_test, y_test) = generate_task(config.task, ts)
-    oracle = _oracle_for(task, config.score_kind)
+    oracle = oracle_for(task, config.score_kind)
     base = _evasion_config(config, mode="test-time", bound_kind="mean")
     calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, base, seed=ts)
     table, threshold = calibration.table, calibration.thresholds["vanilla"]
-    n_classes = config.task.n_classes
     rows = []
     thresholds = {"clean": threshold}
 
     # Calibration-time mode needs no bounds; only its vanilla sets are used.
-    clean = _test_distributions(oracle, x_test, n_classes, base, ts)
+    clean = _test_distributions(oracle, x_test, base, ts)
     clean_sets = predict(clean, calibration, replace(base, mode="calibration-time"))
     rows.append(
         {"radius": 0.0, "method": "vanilla", **_metrics(clean_sets["vanilla"], y_test)}
@@ -328,10 +312,12 @@ def evasion_trial(config: ExperimentConfig, index: int) -> TrialResult:
             )
             for i in range(len(y_test))
         ]
-        per_test = _test_distributions(oracle, attacked, n_classes, base, ts)
+        per_test = _test_distributions(oracle, attacked, base, ts)
         for kind in ("mean", "cdf"):
             cfg = replace(base, model=model, bound_kind=kind)
             sets = predict(per_test, calibration, cfg)
+            # calibrate_smooth already bounded the table under the base config.
+            lower = table.lower_bounds if cfg == base else lower_bounds_for(table, cfg)
             if kind == "mean":
                 rows.append(
                     {"radius": r, "method": "vanilla", **_metrics(sets["vanilla"], y_test)}
@@ -340,9 +326,7 @@ def evasion_trial(config: ExperimentConfig, index: int) -> TrialResult:
                 {
                     "radius": r, "method": f"{kind}-bound",
                     **_metrics(sets["robust"], y_test),
-                    "beta": vanilla_worst_case_coverage(
-                        table, threshold, lower_bounds_for(table, cfg)
-                    ),
+                    "beta": vanilla_worst_case_coverage(table, threshold, lower),
                 }
             )
     return TrialResult(index, ts, rows, thresholds, time.perf_counter() - t0)
@@ -358,12 +342,9 @@ def label_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
     t0 = time.perf_counter()
     ts = subseed(config.seed, "trial", index)
     task, (x_cal, y_cal), (x_test, y_test) = generate_task(config.task, ts)
-    cal_matrix = plain_score_matrix(
-        task, x_cal, config.score_kind, substream(ts, "plain", "cal")
-    )
-    test_matrix = plain_score_matrix(
-        task, x_test, config.score_kind, substream(ts, "plain", "test")
-    )
+    plain = oracle_for(task, config.score_kind)
+    cal_matrix = plain(x_cal, substream(ts, "plain", "cal"))
+    test_matrix = plain(x_test, substream(ts, "plain", "test"))
     rows = []
     thresholds = {}
     n = len(y_cal)
@@ -398,10 +379,10 @@ def feature_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
     t0 = time.perf_counter()
     ts = subseed(config.seed, "trial", index)
     task, (x_cal, y_cal), (x_test, y_test) = generate_task(config.task, ts)
-    oracle = _oracle_for(task, config.score_kind)
+    oracle = oracle_for(task, config.score_kind)
     cfg = _evasion_config(config, mode="calibration-time", bound_kind=config.bound_kind)
     calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, cfg, seed=ts)
-    per_test = _test_distributions(oracle, x_test, config.task.n_classes, cfg, ts)
+    per_test = _test_distributions(oracle, x_test, cfg, ts)
     rows = []
     thresholds = {}
     for k in config.budgets:
@@ -445,13 +426,13 @@ def corrected_trial(config: ExperimentConfig, index: int) -> TrialResult:
     t0 = time.perf_counter()
     ts = subseed(config.seed, "trial", index)
     task, (x_cal, y_cal), (x_test, y_test) = generate_task(config.task, ts)
-    oracle = _oracle_for(task, config.score_kind)
+    oracle = oracle_for(task, config.score_kind)
     cfg = _evasion_config(
         config, mode="calibration-time", bound_kind=config.bound_kind, eta=config.eta
     )
     calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, cfg, seed=ts)
     table = calibration.table
-    per_test = _test_distributions(oracle, x_test, config.task.n_classes, cfg, ts)
+    per_test = _test_distributions(oracle, x_test, cfg, ts)
     sets = predict(per_test, calibration, cfg)
     rows = [
         {"method": "corrected-sets", **_metrics(sets["corrected"], y_test)},

@@ -9,6 +9,8 @@ all the certification routines in :mod:`robustcp.bounds` consume.
 
 from __future__ import annotations
 
+import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,14 +25,16 @@ __all__ = [
     "subseed",
     "sample_gaussian",
     "sample_sparse",
+    "sample_noise",
+    "score_samples",
     "estimate_distribution",
     "distribution_from_samples",
 ]
 
-# Batch score oracle: maps an (m, d) array of perturbed inputs to m
-# scores in [0, 1].  The generator argument feeds randomized scores
-# (e.g. a fresh tie-break draw per noisy sample); deterministic oracles
-# ignore it.
+# Batch score oracle: maps an (m, d) array of perturbed inputs to an
+# (m, n_classes) array of scores in [0, 1], every class from one forward
+# pass.  The generator argument feeds randomized scores (e.g. a fresh
+# tie-break draw per noisy sample); deterministic oracles ignore it.
 ScoreOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 
@@ -65,14 +69,25 @@ class SparseFlipNoise:
 SmoothingScheme = GaussianNoise | SparseFlipNoise
 
 
+def _component_bytes(part: int | str) -> bytes:
+    """Type tag, length prefix and payload of one stream-address component."""
+    if isinstance(part, str):
+        tag, payload = b"s", part.encode("utf8")
+    else:
+        value = operator.index(part)  # rejects floats, which would truncate
+        tag = b"i"
+        payload = value.to_bytes(value.bit_length() // 8 + 1, "big", signed=True)
+    return tag + len(payload).to_bytes(8, "big") + payload
+
+
 def _seed_sequence(seed: int, path: tuple[int | str, ...]) -> np.random.SeedSequence:
-    parts: list[int] = [int(seed)]
-    for p in path:
-        if isinstance(p, str):
-            parts.append(int.from_bytes(p.encode("utf8"), "big") % (2**63))
-        else:
-            parts.append(int(p))
-    return np.random.SeedSequence(entropy=tuple(parts))
+    # Tagging and length-prefixing every component makes the encoding
+    # injective ("a" vs 97, "x-y" vs "y", trailing zeros, big integers),
+    # and a fixed-size digest keeps numpy's entropy padding out of it.
+    digest = hashlib.blake2b(
+        b"".join(_component_bytes(p) for p in (seed, *path)), digest_size=32
+    ).digest()
+    return np.random.SeedSequence(entropy=[int(w) for w in np.frombuffer(digest, "<u4")])
 
 
 def substream(seed: int, *path: int | str) -> np.random.Generator:
@@ -80,7 +95,8 @@ def substream(seed: int, *path: int | str) -> np.random.Generator:
 
     Streams are keyed by value, not by call order, so estimating a batch
     in any order (or in parallel workers) yields identical draws.  Path
-    components may be ints or short strings; strings are folded to ints.
+    components may be ints or strings; distinct addresses (including an
+    int and a string that spell the same bytes) give distinct streams.
     """
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
@@ -94,29 +110,53 @@ def subseed(seed: int, *path: int | str) -> int:
     return int(_seed_sequence(seed, path).generate_state(1, dtype=np.uint64)[0] % 2**63)
 
 
+def _feature_rows(x: np.ndarray) -> np.ndarray:
+    if x.ndim not in (1, 2):
+        raise ValueError("x must be a feature vector or a 2-d stack of them")
+    return x
+
+
 def sample_gaussian(
     x: np.ndarray, sigma: float, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``n_samples`` Gaussian perturbations of ``x``, shape (n_samples, d)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("x must be a 1-d feature vector")
-    return x[None, :] + sigma * rng.standard_normal((n_samples, x.size))
+    """Draw ``n_samples`` Gaussian perturbations of ``x``.
+
+    ``x`` of shape (d,) gives (n_samples, d).  A stack of shape (k, d)
+    gives (k * n_samples, d), row-major by input, with one noise block
+    shared by every input (common random numbers).
+    """
+    x = _feature_rows(np.asarray(x, dtype=float))
+    noise = sigma * rng.standard_normal((n_samples, x.shape[-1]))
+    return (x[..., None, :] + noise).reshape(-1, x.shape[-1])
 
 
 def sample_sparse(
     x: np.ndarray, p0: float, p1: float, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``n_samples`` bit-flip perturbations of a binary vector ``x``."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError("x must be a 1-d feature vector")
+    """Draw ``n_samples`` bit-flip perturbations of binary ``x``.
+
+    Shapes follow :func:`sample_gaussian`.  One block of uniforms ``u`` is
+    shared by every input of a stack, and each input flips its own bits
+    by their own value (``u < p1`` on ones, ``u < p0`` on zeros), so the
+    law of every input's noise is exact.
+    """
+    x = _feature_rows(np.asarray(x))
     if not np.all((x == 0) | (x == 1)):
         raise ValueError("sparse smoothing requires binary features")
-    x = x.astype(np.int8)
-    flip_prob = np.where(x == 1, p1, p0)
-    flips = rng.random((n_samples, x.size)) < flip_prob[None, :]
-    return np.where(flips, 1 - x[None, :], x[None, :]).astype(np.int8)
+    x = x.astype(np.int8)[..., None, :]
+    u = rng.random((n_samples, x.shape[-1]))
+    return (x ^ (u < np.where(x == 1, p1, p0))).reshape(-1, x.shape[-1])
+
+
+def sample_noise(
+    x: np.ndarray, scheme: SmoothingScheme, n_samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Perturb ``x`` (one input or a stack) under either smoothing scheme."""
+    if isinstance(scheme, GaussianNoise):
+        return sample_gaussian(x, scheme.sigma, n_samples, rng)
+    if isinstance(scheme, SparseFlipNoise):
+        return sample_sparse(x, scheme.p0, scheme.p1, n_samples, rng)
+    raise TypeError(f"unknown smoothing scheme: {scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -223,6 +263,26 @@ def distribution_from_samples(
     )
 
 
+def score_samples(
+    score_fn: ScoreOracle,
+    x: np.ndarray,
+    scheme: SmoothingScheme,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Every class's score at ``n_samples`` noisy copies of ``x``, shape (n_samples, n_classes).
+
+    One noise batch and one oracle call; ``rng`` feeds the noise first,
+    then any randomness inside the oracle.
+    """
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    scores = np.asarray(score_fn(sample_noise(x, scheme, n_samples, rng), rng), dtype=float)
+    if scores.ndim != 2 or scores.shape[0] != n_samples:
+        raise ValueError("score oracle must return one row of class scores per sample")
+    return scores
+
+
 def estimate_distribution(
     score_fn: ScoreOracle,
     x: np.ndarray,
@@ -230,13 +290,13 @@ def estimate_distribution(
     n_samples: int,
     grid: BinGrid,
     rng: np.random.Generator,
-) -> ScoreDistribution:
-    """Monte-Carlo estimate of the smooth score distribution at ``x``.
+) -> list[ScoreDistribution]:
+    """Monte-Carlo estimate of every class's smooth score distribution at ``x``.
 
     Parameters
     ----------
     score_fn : callable
-        Batch oracle ``(points, rng) -> scores`` with scores in [0, 1].
+        Batch oracle ``(points, rng) -> (m, n_classes)`` scores in [0, 1].
     x : array of shape (d,)
         Input the noise is centred on.
     scheme : GaussianNoise or SparseFlipNoise
@@ -247,18 +307,12 @@ def estimate_distribution(
         Edges for the binned CDF.
     rng : np.random.Generator
         Source for both the noise and any randomness inside the oracle;
-        pass a :func:`substream` keyed by (point, class) for
-        reproducible, order-independent batches.
+        pass a :func:`substream` keyed by point for reproducible,
+        order-independent batches.
+
+    Returns one distribution per class.  All classes share the noise
+    batch, so each marginal is exactly what a separate batch would give
+    while the classes are correlated with each other.
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    if isinstance(scheme, GaussianNoise):
-        noisy = sample_gaussian(x, scheme.sigma, n_samples, rng)
-    elif isinstance(scheme, SparseFlipNoise):
-        noisy = sample_sparse(x, scheme.p0, scheme.p1, n_samples, rng)
-    else:
-        raise TypeError(f"unknown smoothing scheme: {scheme!r}")
-    scores = np.asarray(score_fn(noisy, rng), dtype=float)
-    if scores.shape != (n_samples,):
-        raise ValueError("score oracle must return one score per sample")
-    return distribution_from_samples(scores, grid)
+    scores = score_samples(score_fn, x, scheme, n_samples, rng)
+    return [distribution_from_samples(column, grid) for column in scores.T]

@@ -21,9 +21,7 @@ __all__ = [
     "BernoulliFeatureTask",
     "make_gaussian_mixture",
     "make_binary_task",
-    "tps_oracle",
-    "aps_oracle",
-    "plain_score_matrix",
+    "oracle_for",
 ]
 
 
@@ -129,41 +127,24 @@ def make_binary_task(
     return BernoulliFeatureTask(theta=theta, priors=priors)
 
 
-def tps_oracle(task: SyntheticTask):
-    """Class-probability score oracle: (points, class, rng) -> scores."""
+def oracle_for(task: SyntheticTask, kind: str = "tps"):
+    """Score oracle ``(points, rng) -> (m, n_classes)``, every class from one softmax.
 
-    def oracle(points: np.ndarray, class_index: int, rng: np.random.Generator) -> np.ndarray:
-        return task.class_probabilities(points)[:, class_index]
-
-    return oracle
-
-
-def aps_oracle(task: SyntheticTask):
-    """Adaptive score oracle with a fresh tie-break draw per evaluated point."""
-
-    def oracle(points: np.ndarray, class_index: int, rng: np.random.Generator) -> np.ndarray:
-        probs = task.class_probabilities(points)
-        p_label = probs[:, class_index]
-        mass_above = np.where(probs > p_label[:, None], probs, 0.0).sum(axis=1)
-        u = rng.random(probs.shape[0])
-        return 1.0 - mass_above - u * p_label
-
-    return oracle
-
-
-def plain_score_matrix(
-    task: SyntheticTask, x: np.ndarray, kind: str, rng: np.random.Generator
-) -> np.ndarray:
-    """Unsmoothed per-class scores, one tie-break draw per point shared across classes."""
-    probs = task.class_probabilities(x)
+    "tps" scores are the class probabilities.  "aps" scores are one minus
+    the probability mass ranked above each class, less a tie-break draw
+    ``u`` times the class's own probability; each evaluated point gets
+    one ``u``, shared by its classes.
+    """
     if kind == "tps":
-        return probs
+        return lambda points, rng: task.class_probabilities(points)
     if kind != "aps":
         raise ValueError("score kind must be 'tps' or 'aps'")
-    u = rng.random(probs.shape[0])
-    scores = np.empty_like(probs)
-    for c in range(probs.shape[1]):
-        p_label = probs[:, c]
-        mass_above = np.where(probs > p_label[:, None], probs, 0.0).sum(axis=1)
-        scores[:, c] = 1.0 - mass_above - u * p_label
-    return scores
+
+    def aps(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        probs = task.class_probabilities(points)
+        above = probs[:, None, :] > probs[:, :, None]
+        mass_above = np.where(above, probs[:, None, :], 0.0).sum(axis=2)
+        u = rng.random(probs.shape[0])
+        return 1.0 - mass_above - u[:, None] * probs
+
+    return aps

@@ -14,6 +14,7 @@ from scipy.optimize import linprog
 
 from robustcp.bounds import (
     BinaryBall,
+    _region_table,
     bound_for_clean,
     bound_for_observed,
     build_region_table,
@@ -208,3 +209,15 @@ def test_budget_outside_unit_interval_rejected():
     table = build_region_table(1, 1, 0.2, 0.2)
     with pytest.raises(ValueError):
         sparse_mean_upper(1.5, table)
+
+
+def test_cached_region_table_matches_a_fresh_build_and_is_read_only():
+    cached = _region_table(2, 1, 0.05, 0.4)
+    assert _region_table(2, 1, 0.05, 0.4) is cached
+    fresh = build_region_table(2, 1, 0.05, 0.4)
+    for name in ("clean_mass", "adv_mass", "ratio"):
+        np.testing.assert_array_equal(getattr(cached, name), getattr(fresh, name))
+        with pytest.raises(ValueError):
+            getattr(cached, name)[0] = 0.5
+    # A fresh build stays the caller's own, writable copy.
+    fresh.clean_mass[0] = fresh.clean_mass[0]

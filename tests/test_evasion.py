@@ -26,9 +26,10 @@ from robustcp.smoothing import (
     GaussianNoise,
     SparseFlipNoise,
     distribution_from_samples,
+    score_samples,
     substream,
 )
-from robustcp.tasks import make_binary_task, make_gaussian_mixture, tps_oracle
+from robustcp.tasks import make_binary_task, make_gaussian_mixture, oracle_for
 
 N_CAL = 24
 N_SAMPLES = 400
@@ -38,7 +39,7 @@ ALPHA = 0.25
 @pytest.fixture(scope="module")
 def gaussian_setup():
     task = make_gaussian_mixture(n_classes=3, dim=2, separation=2.0, seed=5)
-    oracle = tps_oracle(task)
+    oracle = oracle_for(task)
     rng = substream(5, "eva-data")
     x, y = task.sample(N_CAL, rng)
     config = EvasionConfig(
@@ -84,6 +85,35 @@ def test_calibrate_is_exchangeable(gaussian_setup, calibrated):
     np.testing.assert_array_equal(shuffled.table.lower_bounds, table.lower_bounds[perm])
 
 
+def _same_distribution(a, b):
+    assert (a.n_samples, a.mean, a.variance) == (b.n_samples, b.mean, b.variance)
+    np.testing.assert_array_equal(a.cdf, b.cdf)
+
+
+def test_class_distributions_share_one_oracle_call(gaussian_setup):
+    """Class c is column c of one oracle call on the point's test stream."""
+    _, oracle, x, _, config = gaussian_setup
+    dists = class_distributions(oracle, x[2], config, seed=23, point_id=2)
+    scores = score_samples(
+        oracle, x[2], config.scheme, config.n_samples, substream(23, "test", 2)
+    )
+    assert len(dists) == scores.shape[1] == 3
+    for c, d in enumerate(dists):
+        _same_distribution(d, distribution_from_samples(scores[:, c], config.grid))
+
+
+def test_calibration_keeps_the_label_column(gaussian_setup, calibrated):
+    _, oracle, x, y, config = gaussian_setup
+    for i in (0, 5):
+        scores = score_samples(
+            oracle, x[i], config.scheme, config.n_samples, substream(17, "cal", i)
+        )
+        _same_distribution(
+            calibrated.table.distributions[i],
+            distribution_from_samples(scores[:, y[i]], config.grid),
+        )
+
+
 def test_threshold_is_quantile_of_means(calibrated):
     threshold = calibrated.thresholds["vanilla"]
     assert threshold == conformal_quantile(calibrated.table.smooth_means, ALPHA)
@@ -115,7 +145,7 @@ def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
     a point's set does not depend on the batch it is predicted in."""
     _, oracle, x, _, config = gaussian_setup
     threshold = calibrated.thresholds["vanilla"]
-    dists = [class_distributions(oracle, x[i], 3, config, seed=23, point_id=i) for i in range(4)]
+    dists = [class_distributions(oracle, x[i], config, seed=23, point_id=i) for i in range(4)]
     batch = predict(dists, calibrated, config)["robust"]
     for i in range(4):
         upper = [
@@ -129,7 +159,7 @@ def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
 def test_smooth_mean_set_is_plain_thresholding(gaussian_setup, calibrated):
     _, oracle, x, _, config = gaussian_setup
     threshold = calibrated.thresholds["vanilla"]
-    dists = class_distributions(oracle, x[0], 3, config, seed=23, point_id=0)
+    dists = class_distributions(oracle, x[0], config, seed=23, point_id=0)
     got = predict([dists], calibrated, config)["vanilla"][0]
     want = {c for c in range(3) if dists[c].mean >= threshold}
     assert got.members == frozenset(want)
@@ -140,7 +170,7 @@ def test_set_nesting_vanilla_mean_cdf(gaussian_setup, calibrated):
     stays inside the mean route."""
     _, oracle, x, _, config = gaussian_setup
     mean_cfg = dataclasses.replace(config, bound_kind="mean")
-    dists = [class_distributions(oracle, x[i], 3, config, seed=29, point_id=i) for i in range(8)]
+    dists = [class_distributions(oracle, x[i], config, seed=29, point_id=i) for i in range(8)]
     by_cdf = predict(dists, calibrated, config)
     by_mean = predict(dists, calibrated, mean_cfg)
     for plain, cdf_set, mean_set in zip(by_cdf["vanilla"], by_cdf["robust"], by_mean["robust"]):
@@ -175,7 +205,7 @@ def test_corrected_set_contains_mean_set(gaussian_setup, calibrated):
     threshold = calibrated.thresholds["vanilla"]
     eta = 0.02
     for i in range(4):
-        dists = class_distributions(oracle, x[i], 3, config, seed=31, point_id=i)
+        dists = class_distributions(oracle, x[i], config, seed=31, point_id=i)
         plain = prediction_set(np.array([d.mean for d in dists]), threshold)
         ledger = BudgetLedger(eta)
         wide = corrected_set_from_distributions(dists, threshold, eta, ledger, i)
@@ -189,7 +219,7 @@ def test_corrected_set_membership_rule(gaussian_setup, calibrated):
     _, oracle, x, _, config = gaussian_setup
     threshold = calibrated.thresholds["vanilla"]
     eta = 0.02
-    dists = class_distributions(oracle, x[1], 3, config, seed=31, point_id=1)
+    dists = class_distributions(oracle, x[1], config, seed=31, point_id=1)
     got = corrected_set_from_distributions(dists, threshold, eta)
     per_class = eta / (2 * 3)
     want = {
@@ -202,7 +232,7 @@ def test_corrected_set_membership_rule(gaussian_setup, calibrated):
 
 def test_binary_pipeline_end_to_end():
     task = make_binary_task(n_classes=3, dim=16, strength=0.2, seed=2)
-    oracle = tps_oracle(task)
+    oracle = oracle_for(task)
     rng = substream(2, "eva-bin")
     x, y = task.sample(16, rng)
     config = EvasionConfig(
@@ -220,7 +250,7 @@ def test_binary_pipeline_end_to_end():
         for d in table.distributions
     ]
     np.testing.assert_allclose(table.lower_bounds, expect)
-    dists = class_distributions(oracle, x[0], 3, config, seed=4, point_id=0)
+    dists = class_distributions(oracle, x[0], config, seed=4, point_id=0)
     sets = predict([dists], calibration, config)
     assert sets["vanilla"][0].members <= sets["robust"][0].members <= frozenset(range(3))
 

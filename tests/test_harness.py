@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from robustcp.attacks import (
+    _smooth_objective,
     evade_binary,
     evade_l2,
     poison_features_attack,
     poison_labels_attack,
 )
-from robustcp.bounds import BinaryBall, L2Ball
+from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean
 from robustcp.errors import ConfigurationError
 from robustcp.evasion import EvasionConfig, calibrate_smooth
 from robustcp.experiments import (
@@ -30,7 +31,8 @@ from robustcp.experiments import (
 )
 from robustcp.poisoning import replay_label_witness
 from robustcp.smoothing import GaussianNoise, SparseFlipNoise, substream
-from robustcp.tasks import make_binary_task, make_gaussian_mixture, tps_oracle
+from robustcp.scores import aps_score
+from robustcp.tasks import make_binary_task, make_gaussian_mixture, oracle_for
 
 TINY_MARGINAL = ExperimentConfig(
     kind="marginal",
@@ -61,14 +63,14 @@ def test_generate_binary_task_values():
 
 def test_evade_l2_stays_in_ball_and_hurts():
     task = make_gaussian_mixture(n_classes=3, dim=2, separation=2.0, seed=1)
-    oracle = tps_oracle(task)
+    oracle = oracle_for(task)
     scheme = GaussianNoise(0.25)
     rng = substream(1, "att")
     x, y = task.sample(5, rng)
 
     def smooth_score(point, label, stream):
         noisy = point + 0.25 * stream.standard_normal((512, point.size))
-        return float(np.mean(oracle(noisy, label, stream)))
+        return float(np.mean(oracle(noisy, stream)[:, label]))
 
     for i in range(5):
         adv = evade_l2(oracle, x[i], int(y[i]), 0.5, scheme, substream(2, "a", i))
@@ -80,7 +82,7 @@ def test_evade_l2_stays_in_ball_and_hurts():
 
 def test_evade_binary_respects_flip_budgets():
     task = make_binary_task(n_classes=3, dim=16, strength=0.2, seed=1)
-    oracle = tps_oracle(task)
+    oracle = oracle_for(task)
     scheme = SparseFlipNoise(0.1, 0.1)
     rng = substream(4, "att-bin")
     x, y = task.sample(5, rng)
@@ -90,6 +92,63 @@ def test_evade_binary_respects_flip_budgets():
         removed = int(np.sum((adv == 0) & (x[i] == 1)))
         assert added <= 2 and removed <= 2
         assert set(np.unique(adv)) <= {0, 1}
+
+
+def test_oracles_score_every_class_in_one_call():
+    """TPS rows are the class probabilities; APS rows match the scalar
+    score per class, with one tie-break draw per point."""
+    task = make_gaussian_mixture(n_classes=4, dim=3, seed=2)
+    points, _ = task.sample(30, substream(1, "oracle-points"))
+    probs = task.class_probabilities(points)
+    np.testing.assert_array_equal(oracle_for(task, "tps")(points, None), probs)
+    got = oracle_for(task, "aps")(points, substream(2, "tie-break"))
+    u = substream(2, "tie-break").random(30)
+    want = [[aps_score(p, c, u_i) for c in range(4)] for p, u_i in zip(probs, u)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        oracle_for(task, "raps")
+
+
+@pytest.mark.parametrize(
+    "scheme, x",
+    [
+        (GaussianNoise(0.25), np.array([[0.3, -0.2], [1.0, 0.5], [0.3, -0.2]])),
+        (SparseFlipNoise(0.05, 0.4), np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0]])),
+    ],
+)
+def test_objective_scores_identical_candidates_identically(scheme, x):
+    """One objective call applies one noise block to every candidate."""
+    dim = x.shape[1]
+    task = (
+        make_gaussian_mixture(n_classes=3, dim=dim, seed=1)
+        if isinstance(scheme, GaussianNoise)
+        else make_binary_task(n_classes=3, dim=dim, seed=1)
+    )
+    objective = _smooth_objective(oracle_for(task), 1, scheme, 64, substream(9, "crn"))
+    values = objective(x)
+    assert values.shape == (3,)
+    assert values[0] == values[2]
+    assert values[0] != values[1]
+
+
+def test_evasion_trial_bounds_each_calibration_point_once_per_route(monkeypatch):
+    """20 calibration points and one radius: 20 lower bounds for the mean
+    route (also the calibration table's) and 20 for the cdf route."""
+    import robustcp.evasion as evasion
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return bound_for_clean(*args, **kwargs)
+
+    monkeypatch.setattr(evasion, "bound_for_clean", counted)
+    config = ExperimentConfig(
+        kind="evasion", task=TaskSpec(n_cal=20, n_test=4), sigma=0.25, radii=(0.125,),
+        n_samples=100, attack_samples=16, n_trials=1, seed=5,
+    )
+    evasion_trial(config, 0)
+    assert sorted(calls) == ["cdf"] * 20 + ["mean"] * 20
 
 
 def test_poison_labels_attack_is_replayable():
@@ -118,7 +177,7 @@ def test_poison_budget_clamped_with_warning():
 
 def test_poison_features_attack_preserves_binary_dtype():
     task = make_binary_task(n_classes=3, dim=12, strength=0.2, seed=3)
-    oracle = tps_oracle(task)
+    oracle = oracle_for(task)
     rng = substream(8, "pf")
     x, y = task.sample(10, rng)
     config = EvasionConfig(

@@ -1,5 +1,8 @@
 """Noise sampling, seeded substreams, and binned score distributions."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from robustcp.smoothing import (
     distribution_from_samples,
     estimate_distribution,
     sample_gaussian,
+    sample_noise,
     sample_sparse,
     subseed,
     substream,
@@ -43,6 +47,60 @@ class TestSubstreams:
         assert 0 <= s1 < 2**63
         assert subseed(7, "trial", 13) != s1
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # A string that is a suffix of another one.
+            ((0, "cal-poison-attack"), (0, "poison-attack")),
+            # A string against the integer that spells its bytes.
+            ((0, "a"), (0, 97)),
+            # A trailing zero against its absence.
+            ((3, "attack", 0), (3, "attack")),
+            # An integer of 2**32 or more against its 32-bit words.
+            ((0, 2**32), (0, 0, 1)),
+        ],
+    )
+    def test_distinct_addresses_never_collide(self, a, b):
+        assert subseed(*a) != subseed(*b)
+        assert not np.array_equal(substream(*a).random(4), substream(*b).random(4))
+
+    def test_float_components_rejected(self):
+        with pytest.raises(TypeError):
+            substream(0, "attack", 1.5)
+
+
+# Every stream address the package derives, as (first path component,
+# templates over an index); seeds include 63-bit trial seeds.
+_SRC_ADDRESSES = {
+    "task": lambda i: [("task", "gaussian-means"), ("task", "binary-theta")],
+    "cal-data": lambda i: [("cal-data",)],
+    "test-data": lambda i: [("test-data",)],
+    "plain": lambda i: [("plain", "cal"), ("plain", "test")],
+    "oracle-check": lambda i: [("oracle-check",)],
+    "trial": lambda i: [("trial", i)],
+    "cal": lambda i: [("cal", i)],
+    "test": lambda i: [("test", i)],
+    "poison-attack": lambda i: [("poison-attack", i)],
+    "defender": lambda i: [("defender", i)],
+    "attack": lambda i: [("attack", i)] + [("attack", f"r={r:g}", i) for r in (0.125, 0.5, 4)],
+}
+
+
+def test_stream_addresses_used_in_src_are_distinct():
+    src = Path(__file__).resolve().parents[1] / "src" / "robustcp"
+    used = set()
+    for path in src.glob("*.py"):
+        used.update(re.findall(r'sub(?:stream|seed)\([^,()]+,\s*"([^"]+)"', path.read_text()))
+    assert used and used <= set(_SRC_ADDRESSES), f"untabled keys {used - set(_SRC_ADDRESSES)}"
+    seen = {}
+    for seed in (0, 11, 2**32, subseed(11, "trial", 0), 2**63 - 1):
+        for templates in _SRC_ADDRESSES.values():
+            for i in range(40):
+                for path in templates(i):
+                    seen.setdefault(subseed(seed, *path), set()).add((seed, path))
+    clashes = [addresses for addresses in seen.values() if len(addresses) > 1]
+    assert not clashes
+
 
 def test_sample_gaussian_shape_and_centre():
     x = np.array([1.0, -2.0, 0.5])
@@ -63,6 +121,37 @@ def test_sample_sparse_flip_rates():
     off_rate = 1.0 - samples[:, x == 1].mean()
     assert on_rate == pytest.approx(0.2, abs=0.01)
     assert off_rate == pytest.approx(0.4, abs=0.01)
+
+
+def test_stacked_sparse_samples_keep_each_rows_flip_rates():
+    """One block of uniforms serves a stack of inputs, yet zero bits flip
+    at p0 and one bits at p1 in every row, within 5 sigma."""
+    rng = substream(0, "sparse-stack")
+    stack = (rng.random((3, 40)) < 0.5).astype(np.int8)
+    p0, p1, n = 0.05, 0.4, 20_000
+    samples = sample_sparse(stack, p0, p1, n, rng).reshape(3, n, 40)
+    for x, rows in zip(stack, samples):
+        flipped = rows != x[None, :]
+        for bits, p in ((x == 0, p0), (x == 1, p1)):
+            count = n * int(bits.sum())
+            sigma = np.sqrt(p * (1 - p) / count)
+            assert abs(flipped[:, bits].mean() - p) <= 5 * sigma
+
+
+def test_stacked_inputs_share_one_noise_block():
+    """Common random numbers: identical rows of a stack get identical
+    noisy copies, and the first row matches an unstacked draw."""
+    x = np.array([0.5, -1.0, 2.0])
+    stack = np.stack([x, x + 1.0, x])
+    out = sample_noise(stack, GaussianNoise(0.3), 50, substream(4, "crn")).reshape(3, 50, 3)
+    np.testing.assert_array_equal(out[0], out[2])
+    np.testing.assert_allclose(out[1] - out[0], 1.0)
+    np.testing.assert_array_equal(out[0], sample_gaussian(x, 0.3, 50, substream(4, "crn")))
+    bits = np.array([0, 1, 1, 0], dtype=np.int8)
+    flips = sample_noise(
+        np.stack([bits, bits]), SparseFlipNoise(0.2, 0.3), 50, substream(5, "crn")
+    ).reshape(2, 50, 4)
+    np.testing.assert_array_equal(flips[0], flips[1])
 
 
 def test_sample_sparse_zero_rates_copy_input():
@@ -122,27 +211,34 @@ def test_score_distribution_variance_cap():
 
 
 def test_estimate_distribution_matches_manual_pipeline():
-    """The estimator is exactly sample -> score -> bin under a shared stream."""
+    """The estimator is exactly sample -> score -> bin under a shared
+    stream, with one noise batch and one oracle call for every class."""
     x = np.array([0.2, 0.8])
     scheme = GaussianNoise(sigma=0.3)
     grid = BinGrid.uniform(51)
+    calls = []
 
     def score_fn(points, rng):
-        return np.clip(points[:, 0], 0.0, 1.0)
+        calls.append(points.shape)
+        return np.clip(points, 0.0, 1.0)
 
-    d = estimate_distribution(score_fn, x, scheme, 500, grid, substream(3, "est"))
-    manual = sample_gaussian(x, 0.3, 500, substream(3, "est"))
-    expect = distribution_from_samples(np.clip(manual[:, 0], 0.0, 1.0), grid)
-    assert d.n_samples == expect.n_samples
-    assert d.mean == expect.mean
-    assert d.variance == expect.variance
-    np.testing.assert_array_equal(d.cdf, expect.cdf)
+    dists = estimate_distribution(score_fn, x, scheme, 500, grid, substream(3, "est"))
+    assert calls == [(500, 2)]
+    manual = np.clip(sample_gaussian(x, 0.3, 500, substream(3, "est")), 0.0, 1.0)
+    assert len(dists) == 2
+    for c, d in enumerate(dists):
+        expect = distribution_from_samples(manual[:, c], grid)
+        assert d.n_samples == expect.n_samples
+        assert d.mean == expect.mean
+        assert d.variance == expect.variance
+        np.testing.assert_array_equal(d.cdf, expect.cdf)
 
 
 def test_estimate_distribution_rejects_bad_oracle():
     x = np.zeros(2)
     grid = BinGrid.uniform(51)
-    with pytest.raises(ValueError):
-        estimate_distribution(
-            lambda pts, rng: np.zeros(3), x, GaussianNoise(0.1), 5, grid, substream(0)
-        )
+    for bad in (np.zeros(3), np.zeros(5), np.zeros((4, 2))):
+        with pytest.raises(ValueError):
+            estimate_distribution(
+                lambda pts, rng: bad, x, GaussianNoise(0.1), 5, grid, substream(0)
+            )
