@@ -47,7 +47,7 @@ def score_fn(points, rng):
 
 (dist,) = estimate_distribution(score_fn, np.zeros(2), scheme, 10_000, grid, substream(9, "mc"))
 plain = bound_for_clean(dist, model, scheme, "lower", "cdf")
-corrected = corrected_bound(dist, model, scheme, "lower", "cdf", ETA, observed=False)
+corrected = corrected_bound(dist, model, scheme, "lower", "cdf", ETA)
 print(f"\nlower bound at r=0.125: uncorrected {plain:.4f}, corrected {corrected:.4f}")
 
 # Full corrected calibration.  The ledger records every spend; the sum

@@ -14,7 +14,6 @@ from .bounds import (
     L2Ball,
     RegionTable,
     bound_for_clean,
-    bound_for_observed,
     build_region_table,
     gaussian_cdf_lower,
     gaussian_cdf_upper,
@@ -61,13 +60,11 @@ from .scores import (
     CoverageBeta,
     MetricsReport,
     PredictionSet,
-    aps_score,
     conformal_quantile,
     coverage_distribution,
     evaluate_sets,
     inverse_quantile,
     prediction_set,
-    tps_score,
 )
 from .smoothing import (
     BinGrid,
@@ -105,10 +102,8 @@ __all__ = [
     "RegionTable",
     "ScoreDistribution",
     "SparseFlipNoise",
-    "aps_score",
     "bernstein_radius",
     "bound_for_clean",
-    "bound_for_observed",
     "build_region_table",
     "calibrate",
     "calibrate_smooth",
@@ -142,7 +137,6 @@ __all__ = [
     "sparse_mean_upper",
     "subseed",
     "substream",
-    "tps_score",
     "vanilla_worst_case_coverage",
     "worst_case_feature_quantile",
     "worst_case_label_quantile",

@@ -43,7 +43,6 @@ __all__ = [
     "sparse_cdf_upper",
     "sparse_cdf_lower",
     "bound_for_clean",
-    "bound_for_observed",
 ]
 
 
@@ -57,6 +56,10 @@ class L2Ball:
         if self.radius < 0.0:
             raise ValueError("radius must be nonnegative")
 
+    def reversed(self) -> L2Ball:
+        """The ball around a perturbed point that holds its clean point: the same ball."""
+        return self
+
 
 @dataclass(frozen=True)
 class BinaryBall:
@@ -68,6 +71,14 @@ class BinaryBall:
     def __post_init__(self) -> None:
         if self.additions < 0 or self.deletions < 0:
             raise ValueError("flip budgets must be nonnegative")
+
+    def reversed(self) -> BinaryBall:
+        """The ball around a perturbed point that holds its clean point.
+
+        Undoing the perturbation deletes the one-bits it added and adds
+        back the ones it deleted, so the two budgets swap.
+        """
+        return BinaryBall(additions=self.deletions, deletions=self.additions)
 
 
 ThreatModel = L2Ball | BinaryBall
@@ -293,7 +304,9 @@ def bound_for_clean(
     dist : ScoreDistribution
         Smooth-score summary measured at the point the ball is centred on.
     model : L2Ball or BinaryBall
-        Threat model, in the clean-to-perturbed direction.
+        Ball around the measured point.  When that point may already be
+        the adversary's perturbation, pass ``model.reversed()``: the
+        clean point lies in the reversed ball around it.
     scheme : GaussianNoise or SparseFlipNoise
         Smoothing noise; must match the threat model family.
     direction : {"upper", "lower"}
@@ -323,21 +336,3 @@ def bound_for_clean(
         f"smoothing scheme {type(scheme).__name__}"
     )
 
-
-def bound_for_observed(
-    dist: ScoreDistribution,
-    model: ThreatModel,
-    scheme: SmoothingScheme,
-    direction: str,
-    kind: str,
-) -> float:
-    """Bound the smooth score at the unseen clean point from the observed one.
-
-    If the observed point was produced by adding up to ``additions`` and
-    deleting up to ``deletions`` one-bits of the clean point, the clean
-    point sits within the reversed ball around the observation, so the
-    flip radii swap.  L2 balls are symmetric and pass through unchanged.
-    """
-    if isinstance(model, BinaryBall):
-        model = BinaryBall(additions=model.deletions, deletions=model.additions)
-    return bound_for_clean(dist, model, scheme, direction, kind)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import ThreatModel, bound_for_clean, bound_for_observed
+from .bounds import ThreatModel, bound_for_clean
 from .smoothing import ScoreDistribution, SmoothingScheme
 
 __all__ = [
@@ -118,13 +118,14 @@ def corrected_bound(
     direction: str,
     kind: str,
     eta: float,
-    observed: bool = False,
 ) -> float:
-    """Worst-case bound taken after widening the measured statistic.
+    """Worst-case bound over ``model`` taken after widening the measured statistic.
 
     Upper bounds consume the upper mean end or the lower CDF band (a
     lower CDF weakens the constraint exactly the way more mass above
-    every edge would); lower bounds take the mirrored choices.
+    every edge would); lower bounds take the mirrored choices.  As in
+    :func:`~robustcp.bounds.bound_for_clean`, ``model`` is the ball
+    around the measured point.
     """
     corr = corrected_distribution(dist, eta)
     if kind == "mean":
@@ -135,8 +136,7 @@ def corrected_bound(
         pessimistic = replace(dist, cdf=band)
     else:
         raise ValueError("kind must be 'mean' or 'cdf'")
-    bound = bound_for_observed if observed else bound_for_clean
-    return bound(pessimistic, model, scheme, direction, kind)
+    return bound_for_clean(pessimistic, model, scheme, direction, kind)
 
 
 @dataclass
@@ -148,13 +148,11 @@ class BudgetLedger:
     """
 
     eta: float
-    entries: list[tuple[str, float]] = field(default_factory=list)
+    entries: list[tuple[str, float]] = field(default_factory=list, init=False)
     _spent: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_eta(self.eta)
-        for _, amount in self.entries:
-            self._spent += amount
 
     def spend(self, label: str, amount: float) -> float:
         """Record a spend and fail loudly if the declared budget is exceeded."""

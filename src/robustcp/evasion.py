@@ -22,11 +22,11 @@ turns true-label calibration distributions into thresholds, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import ThreatModel, bound_for_clean, bound_for_observed
+from .bounds import ThreatModel, bound_for_clean
 from .correction import BudgetLedger, bernstein_radius, corrected_bound
 from .errors import ConfigurationError
 from .scores import PredictionSet, conformal_quantile, inverse_quantile, prediction_set
@@ -109,11 +109,10 @@ class Calibration:
     ledger: BudgetLedger | None = None
 
 
-def _bounds(distributions, config: EvasionConfig, direction: str, observed: bool):
-    bound = bound_for_observed if observed else bound_for_clean
+def _bounds(distributions, config: EvasionConfig, direction: str):
     return np.array(
         [
-            bound(d, config.model, config.scheme, direction, config.bound_kind)
+            bound_for_clean(d, config.model, config.scheme, direction, config.bound_kind)
             for d in distributions
         ]
     )
@@ -140,7 +139,7 @@ def calibrate(
     table = CalibrationTable(
         point_ids=point_ids,
         smooth_means=np.array([d.mean for d in distributions]),
-        lower_bounds=_bounds(distributions, config, "lower", observed=False),
+        lower_bounds=_bounds(distributions, config, "lower"),
         distributions=list(distributions),
     )
     thresholds = {
@@ -158,8 +157,7 @@ def calibrate(
     for i, d in enumerate(distributions):
         ledger.spend(f"calibration cdf band {int(point_ids[i])}", per_point)
         corrected[i] = corrected_bound(
-            d, config.model, config.scheme, "lower", config.bound_kind, per_point,
-            observed=False,
+            d, config.model, config.scheme, "lower", config.bound_kind, per_point
         )
     ledger.assert_within()
     table.corrected_lower_bounds = corrected
@@ -175,9 +173,11 @@ def predict(
     """Prediction sets for test points from their per-class distributions.
 
     "vanilla" thresholds smooth means at the vanilla threshold.  "robust"
-    thresholds, in test-time mode, certified upper bounds over the
-    reversed ball around the observed input at the vanilla threshold, and
-    in calibration-time mode smooth means at the calibration-time one.
+    thresholds, in test-time mode, certified upper bounds at the vanilla
+    threshold, taken over ``config.model.reversed()`` around the observed
+    input (the test point may already be perturbed, so its clean point
+    lies in the reversed ball), and in calibration-time mode smooth means
+    at the calibration-time one.
     With ``config.eta`` > 0 (calibration-time only), "corrected" sets
     spend through one ledger per point, the calibration side first.
     """
@@ -192,6 +192,8 @@ def predict(
     calibration_side = (
         calibration.ledger.spent if calibration.ledger is not None else config.eta / 2.0
     )
+    if config.mode == "test-time":
+        reversed_cfg = replace(config, model=config.model.reversed())
     named: dict[str, list[PredictionSet]] = {"vanilla": [], "robust": []}
     if corrected:
         named["corrected"] = []
@@ -199,7 +201,7 @@ def predict(
         means = np.array([d.mean for d in dists])
         vanilla = prediction_set(means, thresholds["vanilla"])
         if config.mode == "test-time":
-            upper = _bounds(dists, config, "upper", observed=True)
+            upper = _bounds(dists, reversed_cfg, "upper")
             robust = prediction_set(upper, thresholds["vanilla"])
         else:
             robust = prediction_set(means, thresholds["calibration-time"])
@@ -264,17 +266,17 @@ def class_distributions(
     )
 
 
-def lower_bounds_for(
-    table: CalibrationTable, config: EvasionConfig, observed: bool = False
-) -> np.ndarray:
+def lower_bounds_for(table: CalibrationTable, config: EvasionConfig) -> np.ndarray:
     """Certified lower bounds of a calibration table under another config.
 
     Recomputes from the stored distributions, so one calibration pass can
-    serve several radii or bound kinds.  ``observed`` takes the bound
-    over the reversed ball, for distributions estimated at inputs the
-    adversary may already have moved (poisoned calibration points).
+    serve several radii or bound kinds.  The bounds are taken over
+    ``config.model`` around each stored point; for points the adversary
+    may already have moved (poisoned calibration points), pass a config
+    whose model is ``model.reversed()``, the ball that holds the clean
+    point.
     """
-    return _bounds(table.distributions, config, "lower", observed)
+    return _bounds(table.distributions, config, "lower")
 
 
 def vanilla_worst_case_coverage(
@@ -299,21 +301,21 @@ def corrected_set_from_distributions(
     distributions: list[ScoreDistribution],
     threshold: float,
     eta: float,
-    ledger: BudgetLedger | None = None,
-    point_id: int = 0,
+    ledger: BudgetLedger,
+    point_id: int,
 ) -> PredictionSet:
     """Corrected calibration-time set from precomputed distributions.
 
     Scores each class by its Monte-Carlo mean plus an empirical
     Bernstein radius at eta / (2 n_classes), so the true smooth score of
     the (unknown) true class clears the threshold whenever its bound
-    would.
+    would.  Every class's share is spent through ``ledger``, labelled
+    with ``point_id``.
     """
     n_classes = len(distributions)
     per_class = eta / (2.0 * n_classes)
     inflated = np.empty(n_classes)
     for c, d in enumerate(distributions):
-        if ledger is not None:
-            ledger.spend(f"test point {int(point_id)} class {c} mean radius", per_class)
+        ledger.spend(f"test point {int(point_id)} class {c} mean radius", per_class)
         inflated[c] = d.mean + bernstein_radius(d.n_samples, d.variance, per_class)
     return prediction_set(inflated, threshold)

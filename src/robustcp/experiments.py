@@ -381,7 +381,10 @@ def feature_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
     task, (x_cal, y_cal), (x_test, y_test) = generate_task(config.task, ts)
     oracle = oracle_for(task, config.score_kind)
     cfg = _evasion_config(config, mode="calibration-time", bound_kind=config.bound_kind)
-    calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, cfg, seed=ts)
+    # The defender's tables hold lower bounds over the reversed ball, the
+    # ball around a received point that holds its clean point.
+    defender = replace(cfg, model=cfg.model.reversed())
+    calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, defender, seed=ts)
     per_test = _test_distributions(oracle, x_test, cfg, ts)
     rows = []
     thresholds = {}
@@ -394,13 +397,12 @@ def feature_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
                 seed=subseed(ts, "attack", k), n_samples=config.attack_samples,
             )
             calibration_k = calibrate_smooth(
-                oracle, received, y_cal, config.alpha, cfg,
+                oracle, received, y_cal, config.alpha, defender,
                 seed=subseed(ts, "defender", k),
             )
         table_k = calibration_k.table
         conservative = feature_poison_threshold(
-            table_k.smooth_means, lower_bounds_for(table_k, cfg, observed=True),
-            k, config.alpha,
+            table_k.smooth_means, table_k.lower_bounds, k, config.alpha
         )
         sets = _poison_sets(per_test, calibration_k, conservative.threshold, cfg)
         rows.append(
@@ -444,7 +446,8 @@ def corrected_trial(config: ExperimentConfig, index: int) -> TrialResult:
     }
 
     lower_plain = np.minimum(
-        lower_bounds_for(table, cfg, observed=True), table.smooth_means
+        lower_bounds_for(table, replace(cfg, model=cfg.model.reversed())),
+        table.smooth_means,
     )
     for k in config.budgets:
         conservative, poison_ledger = corrected_feature_poison_threshold(

@@ -78,6 +78,28 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf8"))
 
 
+def _read_table(
+    path: Path, header: list[str], parsers: list
+) -> list[tuple]:
+    """Rows of a CSV file with exactly ``header``, parsed one parser per column."""
+    if not path.exists():
+        raise InputError(f"{path}: no such file")
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        found = next(reader, None)
+        if found != header:
+            raise InputError(f"{path}: expected header {','.join(header)}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
+            try:
+                rows.append(tuple(parse(cell) for parse, cell in zip(parsers, row)))
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
 # ------------------------------------------------------------ score tensors --
 
 
@@ -94,19 +116,7 @@ def _tensor_to_csv(tensor: np.ndarray) -> str:
 
 
 def _tensor_from_csv(path: Path) -> np.ndarray:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != SCORES_HEADER:
-            raise InputError(f"{path}: expected header {','.join(SCORES_HEADER)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise InputError(f"{path}:{lineno}: expected 4 columns")
-            try:
-                rows.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
+    rows = _read_table(path, SCORES_HEADER, [int, int, int, float])
     if not rows:
         return np.empty((0, 0, 0))
     data = np.array(rows)
@@ -191,46 +201,11 @@ def write_labels_csv(path: str | Path, labels: np.ndarray) -> None:
 
 def read_labels_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"{path}: no such file")
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["point_id", "label"]:
-            raise InputError(f"{path}: expected header point_id,label")
-        pairs = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise InputError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                pairs.append((int(row[0]), int(row[1])))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
+    pairs = _read_table(path, ["point_id", "label"], [int, int])
     ids = [p for p, _ in pairs]
     if ids != list(range(len(ids))):
         raise InputError(f"{path}: point ids must be contiguous from 0")
     return np.array([y for _, y in pairs], dtype=int)
-
-
-def _read_table(
-    path: Path, header: list[str], parsers: list
-) -> list[tuple]:
-    if not path.exists():
-        raise InputError(f"{path}: no such file")
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        found = next(reader, None)
-        if found != header:
-            raise InputError(f"{path}: expected header {','.join(header)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
-            try:
-                rows.append(tuple(parse(cell) for parse, cell in zip(parsers, row)))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-    return rows
 
 
 def write_score_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
@@ -297,12 +272,11 @@ def read_feature_bounds_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 class ConfigField:
     """One typed key in a flat key = value configuration file."""
 
-    def __init__(self, kind: str, default: object = None, required: bool = False):
-        if kind not in ("int", "float", "bool", "str"):
+    def __init__(self, kind: str, default: object):
+        if kind not in ("int", "float", "str"):
             raise ValueError(f"unknown config field kind {kind!r}")
         self.kind = kind
         self.default = default
-        self.required = required
 
     def parse(self, key: str, raw: str) -> object:
         raw = raw.strip()
@@ -311,10 +285,6 @@ class ConfigField:
                 return int(raw)
             if self.kind == "float":
                 return float(raw)
-            if self.kind == "bool":
-                if raw.lower() in ("true", "false"):
-                    return raw.lower() == "true"
-                raise ValueError("expected true or false")
             return raw
         except ValueError as exc:
             raise InputError(f"config key {key!r}: {exc}") from exc
@@ -362,9 +332,6 @@ def resolve_config(
     for item in overrides:
         key, value = parse_override(item, schema)
         values[key] = value
-    missing = [k for k, f in schema.items() if f.required and values[k] is None]
-    if missing:
-        raise InputError(f"missing required config keys: {', '.join(sorted(missing))}")
     return values
 
 
@@ -373,11 +340,7 @@ def render_config(values: Mapping[str, object]) -> str:
     lines = []
     for key in sorted(values):
         value = values[key]
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             value = repr(value)
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

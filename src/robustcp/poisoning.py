@@ -299,35 +299,32 @@ def corrected_feature_poison_threshold(
     alpha: float,
     eta: float,
     bound_kind: str = "cdf",
-    mc_denominator: int | None = None,
 ) -> tuple[ConservativeThreshold, BudgetLedger]:
     """Poison-robust threshold with finite-sample Monte-Carlo corrections.
 
-    Each observed calibration point's lower bound is taken from a DKW
-    band at eta / (2 n) and further lowered by a Hoeffding radius for
+    ``model`` is the threat model the poisoner used.  A received
+    calibration point may already be perturbed, so its clean point lies
+    in ``model.reversed()`` around it; each point's lower bound is taken
+    over that reversed ball from a DKW band at eta / (2 n), then lowered
+    by the Hoeffding radius at the calibration-set size n and eta for
     the Monte-Carlo error of the clean scores the guarantee compares
-    against; the rank search then runs at level alpha - eta.
-
-    ``mc_denominator`` is the sample count in that Hoeffding radius.  It
-    defaults to the calibration-set size; pass the per-point Monte-Carlo
-    sample count instead for a radius tied to the estimator's actual
-    resolution.
+    against.  The rank search then runs at level alpha - eta.
     """
     n = len(distributions)
     if n == 0:
         raise ValueError("need at least one calibration distribution")
     if not 0.0 < eta < alpha:
         raise ConfigurationError("need 0 < eta < alpha")
-    denom = n if mc_denominator is None else int(mc_denominator)
-    eps_mc = hoeffding_radius(denom, eta)
+    eps_mc = hoeffding_radius(n, eta)
     ledger = BudgetLedger(eta=eta)
     ledger.spend("calibration cdf bands", eta / 2.0)
     ledger.spend("clean-score mc slack", eta / 2.0)
     per_point = eta / (2.0 * n)
+    reversed_ball = model.reversed()
     observed = np.array([d.mean for d in distributions])
     lower = np.array(
         [
-            corrected_bound(d, model, scheme, "lower", bound_kind, per_point, observed=True)
+            corrected_bound(d, reversed_ball, scheme, "lower", bound_kind, per_point)
             - eps_mc
             for d in distributions
         ]

@@ -16,8 +16,7 @@ import numpy as np
 from scipy import stats
 
 __all__ = [
-    "tps_score",
-    "aps_score",
+    "aps_scores",
     "conformal_quantile",
     "inverse_quantile",
     "prediction_set",
@@ -33,15 +32,6 @@ __all__ = [
 ALL_CLASSES_THRESHOLD = -math.inf
 
 
-def _check_prob_vector(probs: np.ndarray) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size < 2:
-        raise ValueError("probability vector must be 1-d with at least 2 classes")
-    if np.any(probs < -1e-9) or not math.isclose(probs.sum(), 1.0, abs_tol=1e-6):
-        raise ValueError("probabilities must be nonnegative and sum to 1")
-    return probs
-
-
 def _check_scores(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1 or scores.size == 0:
@@ -51,42 +41,42 @@ def _check_scores(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def tps_score(probs: np.ndarray, label: int) -> float:
-    """Probability assigned to ``label``: the true-class-probability score."""
-    probs = _check_prob_vector(probs)
-    return float(probs[label])
+def aps_scores(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Adaptive scores of every class: one minus the probability mass ranked above it.
 
-
-def aps_score(probs: np.ndarray, label: int, u: float) -> float:
-    """Adaptive score: one minus the probability mass strictly above ``label``.
-
-    The mass of classes ranked strictly above ``label`` plus a ``u``
-    fraction of the label's own mass is subtracted from 1, which keeps
+    Entry (i, c) subtracts from 1 the mass of the classes ranked strictly
+    above c in row i plus a ``u[i]`` fraction of c's own mass, which keeps
     the usual "cumulative mass down to the label" score on the
-    larger-is-more-conforming scale.
+    larger-is-more-conforming scale.  (A TPS score needs no function: it
+    is the probability matrix itself.)
 
     Parameters
     ----------
-    probs : array of shape (n_classes,)
-        Class probabilities, summing to 1.
-    label : int
-        Class whose conformity is scored.
-    u : float
-        Tie-break draw in [0, 1].  Randomizing it makes the score
-        continuous; ``u = 1`` gives the conservative deterministic
-        variant.
+    probs : array of shape (m, n_classes)
+        Class probabilities of m points; each row sums to 1.
+    u : array of shape (m,)
+        Tie-break draws in [0, 1], one per point, shared by its classes.
+        Randomizing them makes the score continuous; ``u = 1`` gives the
+        conservative deterministic variant.
 
     Returns
     -------
-    float
-        Score in [0, 1].
+    array of shape (m, n_classes)
+        Scores in [0, 1].
     """
-    probs = _check_prob_vector(probs)
-    if not 0.0 <= u <= 1.0:
+    probs = np.asarray(probs, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if probs.ndim != 2 or probs.shape[1] < 2:
+        raise ValueError("probabilities must be a 2-d array with at least 2 classes")
+    if np.any(probs < -1e-9) or not np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6):
+        raise ValueError("probabilities must be nonnegative and sum to 1 in every row")
+    if u.shape != probs.shape[:1]:
+        raise ValueError("need one tie-break draw per row of probabilities")
+    if not np.all((u >= 0.0) & (u <= 1.0)):
         raise ValueError("u must lie in [0, 1]")
-    p_label = probs[label]
-    mass_above = probs[probs > p_label].sum()
-    return float(1.0 - mass_above - u * p_label)
+    above = probs[:, None, :] > probs[:, :, None]
+    mass_above = np.where(above, probs[:, None, :], 0.0).sum(axis=2)
+    return 1.0 - mass_above - u[:, None] * probs
 
 
 def _order_index(alpha: float, n: int) -> int:

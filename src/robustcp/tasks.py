@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import softmax
 
+from .scores import aps_scores
 from .smoothing import substream
 
 __all__ = [
@@ -130,10 +131,9 @@ def make_binary_task(
 def oracle_for(task: SyntheticTask, kind: str = "tps"):
     """Score oracle ``(points, rng) -> (m, n_classes)``, every class from one softmax.
 
-    "tps" scores are the class probabilities.  "aps" scores are one minus
-    the probability mass ranked above each class, less a tie-break draw
-    ``u`` times the class's own probability; each evaluated point gets
-    one ``u``, shared by its classes.
+    "tps" scores are the class probabilities.  "aps" scores are
+    :func:`~robustcp.scores.aps_scores` of them, with one tie-break draw
+    ``u`` per evaluated point, shared by its classes.
     """
     if kind == "tps":
         return lambda points, rng: task.class_probabilities(points)
@@ -142,9 +142,6 @@ def oracle_for(task: SyntheticTask, kind: str = "tps"):
 
     def aps(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         probs = task.class_probabilities(points)
-        above = probs[:, None, :] > probs[:, :, None]
-        mass_above = np.where(above, probs[:, None, :], 0.0).sum(axis=2)
-        u = rng.random(probs.shape[0])
-        return 1.0 - mass_above - u[:, None] * probs
+        return aps_scores(probs, rng.random(probs.shape[0]))
 
     return aps

@@ -14,7 +14,6 @@ import pytest
 from robustcp.bounds import (
     L2Ball,
     bound_for_clean,
-    bound_for_observed,
     gaussian_cdf_lower,
     gaussian_cdf_upper,
     gaussian_mean_lower,
@@ -165,11 +164,14 @@ def test_dispatcher_routes_by_kind(beta_dist):
     assert bound_for_clean(beta_dist, model, scheme, "lower", "mean") == pytest.approx(
         gaussian_mean_lower(beta_dist.mean, 0.1, 0.25)
     )
-    # The L2 ball is symmetric, so observing from either end is the same.
+    # The L2 ball is symmetric: it is its own reversal, so bounding from
+    # an observed (perhaps perturbed) point is the same.
+    assert model.reversed() == model
+    assert model.reversed().reversed() == model
     for direction in ("upper", "lower"):
         for kind in ("mean", "cdf"):
-            assert bound_for_observed(
-                beta_dist, model, scheme, direction, kind
+            assert bound_for_clean(
+                beta_dist, model.reversed(), scheme, direction, kind
             ) == bound_for_clean(beta_dist, model, scheme, direction, kind)
 
 

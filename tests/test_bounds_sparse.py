@@ -16,7 +16,6 @@ from robustcp.bounds import (
     BinaryBall,
     _region_table,
     bound_for_clean,
-    bound_for_observed,
     build_region_table,
     sparse_cdf_lower,
     sparse_cdf_upper,
@@ -191,11 +190,19 @@ def test_observed_ball_swaps_additions_and_deletions(binary_dist):
     scheme = SparseFlipNoise(0.15, 0.3)
     forward = BinaryBall(additions=2, deletions=1)
     backward = BinaryBall(additions=1, deletions=2)
+    assert forward.reversed() == backward
+    assert forward.reversed().reversed() == forward
+    assert BinaryBall(2, 2).reversed() == BinaryBall(2, 2)
+    swapped = []
     for direction in ("upper", "lower"):
         for kind in ("mean", "cdf"):
-            assert bound_for_observed(
-                binary_dist, forward, scheme, direction, kind
-            ) == bound_for_clean(binary_dist, backward, scheme, direction, kind)
+            observed = bound_for_clean(binary_dist, forward.reversed(), scheme, direction, kind)
+            assert observed == bound_for_clean(binary_dist, backward, scheme, direction, kind)
+            swapped.append(
+                observed != bound_for_clean(binary_dist, forward, scheme, direction, kind)
+            )
+    # With p0 != p1 the reversal changes the certificate.
+    assert any(swapped)
 
 
 def test_mismatched_scheme_and_model_rejected(binary_dist):

@@ -160,6 +160,12 @@ class TestBudgetLedger:
         with pytest.raises(ValueError):
             BudgetLedger(eta=1.0)
 
+    def test_entries_come_only_from_spends(self):
+        # A ledger cannot start with spends that were never checked.
+        with pytest.raises(TypeError):
+            BudgetLedger(eta=0.1, entries=[("elsewhere", 0.05)])
+        assert BudgetLedger(eta=0.1).spent == 0.0
+
     def test_running_total_matches_summing_the_entries(self):
         rng = substream(46, "ledger")
         amounts = rng.uniform(0.1, 10.0, 3000)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean, bound_for_observed
+from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean
 from robustcp.correction import BudgetLedger, bernstein_radius, corrected_bound
 from robustcp.errors import ConfigurationError
 from robustcp.evasion import (
@@ -129,11 +129,9 @@ def test_lower_bounds_recomputable_from_distributions(gaussian_setup, calibrated
     _, _, _, _, config = gaussian_setup
     table = calibrated.table
     np.testing.assert_array_equal(lower_bounds_for(table, config), table.lower_bounds)
-    observed = [
-        bound_for_observed(d, config.model, config.scheme, "lower", config.bound_kind)
-        for d in table.distributions
-    ]
-    np.testing.assert_array_equal(lower_bounds_for(table, config, observed=True), observed)
+    # The L2 ball is its own reversal, so the observed-point bounds are the same.
+    reversed_cfg = dataclasses.replace(config, model=config.model.reversed())
+    np.testing.assert_array_equal(lower_bounds_for(table, reversed_cfg), table.lower_bounds)
     # A larger ball certifies weaker (smaller) lower bounds.
     wider = dataclasses.replace(config, model=L2Ball(radius=0.25))
     assert np.all(lower_bounds_for(table, wider) <= table.lower_bounds + 1e-12)
@@ -149,7 +147,7 @@ def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
     batch = predict(dists, calibrated, config)["robust"]
     for i in range(4):
         upper = [
-            bound_for_observed(d, config.model, config.scheme, "upper", config.bound_kind)
+            bound_for_clean(d, config.model.reversed(), config.scheme, "upper", config.bound_kind)
             for d in dists[i]
         ]
         assert batch[i].members == prediction_set(upper, threshold).members
@@ -220,7 +218,10 @@ def test_corrected_set_membership_rule(gaussian_setup, calibrated):
     threshold = calibrated.thresholds["vanilla"]
     eta = 0.02
     dists = class_distributions(oracle, x[1], config, seed=31, point_id=1)
-    got = corrected_set_from_distributions(dists, threshold, eta)
+    got = corrected_set_from_distributions(dists, threshold, eta, BudgetLedger(eta), 1)
+    # No spend goes off the books: the ledger is required.
+    with pytest.raises(TypeError):
+        corrected_set_from_distributions(dists, threshold, eta)
     per_class = eta / (2 * 3)
     want = {
         c
@@ -264,10 +265,15 @@ def test_length_mismatch_rejected(gaussian_setup):
 # ------------------------------------------------------ calibrate / predict --
 
 _GRID = BinGrid.uniform(21)
+# Scheme, threat model, and the ball around an observed point that holds
+# its clean point.  Unequal flip budgets make the two balls differ.
 _THREATS = {
-    "gaussian": (GaussianNoise(sigma=0.25), L2Ball(radius=0.125)),
-    # Unequal budgets make the reversed (observed) ball differ from the clean one.
-    "sparse": (SparseFlipNoise(0.1, 0.2), BinaryBall(additions=2, deletions=1)),
+    "gaussian": (GaussianNoise(sigma=0.25), L2Ball(radius=0.125), L2Ball(radius=0.125)),
+    "sparse": (
+        SparseFlipNoise(0.1, 0.2),
+        BinaryBall(additions=2, deletions=1),
+        BinaryBall(additions=1, deletions=2),
+    ),
 }
 
 
@@ -296,7 +302,7 @@ def test_calibrate_and_predict_properties(
     seed, n_cal, n_test, n_classes, threat, mode, bound_kind, eta
 ):
     rng = substream(seed, "core")
-    scheme, model = _THREATS[threat]
+    scheme, model, observed_ball = _THREATS[threat]
     config = EvasionConfig(
         scheme=scheme, model=model, mode=mode, bound_kind=bound_kind, grid=_GRID, eta=eta
     )
@@ -337,7 +343,9 @@ def test_calibrate_and_predict_properties(
         vanilla = sets["vanilla"][p].members
         assert vanilla == _members(means, thresholds["vanilla"])
         if mode == "test-time":
-            upper = [bound_for_observed(d, model, scheme, "upper", bound_kind) for d in dists]
+            upper = [
+                bound_for_clean(d, observed_ball, scheme, "upper", bound_kind) for d in dists
+            ]
             assert sets["robust"][p].members == _members(upper, thresholds["vanilla"])
         else:
             assert sets["robust"][p].members == _members(means, thresholds["calibration-time"])
@@ -350,7 +358,7 @@ def test_calibrate_and_predict_properties(
             assert vanilla <= sets["corrected"][p].members
     if mode == "test-time":
         # Thresholds on either side of one observed-ball bound pin its exact value.
-        edge = bound_for_observed(test[0][0], model, scheme, "upper", bound_kind)
+        edge = bound_for_clean(test[0][0], observed_ball, scheme, "upper", bound_kind)
         for threshold, inside in ((edge, True), (np.nextafter(edge, np.inf), False)):
             pinned = dataclasses.replace(
                 calibration, thresholds={**thresholds, "vanilla": threshold}

@@ -23,6 +23,7 @@ from robustcp.experiments import (
     TrialResult,
     aggregate_rows,
     evasion_trial,
+    feature_poison_trial,
     generate_task,
     label_poison_trial,
     marginal_trial,
@@ -31,7 +32,6 @@ from robustcp.experiments import (
 )
 from robustcp.poisoning import replay_label_witness
 from robustcp.smoothing import GaussianNoise, SparseFlipNoise, substream
-from robustcp.scores import aps_score
 from robustcp.tasks import make_binary_task, make_gaussian_mixture, oracle_for
 
 TINY_MARGINAL = ExperimentConfig(
@@ -95,15 +95,19 @@ def test_evade_binary_respects_flip_budgets():
 
 
 def test_oracles_score_every_class_in_one_call():
-    """TPS rows are the class probabilities; APS rows match the scalar
-    score per class, with one tie-break draw per point."""
+    """TPS rows are the class probabilities; APS rows match the score's
+    definition per class, with one tie-break draw per point."""
     task = make_gaussian_mixture(n_classes=4, dim=3, seed=2)
     points, _ = task.sample(30, substream(1, "oracle-points"))
     probs = task.class_probabilities(points)
     np.testing.assert_array_equal(oracle_for(task, "tps")(points, None), probs)
     got = oracle_for(task, "aps")(points, substream(2, "tie-break"))
     u = substream(2, "tie-break").random(30)
-    want = [[aps_score(p, c, u_i) for c in range(4)] for p, u_i in zip(probs, u)]
+    # APS: one minus the mass ranked strictly above the class, less u times its own.
+    want = [
+        [1.0 - p[p > p[c]].sum() - u_i * p[c] for c in range(4)]
+        for p, u_i in zip(probs, u)
+    ]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         oracle_for(task, "raps")
@@ -133,13 +137,15 @@ def test_objective_scores_identical_candidates_identically(scheme, x):
 
 def test_evasion_trial_bounds_each_calibration_point_once_per_route(monkeypatch):
     """20 calibration points and one radius: 20 lower bounds for the mean
-    route (also the calibration table's) and 20 for the cdf route."""
+    route (also the calibration table's) and 20 for the cdf route.  The
+    only other bounds are the upper bounds of the 4 test points' 3 classes
+    for each route."""
     import robustcp.evasion as evasion
 
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[4])
+        calls.append(args[3:5])
         return bound_for_clean(*args, **kwargs)
 
     monkeypatch.setattr(evasion, "bound_for_clean", counted)
@@ -148,7 +154,10 @@ def test_evasion_trial_bounds_each_calibration_point_once_per_route(monkeypatch)
         n_samples=100, attack_samples=16, n_trials=1, seed=5,
     )
     evasion_trial(config, 0)
-    assert sorted(calls) == ["cdf"] * 20 + ["mean"] * 20
+    assert sorted(kind for direction, kind in calls if direction == "lower") == (
+        ["cdf"] * 20 + ["mean"] * 20
+    )
+    assert len(calls) == 40 + 2 * 4 * 3
 
 
 def test_poison_labels_attack_is_replayable():
@@ -250,6 +259,34 @@ def test_label_poison_trial_thresholds():
     assert result.thresholds["robust-k2"] <= result.thresholds["robust-k0"]
     # Budget 0 is the clean quantile for both pipelines.
     assert result.thresholds["robust-k0"] == result.thresholds["vanilla-k0"]
+
+
+def test_feature_poison_trial_bounds_only_the_reversed_ball(monkeypatch):
+    """The defender calibrates its tables (the clean one and one per budget
+    k > 0) over the reversed ball, and the rank search reads their lower
+    bounds: 20 points x 3 tables, with no other bound evaluated."""
+    import robustcp.bounds as bounds
+    import robustcp.evasion as evasion
+
+    models = []
+
+    def counted(dist, model, *args, **kwargs):
+        models.append(model)
+        return bound_for_clean(dist, model, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "bound_for_clean", counted)
+    monkeypatch.setattr(evasion, "bound_for_clean", counted)
+    config = ExperimentConfig(
+        kind="feature-poison", task=TaskSpec(kind="binary-linear", dim=16, n_cal=20, n_test=6),
+        p0=0.1, p1=0.2, flips=((1, 2),), budgets=(0, 1, 2), n_samples=400,
+        attack_samples=32, n_trials=1, seed=8,
+    )
+    thresholds = feature_poison_trial(config, 0).thresholds
+    assert len(models) == 60
+    assert set(models) == {BinaryBall(additions=2, deletions=1)}
+    assert thresholds["robust-k0"] == thresholds["vanilla-k0"]
+    for k in (1, 2):
+        assert thresholds[f"robust-k{k}"] <= thresholds[f"vanilla-k{k}"]
 
 
 def test_worker_count_env(monkeypatch):

@@ -7,7 +7,8 @@ budget-sized subset (and every label reassignment) is the oracle.
 import numpy as np
 import pytest
 
-from robustcp.bounds import BinaryBall, L2Ball
+from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean
+from robustcp.correction import corrected_bound, hoeffding_radius
 from robustcp.poisoning import (
     brute_force_feature_threshold,
     brute_force_label_threshold,
@@ -149,9 +150,12 @@ def test_corrected_feature_threshold_dominated_and_budgeted():
         for _ in range(12)
     ]
     eta = 0.02
-    for model, scheme in (
-        (L2Ball(0.1), GaussianNoise(0.25)),
-        (BinaryBall(1, 1), SparseFlipNoise(0.1, 0.1)),
+    # Threat model, and the ball around a received point that holds its
+    # clean point (the flip budgets swap).
+    for model, observed_ball, scheme in (
+        (L2Ball(0.1), L2Ball(0.1), GaussianNoise(0.25)),
+        (BinaryBall(1, 1), BinaryBall(1, 1), SparseFlipNoise(0.1, 0.1)),
+        (BinaryBall(2, 1), BinaryBall(1, 2), SparseFlipNoise(0.1, 0.2)),
     ):
         for kind in ("mean", "cdf"):
             corrected, ledger = corrected_feature_poison_threshold(
@@ -160,13 +164,22 @@ def test_corrected_feature_threshold_dominated_and_budgeted():
             ledger.assert_within()
             assert ledger.spent <= eta + 1e-12
             # The uncorrected competitor sees the same bounds without widening.
-            from robustcp.bounds import bound_for_observed
-
             means = np.array([d.mean for d in dists])
             lower = np.array(
-                [bound_for_observed(d, model, scheme, "lower", kind) for d in dists]
+                [bound_for_clean(d, observed_ball, scheme, "lower", kind) for d in dists]
             )
             plain = feature_poison_threshold(
                 means, np.minimum(lower, means), 2, 0.25
             )
             assert corrected.threshold <= plain.threshold + 1e-12
+            # DKW bands at eta / (2 n) over the observed ball, less the
+            # Hoeffding radius at the calibration-set size n.
+            n = len(dists)
+            widened = np.array(
+                [
+                    corrected_bound(d, observed_ball, scheme, "lower", kind, eta / (2 * n))
+                    for d in dists
+                ]
+            ) - hoeffding_radius(n, eta)
+            want = feature_poison_threshold(means, np.minimum(widened, means), 2, 0.25 - eta)
+            assert corrected.threshold == want.threshold

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from robustcp.scores import (
     ALL_CLASSES_THRESHOLD,
     PredictionSet,
-    aps_score,
+    aps_scores,
     conformal_quantile,
     coverage_distribution,
     evaluate_sets,
     inverse_quantile,
     prediction_set,
-    tps_score,
 )
 
 DECILES = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
@@ -135,18 +134,33 @@ def test_coverage_distribution_degenerate_when_rank_zero():
     assert cb.shape_b == 0.0
 
 
-def test_tps_score():
-    probs = np.array([0.2, 0.5, 0.3])
-    assert tps_score(probs, 1) == 0.5
-    assert tps_score(probs, 0) == pytest.approx(0.2)
-
-
 def test_aps_score_frozen_examples():
-    probs = np.array([0.2, 0.5, 0.3])
+    probs = np.array([[0.2, 0.5, 0.3], [0.2, 0.5, 0.3]])
+    scores = aps_scores(probs, np.array([0.5, 0.0]))
+    assert scores.shape == (2, 3)
     # Top class, half its own mass: 1 - 0.5 * 0.5.
-    assert aps_score(probs, 1, 0.5) == pytest.approx(0.75)
+    assert scores[0, 1] == pytest.approx(0.75)
     # Bottom class, u = 0: one minus the mass ranked above it.
-    assert aps_score(probs, 0, 0.0) == pytest.approx(0.2)
+    assert scores[1, 0] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "probs, u",
+    [
+        ([0.2, 0.5, 0.3], [0.5]),  # not a matrix
+        ([[1.0]], [0.5]),  # a single class
+        ([[0.2, 0.5, 0.4]], [0.5]),  # row sums to 1.1
+        ([[-0.1, 0.6, 0.5]], [0.5]),  # negative probability
+        ([[np.nan, 0.5, 0.5]], [0.5]),
+        ([[0.2, 0.5, 0.3]], [1.5]),
+        ([[0.2, 0.5, 0.3]], [-0.1]),
+        ([[0.2, 0.5, 0.3]], [np.nan]),
+        ([[0.2, 0.5, 0.3]], [0.5, 0.5]),  # not one draw per row
+    ],
+)
+def test_aps_scores_rejects_malformed_input(probs, u):
+    with pytest.raises(ValueError):
+        aps_scores(np.array(probs), np.array(u))
 
 
 @given(
@@ -155,9 +169,9 @@ def test_aps_score_frozen_examples():
     label=st.integers(min_value=0, max_value=2),
 )
 def test_aps_score_decreasing_in_u(u1, u2, label):
-    probs = np.array([0.2, 0.5, 0.3])
+    probs = np.array([[0.2, 0.5, 0.3], [0.2, 0.5, 0.3]])
     if u1 > u2:
         u1, u2 = u2, u1
-    a, b = aps_score(probs, label, u1), aps_score(probs, label, u2)
+    a, b = aps_scores(probs, np.array([u1, u2]))[:, label]
     assert b <= a
     assert -1e-12 <= b and a <= 1.0 + 1e-12

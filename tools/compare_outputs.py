@@ -1,0 +1,201 @@
+"""Check that two source trees of robustcp write byte-identical result files.
+
+Usage::
+
+    python3 tools/compare_outputs.py SRC_A SRC_B
+
+``SRC_A`` and ``SRC_B`` are directories holding a ``robustcp`` package,
+such as the ``src`` directory of two checkouts.  For each tree the script
+starts one fresh interpreter with that directory first on ``PYTHONPATH``
+and ``ROBUSTCP_WORKERS=1``, which runs a fixed set of commands through
+``robustcp.cli.main``:
+
+* ``simulate`` for every experiment kind at ``n_trials=2, n_cal=20,
+  n_test=6, n_samples=400, attack_samples=32``, with TPS and APS scores,
+  Gaussian and bit-flip tasks, and asymmetric flips (``1:2``,
+  ``p0 != p1``);
+* ``calibrate`` then ``predict`` on seeded 200x4x60 score tensors, for
+  Gaussian test-time, sparse asymmetric test-time, sparse mean-route
+  calibration-time and corrected settings, one of them read from CSV;
+* ``certify-poisoning`` for feature and label poisoning.
+
+Every output file, plus each command's exit code and printed output, goes
+under one directory per tree.  The two directories are then compared
+byte for byte.  The script prints every difference and exits 1 if there
+is one, leaving both directories in place for inspection; it exits 0 and
+removes them when every file is identical.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import filecmp
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIMULATE_SIZE = [
+    "n_trials=2", "n_cal=20", "n_test=6", "n_samples=400", "attack_samples=32",
+]
+BINARY_TASK = ["task=binary-linear", "dim=16", "p0=0.1", "p1=0.2"]
+
+# Run name -> extra `--set` values for `simulate`.
+SIMULATIONS = {
+    "marginal-tps": ["experiment=marginal", "alphas=0.1,0.2"],
+    "marginal-aps-binary": ["experiment=marginal", "score_kind=aps", *BINARY_TASK],
+    "evasion-gaussian": ["experiment=evasion", "radii=0.125,0.25"],
+    "evasion-gaussian-aps": ["experiment=evasion", "score_kind=aps", "radii=0.125"],
+    "evasion-binary": ["experiment=evasion", "flips=1:2,2:2", *BINARY_TASK],
+    "evasion-binary-aps": ["experiment=evasion", "score_kind=aps", "flips=1:2", *BINARY_TASK],
+    "label-poison": ["experiment=label-poison", "budgets=0,1,2"],
+    "label-poison-aps": ["experiment=label-poison", "score_kind=aps", "budgets=0,2"],
+    "feature-poison-gaussian": ["experiment=feature-poison", "budgets=0,1,2"],
+    "feature-poison-binary-aps": [
+        "experiment=feature-poison", "score_kind=aps", "flips=1:2", "budgets=0,1,2",
+        *BINARY_TASK,
+    ],
+    "corrected-cdf": ["experiment=corrected", "eta=0.01"],
+    "corrected-mean-aps": [
+        "experiment=corrected", "eta=0.02", "bound_kind=mean", "score_kind=aps",
+    ],
+    "corrected-binary": ["experiment=corrected", "eta=0.01", "flips=1:2", *BINARY_TASK],
+}
+
+# Pipeline name -> (`--set` values shared by calibrate and predict, tensor suffix).
+PIPELINES = {
+    "gaussian-test-time": (
+        ["scheme=gaussian", "sigma=0.25", "radius=0.125", "mode=test-time"], ".bin",
+    ),
+    "sparse-asymmetric-test-time": (
+        ["scheme=sparse", "p0=0.1", "p1=0.2", "additions=2", "deletions=1",
+         "mode=test-time"], ".bin",
+    ),
+    "sparse-mean-calibration-time": (
+        ["scheme=sparse", "p0=0.1", "p1=0.1", "additions=1", "deletions=1",
+         "bound_kind=mean", "mode=calibration-time"], ".csv",
+    ),
+    "corrected": (
+        ["scheme=gaussian", "sigma=0.25", "radius=0.125", "eta=0.01",
+         "mode=calibration-time"], ".bin",
+    ),
+}
+
+
+def _run(main, name: str, argv: list[str], out: Path) -> None:
+    """Run one CLI command, recording its exit code and printed output."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    (out / f"{name}.log").write_text(
+        f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
+    )
+
+
+def _score_tensor(rng, n_points: int, n_classes: int, n_samples: int):
+    """Smooth-score samples in [0, 1] whose level depends on the point's label."""
+    labels = rng.integers(0, n_classes, n_points)
+    centre = rng.uniform(0.05, 0.5, (n_points, n_classes))
+    centre[range(n_points), labels] += 0.4
+    noise = rng.normal(0.0, 0.15, (n_points, n_classes, n_samples))
+    return (centre[:, :, None] + noise).clip(0.0, 1.0), labels
+
+
+def write_outputs(out: Path) -> None:
+    """Write every compared output of the importable robustcp tree under ``out``."""
+    import numpy as np
+
+    from robustcp import formats
+    from robustcp.cli import main
+
+    out.mkdir(parents=True)
+    for name, settings in SIMULATIONS.items():
+        sets = [f"--set={item}" for item in (*SIMULATE_SIZE, *settings)]
+        _run(main, f"simulate-{name}", ["simulate", "--out", str(out / name), *sets], out)
+
+    inputs = out / "inputs"
+    inputs.mkdir()
+    rng = np.random.default_rng(20240)
+    for split in ("cal", "test"):
+        tensor, labels = _score_tensor(rng, 200, 4, 60)
+        for suffix in (".bin", ".csv"):
+            formats.write_score_tensor(inputs / f"{split}{suffix}", tensor)
+        formats.write_labels_csv(inputs / f"{split}-labels.csv", labels)
+    for name, (settings, suffix) in PIPELINES.items():
+        sets = [f"--set={item}" for item in settings]
+        cal_out, pred_out = out / f"{name}-calibrate", out / f"{name}-predict"
+        _run(main, f"calibrate-{name}", [
+            "calibrate", "--scores", str(inputs / f"cal{suffix}"),
+            "--labels", str(inputs / "cal-labels.csv"), "--out", str(cal_out), *sets,
+        ], out)
+        _run(main, f"predict-{name}", [
+            "predict", "--artifact", str(cal_out / "calibration.json"),
+            "--scores", str(inputs / f"test{suffix}"),
+            "--labels", str(inputs / "test-labels.csv"), "--out", str(pred_out), *sets,
+        ], out)
+
+    scores = rng.uniform(0.2, 1.0, 40)
+    lower = scores * rng.uniform(0.5, 1.0, 40)
+    formats.write_feature_bounds_csv(inputs / "bounds.csv", scores, lower)
+    formats.write_score_matrix_csv(inputs / "matrix.csv", rng.dirichlet(np.ones(4), 40))
+    formats.write_labels_csv(inputs / "matrix-labels.csv", rng.integers(0, 4, 40))
+    _run(main, "certify-feature", [
+        "certify-poisoning", "--input", str(inputs / "bounds.csv"),
+        "--out", str(out / "certify-feature"), "--set=poison_budget=3",
+    ], out)
+    _run(main, "certify-label", [
+        "certify-poisoning", "--input", str(inputs / "matrix.csv"),
+        "--labels", str(inputs / "matrix-labels.csv"), "--out", str(out / "certify-label"),
+        "--set=poison_kind=label", "--set=poison_budget=2",
+    ], out)
+
+
+def _differences(a: Path, b: Path, prefix: str = "") -> list[str]:
+    cmp = filecmp.dircmp(a, b)
+    found = [f"only in A: {prefix}{name}" for name in cmp.left_only]
+    found += [f"only in B: {prefix}{name}" for name in cmp.right_only]
+    for name in cmp.common_files:
+        if not filecmp.cmp(a / name, b / name, shallow=False):
+            found.append(f"differs: {prefix}{name}")
+    for name in cmp.common_dirs:
+        found += _differences(a / name, b / name, f"{prefix}{name}/")
+    return found
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--write":
+        write_outputs(Path(argv[1]))
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    work = Path(tempfile.mkdtemp(prefix="robustcp-compare-"))
+    outs = []
+    for label, src in zip("AB", argv):
+        src = Path(src).resolve()
+        if not (src / "robustcp" / "__init__.py").exists():
+            print(f"{src}: no robustcp package here", file=sys.stderr)
+            return 2
+        out = work / label
+        env = {**os.environ, "PYTHONPATH": str(src), "ROBUSTCP_WORKERS": "1"}
+        subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--write", str(out)],
+            env=env, cwd=work, check=True,
+        )
+        outs.append(out)
+    found = _differences(*outs)
+    n_files = sum(len(files) for _, _, files in os.walk(outs[0]))
+    if found:
+        print("\n".join(found))
+        print(f"{len(found)} difference(s) in {n_files} files; outputs kept in {work}")
+        return 1
+    shutil.rmtree(work)
+    print(f"all {n_files} files byte-identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
