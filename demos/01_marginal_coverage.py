@@ -10,12 +10,7 @@ Run with: python demos/01_marginal_coverage.py
 
 import numpy as np
 
-from robustcp.scores import (
-    conformal_quantile,
-    coverage_distribution,
-    evaluate_sets,
-    prediction_set,
-)
+from robustcp.scores import conformal_quantile, coverage_distribution, evaluate_sets
 from robustcp.smoothing import substream, subseed
 from robustcp.tasks import make_gaussian_mixture, oracle_for
 
@@ -25,7 +20,8 @@ N_CAL, N_TEST, ALPHA = 100, 500, 0.1
 
 # One split end to end.  The conformal threshold is the k-th smallest
 # calibration score with k = floor(alpha * (n + 1)); every class whose
-# score clears it joins the set.
+# score clears it joins the set, so the sets of all test points are one
+# boolean (points, classes) mask.
 rng_seed = 0
 x_cal, y_cal = task.sample(N_CAL, substream(rng_seed, "cal"))
 x_test, y_test = task.sample(N_TEST, substream(rng_seed, "test"))
@@ -36,8 +32,7 @@ cal_scores = cal_matrix[np.arange(N_CAL), y_cal]
 print("one split, three miscoverage levels")
 for alpha in (0.05, 0.1, 0.25):
     q = conformal_quantile(cal_scores, alpha)
-    sets = [prediction_set(row, q) for row in test_matrix]
-    report = evaluate_sets(sets, y_test)
+    report = evaluate_sets(test_matrix >= q, y_test)
     print(
         f"  alpha={alpha:<5} threshold {q:.4f}  coverage {report.empirical_coverage:.3f}"
         f"  avg size {report.average_set_size:.2f}"
@@ -60,8 +55,7 @@ for trial in range(300):
     cm = score(xc, substream(seed, "score-cal"))
     tm = score(xt, substream(seed, "score-test"))
     q = conformal_quantile(cm[np.arange(N_CAL), yc], ALPHA)
-    sets = [prediction_set(row, q) for row in tm]
-    coverages.append(evaluate_sets(sets, yt).empirical_coverage)
+    coverages.append(evaluate_sets(tm >= q, yt).empirical_coverage)
 coverages = np.array(coverages)
 
 print(f"300 fresh splits: mean coverage {coverages.mean():.5f} "

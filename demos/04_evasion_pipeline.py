@@ -48,7 +48,7 @@ print(f"smoothed calibration on {len(y_cal)} points: threshold {threshold:.4f}")
 # drop to its certified lower bound, how far can the quantile fall?
 for kind in ("mean", "cdf"):
     cfg = replace(config, bound_kind=kind)
-    beta = vanilla_worst_case_coverage(table, threshold, lower_bounds_for(table, cfg))
+    beta = vanilla_worst_case_coverage(threshold, lower_bounds_for(table, cfg))
     print(f"  worst-case coverage floor at r={RADIUS} ({kind} route): beta = {beta:.4f}")
 
 # Attack each test point, then build all three kinds of set on the SAME
@@ -71,6 +71,6 @@ for name, sets in (("undefended", vanilla_sets), ("mean-bound", mean_sets), ("cd
           f"avg size {report.average_set_size:.2f}")
 
 # The three sets nest by construction: certified routes only add classes.
-for v, m, c in zip(vanilla_sets, mean_sets, cdf_sets):
-    assert v.members <= c.members <= m.members
+# Each is a boolean (points, classes) mask, so nesting is a comparison.
+assert np.all(vanilla_sets <= cdf_sets) and np.all(cdf_sets <= mean_sets)
 print("\nset nesting holds pointwise: undefended <= cdf-bound <= mean-bound")

@@ -59,12 +59,10 @@ from .scores import (
     ALL_CLASSES_THRESHOLD,
     CoverageBeta,
     MetricsReport,
-    PredictionSet,
     conformal_quantile,
     coverage_distribution,
     evaluate_sets,
     inverse_quantile,
-    prediction_set,
 )
 from .smoothing import (
     BinGrid,
@@ -98,7 +96,6 @@ __all__ = [
     "L2Ball",
     "MetricsReport",
     "PoisonWitness",
-    "PredictionSet",
     "RegionTable",
     "ScoreDistribution",
     "SparseFlipNoise",
@@ -126,7 +123,6 @@ __all__ = [
     "inverse_quantile",
     "label_poison_threshold",
     "predict",
-    "prediction_set",
     "replay_feature_witness",
     "replay_label_witness",
     "sample_gaussian",

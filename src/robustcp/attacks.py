@@ -25,6 +25,11 @@ __all__ = [
     "poison_features_attack",
 ]
 
+# The L2 search's effort: random directions tried on the sphere, then
+# rounds of coordinate refinement around the best candidate.
+_RANDOM_DIRECTIONS = 8
+_REFINE_ROUNDS = 2
+
 
 def _smooth_objective(
     oracle: ScoreOracle,
@@ -56,8 +61,6 @@ def evade_l2(
     scheme: GaussianNoise,
     rng: np.random.Generator,
     n_samples: int = 256,
-    n_random: int = 8,
-    n_refine: int = 2,
     maximize: bool = False,
 ) -> np.ndarray:
     """Projected random directions plus coordinate search inside an L2 ball.
@@ -73,14 +76,14 @@ def evade_l2(
     sign = -1.0 if maximize else 1.0
     dim = x.size
 
-    dirs = rng.standard_normal((n_random, dim))
+    dirs = rng.standard_normal((_RANDOM_DIRECTIONS, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     coord = np.concatenate([np.eye(dim), -np.eye(dim)])
     candidates = np.concatenate([x[None, :], x + radius * dirs, x + radius * coord])
     best = candidates[int(np.argmin(sign * objective(candidates)))]
 
     step = radius / 4.0
-    for _ in range(n_refine):
+    for _ in range(_REFINE_ROUNDS):
         moves = best[None, :] + step * coord
         # Project each move back onto the ball around the clean input.
         delta = moves - x[None, :]
@@ -89,7 +92,8 @@ def evade_l2(
         # The incumbent comes first, re-scored on the same noise as its moves.
         moves = np.concatenate([best[None, :], x[None, :] + delta * scale])
         best = moves[int(np.argmin(sign * objective(moves)))]
-    assert np.linalg.norm(best - x) <= radius * (1.0 + 1e-9), "left the threat ball"
+    if not np.linalg.norm(best - x) <= radius * (1.0 + 1e-9):
+        raise AssertionError("left the threat ball")
     return best
 
 
@@ -133,8 +137,10 @@ def evade_binary(
         else:
             dels_left -= 1
         x = rows[j]
-    assert int(np.sum((clean == 0) & (x == 1))) <= additions, "addition budget"
-    assert int(np.sum((clean == 1) & (x == 0))) <= deletions, "deletion budget"
+    if int(np.sum((clean == 0) & (x == 1))) > additions:
+        raise AssertionError("addition budget exceeded")
+    if int(np.sum((clean == 1) & (x == 0))) > deletions:
+        raise AssertionError("deletion budget exceeded")
     return x
 
 
@@ -155,7 +161,8 @@ def poison_labels_attack(
     budget = _clamped_budget(budget, len(np.asarray(labels)))
     result = worst_case_label_quantile(score_matrix, labels, budget, alpha)
     flipped = np.asarray(labels, dtype=int).copy()
-    assert result.witness.labels is not None
+    if result.witness.labels is None:
+        raise AssertionError("a label-flip witness records its labels")
     for i, c in zip(result.witness.indices, result.witness.labels):
         flipped[i] = c
     return flipped, result.witness

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,12 @@ def cmd_predict(args) -> int:
     cfg = _load_config(args, artifact_config)
     _validate_common(cfg)
     config = _evasion_config(cfg)
+    # The stored thresholds must be the quantiles of the stored columns.
+    derived = table.thresholds(cfg["alpha"], cfg["eta"])
+    if derived != thresholds:
+        raise ValueError(
+            f"artifact thresholds {thresholds} do not match its points, which give {derived}"
+        )
     out = _out_dir(args)
     tensor = formats.read_score_tensor(args.scores)
     labels = formats.read_labels_csv(args.labels) if args.labels else None
@@ -223,26 +230,28 @@ def cmd_predict(args) -> int:
         return 0
     if labels is not None and labels.size != tensor.shape[0]:
         raise InputError("labels and scores disagree on the number of points")
+    if labels is not None and (labels.min() < 0 or labels.max() >= tensor.shape[1]):
+        raise InputError("labels must index classes of the score tensor")
     if np.any(tensor < 0.0) or np.any(tensor > 1.0):
         raise InputError("scores must lie in [0, 1]")
 
-    grid = table.distributions[0].grid if table.distributions else config.grid
+    grid = table.distributions[0].grid
     named = predict(
         _tensor_distributions(tensor, grid), Calibration(table, thresholds), config
     )
 
     formats.write_sets_csv(out / "sets.csv", named)
     methods = {}
-    for name, sets in named.items():
-        sizes = [len(s) for s in sets]
+    for name, masks in named.items():
+        sizes = masks.sum(axis=1)
         entry: dict[str, object] = {
-            "n_points": len(sets),
+            "n_points": len(masks),
             "average_size": float(np.mean(sizes)),
             "histogram": {str(k): int(v) for k, v in
                           zip(*np.unique(sizes, return_counts=True))},
         }
         if labels is not None:
-            report = evaluate_sets(sets, labels)
+            report = evaluate_sets(masks, labels)
             entry["coverage"] = report.empirical_coverage
             entry["singleton_hit_ratio"] = report.singleton_hit_ratio
         methods[name] = entry
@@ -260,49 +269,44 @@ def cmd_certify_poisoning(args) -> int:
     cfg = _load_config(args)
     _validate_common(cfg)
     out = _out_dir(args)
-    budget = cfg["poison_budget"]
+    alpha, budget, kind = cfg["alpha"], cfg["poison_budget"], cfg["poison_kind"]
     if budget < 0:
         raise ConfigurationError("poison_budget must be nonnegative")
-    kind = cfg["poison_kind"]
     if kind == "feature":
         scores, lower = formats.read_feature_bounds_csv(args.input)
-        result = feature_poison_threshold(scores, lower, budget, cfg["alpha"])
-        replayed = replay_feature_witness(scores, result.witness, cfg["alpha"])
-        assert replayed == result.threshold, "witness replay mismatch"
-        if args.check_oracle:
-            if scores.size > 12:
-                raise ConfigurationError("oracle check supports at most 12 points")
-            oracle = brute_force_feature_threshold(scores, lower, budget, cfg["alpha"])
-            assert oracle == result.threshold, "brute-force oracle disagrees"
-        formats.write_witness_json(
-            out / "witness.json", kind, cfg["alpha"], budget, scores.size,
-            result.threshold, result.rank, result.witness.indices,
-            values=result.witness.values,
-        )
-        n = scores.size
+        n, oracle_limit = scores.size, None if scores.size <= 12 else "at most 12 points"
+        result = feature_poison_threshold(scores, lower, budget, alpha)
+        replayed = replay_feature_witness(scores, result.witness, alpha)
+        oracle = partial(brute_force_feature_threshold, scores, lower, budget, alpha)
     elif kind == "label":
         if not args.labels:
             raise InputError("label poisoning needs --labels")
         matrix = formats.read_score_matrix_csv(args.input)
         labels = formats.read_labels_csv(args.labels)
-        result = label_poison_threshold(matrix, labels, budget, cfg["alpha"])
-        replayed = replay_label_witness(matrix, labels, result.witness, cfg["alpha"])
-        assert replayed == result.threshold, "witness replay mismatch"
-        if args.check_oracle:
-            if matrix.shape[0] > 12 or matrix.shape[1] > 6:
-                raise ConfigurationError(
-                    "oracle check supports at most 12 points and 6 classes"
-                )
-            oracle = brute_force_label_threshold(matrix, labels, budget, cfg["alpha"])
-            assert oracle == result.threshold, "brute-force oracle disagrees"
-        formats.write_witness_json(
-            out / "witness.json", kind, cfg["alpha"], budget, matrix.shape[0],
-            result.threshold, result.rank, result.witness.indices,
-            values=result.witness.values, labels=result.witness.labels,
-        )
         n = matrix.shape[0]
+        small = n <= 12 and matrix.shape[1] <= 6
+        oracle_limit = None if small else "at most 12 points and 6 classes"
+        result = label_poison_threshold(matrix, labels, budget, alpha)
+        replayed = replay_label_witness(matrix, labels, result.witness, alpha)
+        oracle = partial(brute_force_label_threshold, matrix, labels, budget, alpha)
     else:
         raise ConfigurationError(f"unknown poison_kind {kind!r}")
+    # The threshold must replay from its witness and, on request, match
+    # the exhaustive oracle exactly.
+    found = {"witness replay": replayed}
+    if args.check_oracle:
+        if oracle_limit is not None:
+            raise ConfigurationError(f"oracle check supports {oracle_limit}")
+        found["brute-force oracle"] = oracle()
+    wrong = [
+        f"{name} gives {value!r}" for name, value in found.items() if value != result.threshold
+    ]
+    if wrong:
+        raise AssertionError(f"threshold {result.threshold!r}, but {'; '.join(wrong)}")
+    formats.write_witness_json(
+        out / "witness.json", kind, alpha, budget, n, result.threshold, result.rank,
+        result.witness.indices, values=result.witness.values, labels=result.witness.labels,
+    )
     _write_resolved(out, cfg)
     print(
         f"certified {kind} poisoning for {n} points at budget {budget}: "

@@ -17,7 +17,8 @@ finite-sample guarantees at a declared failure budget.
 
 After estimation everything runs through two functions: :func:`calibrate`
 turns true-label calibration distributions into thresholds, and
-:func:`predict` turns per-class test distributions into sets.
+:func:`predict` turns per-class test distributions into boolean
+``(points, classes)`` set masks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .bounds import ThreatModel, bound_for_clean
 from .correction import BudgetLedger, bernstein_radius, corrected_bound
 from .errors import ConfigurationError
-from .scores import PredictionSet, conformal_quantile, inverse_quantile, prediction_set
+from .scores import conformal_quantile, inverse_quantile
 from .smoothing import (
     BinGrid,
     ScoreDistribution,
@@ -96,6 +97,23 @@ class CalibrationTable:
     def __len__(self) -> int:
         return len(self.distributions)
 
+    def thresholds(self, alpha: float, eta: float) -> dict[str, float]:
+        """Thresholds by method: the conformal quantiles of the stored columns.
+
+        "vanilla" takes the smooth means and "calibration-time" the lower
+        bounds at level alpha; "corrected", present when the table holds
+        corrected lower bounds, takes those at level alpha - eta.  Each
+        is an element of its column, so a stored threshold can be
+        checked against the table exactly.
+        """
+        named = {
+            "vanilla": conformal_quantile(self.smooth_means, alpha),
+            "calibration-time": conformal_quantile(self.lower_bounds, alpha),
+        }
+        if self.corrected_lower_bounds is not None:
+            named["corrected"] = conformal_quantile(self.corrected_lower_bounds, alpha - eta)
+        return named
+
 
 @dataclass
 class Calibration:
@@ -142,35 +160,30 @@ def calibrate(
         lower_bounds=_bounds(distributions, config, "lower"),
         distributions=list(distributions),
     )
-    thresholds = {
-        "vanilla": conformal_quantile(table.smooth_means, alpha),
-        "calibration-time": conformal_quantile(table.lower_bounds, alpha),
-    }
     eta = config.eta
-    if not eta > 0.0:
-        return Calibration(table, thresholds)
-    if not alpha > eta:
-        raise ConfigurationError("alpha must exceed the correction budget eta")
-    ledger = BudgetLedger(eta=eta)
-    per_point = eta / (2.0 * n)
-    corrected = np.empty(n)
-    for i, d in enumerate(distributions):
-        ledger.spend(f"calibration cdf band {int(point_ids[i])}", per_point)
-        corrected[i] = corrected_bound(
-            d, config.model, config.scheme, "lower", config.bound_kind, per_point
-        )
-    ledger.assert_within()
-    table.corrected_lower_bounds = corrected
-    thresholds["corrected"] = conformal_quantile(corrected, alpha - eta)
-    return Calibration(table, thresholds, ledger)
+    ledger = None
+    if eta > 0.0:
+        if not alpha > eta:
+            raise ConfigurationError("alpha must exceed the correction budget eta")
+        ledger = BudgetLedger(eta=eta)
+        per_point = eta / (2.0 * n)
+        corrected = np.empty(n)
+        for i, d in enumerate(distributions):
+            ledger.spend(f"calibration cdf band {int(point_ids[i])}", per_point)
+            corrected[i] = corrected_bound(
+                d, config.model, config.scheme, "lower", config.bound_kind, per_point
+            )
+        ledger.assert_within()
+        table.corrected_lower_bounds = corrected
+    return Calibration(table, table.thresholds(alpha, eta), ledger)
 
 
 def predict(
     per_point_distributions: list[list[ScoreDistribution]],
     calibration: Calibration,
     config: EvasionConfig,
-) -> dict[str, list[PredictionSet]]:
-    """Prediction sets for test points from their per-class distributions.
+) -> dict[str, np.ndarray]:
+    """Boolean ``(points, classes)`` set masks by method from per-class distributions.
 
     "vanilla" thresholds smooth means at the vanilla threshold.  "robust"
     thresholds, in test-time mode, certified upper bounds at the vanilla
@@ -187,36 +200,34 @@ def predict(
         raise ConfigurationError("corrected prediction is a calibration-time mode")
     if corrected and "corrected" not in thresholds:
         raise ConfigurationError("eta > 0 but the calibration has no corrected threshold")
-    # A calibration loaded from an artifact carries no ledger; the
-    # corrected calibration spends eta / 2 by construction.
-    calibration_side = (
-        calibration.ledger.spent if calibration.ledger is not None else config.eta / 2.0
-    )
+    means = np.array([[d.mean for d in dists] for dists in per_point_distributions])
+    named = {"vanilla": means >= thresholds["vanilla"]}
     if config.mode == "test-time":
         reversed_cfg = replace(config, model=config.model.reversed())
-    named: dict[str, list[PredictionSet]] = {"vanilla": [], "robust": []}
+        upper = np.array(
+            [_bounds(dists, reversed_cfg, "upper") for dists in per_point_distributions]
+        )
+        named["robust"] = upper >= thresholds["vanilla"]
+    else:
+        named["robust"] = means >= thresholds["calibration-time"]
     if corrected:
-        named["corrected"] = []
-    for point_id, dists in enumerate(per_point_distributions):
-        means = np.array([d.mean for d in dists])
-        vanilla = prediction_set(means, thresholds["vanilla"])
-        if config.mode == "test-time":
-            upper = _bounds(dists, reversed_cfg, "upper")
-            robust = prediction_set(upper, thresholds["vanilla"])
-        else:
-            robust = prediction_set(means, thresholds["calibration-time"])
-        assert vanilla.members <= robust.members, "vanilla set not inside robust set"
-        named["vanilla"].append(vanilla)
-        named["robust"].append(robust)
-        if corrected:
+        # A calibration loaded from an artifact carries no ledger; the
+        # corrected calibration spends eta / 2 by construction.
+        calibration_side = (
+            calibration.ledger.spent if calibration.ledger is not None else config.eta / 2.0
+        )
+        rows = []
+        for point_id, dists in enumerate(per_point_distributions):
             ledger = BudgetLedger(eta=config.eta)
             ledger.spend("calibration side", calibration_side)
-            wide = corrected_set_from_distributions(
+            rows.append(corrected_set_from_distributions(
                 dists, thresholds["corrected"], config.eta, ledger, point_id
-            )
+            ))
             ledger.assert_within()
-            assert vanilla.members <= wide.members, "vanilla set not inside corrected set"
-            named["corrected"].append(wide)
+        named["corrected"] = np.array(rows)
+    for method, mask in named.items():
+        if not np.all(named["vanilla"] <= mask):
+            raise AssertionError(f"vanilla set not inside {method} set")
     return named
 
 
@@ -279,21 +290,15 @@ def lower_bounds_for(table: CalibrationTable, config: EvasionConfig) -> np.ndarr
     return _bounds(table.distributions, config, "lower")
 
 
-def vanilla_worst_case_coverage(
-    table: CalibrationTable,
-    threshold: float,
-    lower_bounds: np.ndarray | None = None,
-) -> float:
+def vanilla_worst_case_coverage(threshold: float, lower_bounds: np.ndarray) -> float:
     """Coverage floor of the unprotected pipeline under worst-case evasion.
 
     Evaluates where the clean threshold would land among the certified
-    lower bounds: if every test score can be pushed down to its bound,
-    coverage cannot fall below 1 minus that grid level.  Pass
-    ``lower_bounds`` (see :func:`lower_bounds_for`) to evaluate the same
-    table under a different radius or bound kind.
+    lower bounds of the calibration points: if every test score can be
+    pushed down to its bound, coverage cannot fall below 1 minus that
+    grid level.  :func:`lower_bounds_for` gives the bounds of a table
+    under any radius or bound kind.
     """
-    if lower_bounds is None:
-        lower_bounds = table.lower_bounds
     return 1.0 - inverse_quantile(threshold, lower_bounds)
 
 
@@ -303,8 +308,8 @@ def corrected_set_from_distributions(
     eta: float,
     ledger: BudgetLedger,
     point_id: int,
-) -> PredictionSet:
-    """Corrected calibration-time set from precomputed distributions.
+) -> np.ndarray:
+    """Corrected calibration-time set mask (one entry per class) from distributions.
 
     Scores each class by its Monte-Carlo mean plus an empirical
     Bernstein radius at eta / (2 n_classes), so the true smooth score of
@@ -318,4 +323,4 @@ def corrected_set_from_distributions(
     for c, d in enumerate(distributions):
         ledger.spend(f"test point {int(point_id)} class {c} mean radius", per_class)
         inflated[c] = d.mean + bernstein_radius(d.n_samples, d.variance, per_class)
-    return prediction_set(inflated, threshold)
+    return inflated >= threshold

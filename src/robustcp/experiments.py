@@ -43,7 +43,7 @@ from .poisoning import (
     feature_poison_threshold,
     label_poison_threshold,
 )
-from .scores import conformal_quantile, evaluate_sets, prediction_set
+from .scores import conformal_quantile, evaluate_sets
 from .smoothing import BinGrid, GaussianNoise, SparseFlipNoise, subseed, substream
 from .tasks import make_binary_task, make_gaussian_mixture, oracle_for
 
@@ -184,8 +184,8 @@ def _attack_point(oracle, x, label, model, scheme, rng, n_samples):
     )
 
 
-def _metrics(sets, labels) -> dict[str, float]:
-    report = evaluate_sets(sets, labels)
+def _metrics(masks, labels) -> dict[str, float]:
+    report = evaluate_sets(masks, labels)
     return {
         "coverage": report.empirical_coverage,
         "size": report.average_set_size,
@@ -203,14 +203,6 @@ def _evasion_config(config: ExperimentConfig, **fields) -> EvasionConfig:
 
 def _test_distributions(oracle, points, cfg, ts):
     return [class_distributions(oracle, x, cfg, ts, i) for i, x in enumerate(points)]
-
-
-def _poison_sets(per_test, calibration, threshold, cfg):
-    """Vanilla sets, and "robust" smooth-mean sets at a poisoning-safe threshold."""
-    guarded = replace(
-        calibration, thresholds={**calibration.thresholds, "calibration-time": threshold}
-    )
-    return predict(per_test, guarded, replace(cfg, mode="calibration-time", eta=0.0))
 
 
 @dataclass
@@ -271,8 +263,9 @@ def marginal_trial(config: ExperimentConfig, index: int) -> TrialResult:
     thresholds = {}
     for alpha in alphas:
         q = conformal_quantile(cal_scores, alpha)
-        sets = [prediction_set(row, q) for row in test_matrix]
-        rows.append({"alpha": alpha, "method": "vanilla", **_metrics(sets, y_test)})
+        rows.append(
+            {"alpha": alpha, "method": "vanilla", **_metrics(test_matrix >= q, y_test)}
+        )
         thresholds[f"alpha={alpha:g}"] = q
     return TrialResult(index, ts, rows, thresholds, time.perf_counter() - t0)
 
@@ -326,7 +319,7 @@ def evasion_trial(config: ExperimentConfig, index: int) -> TrialResult:
                 {
                     "radius": r, "method": f"{kind}-bound",
                     **_metrics(sets["robust"], y_test),
-                    "beta": vanilla_worst_case_coverage(table, threshold, lower),
+                    "beta": vanilla_worst_case_coverage(threshold, lower),
                 }
             )
     return TrialResult(index, ts, rows, thresholds, time.perf_counter() - t0)
@@ -353,15 +346,14 @@ def label_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
         observed = cal_matrix[np.arange(n), poisoned]
         q_vanilla = conformal_quantile(observed, config.alpha)
         conservative = label_poison_threshold(cal_matrix, poisoned, k, config.alpha)
-        sets_vanilla = [prediction_set(row, q_vanilla) for row in test_matrix]
-        sets_robust = [
-            prediction_set(row, conservative.threshold) for row in test_matrix
-        ]
         rows.append(
-            {"budget": k, "method": "vanilla", **_metrics(sets_vanilla, y_test)}
+            {"budget": k, "method": "vanilla", **_metrics(test_matrix >= q_vanilla, y_test)}
         )
         rows.append(
-            {"budget": k, "method": "robust", **_metrics(sets_robust, y_test)}
+            {
+                "budget": k, "method": "robust",
+                **_metrics(test_matrix >= conservative.threshold, y_test),
+            }
         )
         thresholds[f"vanilla-k{k}"] = q_vanilla
         thresholds[f"robust-k{k}"] = conservative.threshold
@@ -386,6 +378,7 @@ def feature_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
     defender = replace(cfg, model=cfg.model.reversed())
     calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, defender, seed=ts)
     per_test = _test_distributions(oracle, x_test, cfg, ts)
+    test_means = np.array([[d.mean for d in dists] for dists in per_test])
     rows = []
     thresholds = {}
     for k in config.budgets:
@@ -404,14 +397,17 @@ def feature_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
         conservative = feature_poison_threshold(
             table_k.smooth_means, table_k.lower_bounds, k, config.alpha
         )
-        sets = _poison_sets(per_test, calibration_k, conservative.threshold, cfg)
+        vanilla = calibration_k.thresholds["vanilla"]
         rows.append(
-            {"budget": k, "method": "vanilla", **_metrics(sets["vanilla"], y_test)}
+            {"budget": k, "method": "vanilla", **_metrics(test_means >= vanilla, y_test)}
         )
         rows.append(
-            {"budget": k, "method": "robust", **_metrics(sets["robust"], y_test)}
+            {
+                "budget": k, "method": "robust",
+                **_metrics(test_means >= conservative.threshold, y_test),
+            }
         )
-        thresholds[f"vanilla-k{k}"] = calibration_k.thresholds["vanilla"]
+        thresholds[f"vanilla-k{k}"] = vanilla
         thresholds[f"robust-k{k}"] = conservative.threshold
     return TrialResult(index, ts, rows, thresholds, time.perf_counter() - t0)
 
@@ -435,6 +431,7 @@ def corrected_trial(config: ExperimentConfig, index: int) -> TrialResult:
     calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, cfg, seed=ts)
     table = calibration.table
     per_test = _test_distributions(oracle, x_test, cfg, ts)
+    test_means = np.array([[d.mean for d in dists] for dists in per_test])
     sets = predict(per_test, calibration, cfg)
     rows = [
         {"method": "corrected-sets", **_metrics(sets["corrected"], y_test)},
@@ -456,11 +453,10 @@ def corrected_trial(config: ExperimentConfig, index: int) -> TrialResult:
         )
         poison_ledger.assert_within()
         plain = feature_poison_threshold(table.smooth_means, lower_plain, k, config.alpha)
-        sets_k = _poison_sets(per_test, calibration, conservative.threshold, cfg)
         rows.append(
             {
                 "budget": k, "method": "corrected-threshold",
-                **_metrics(sets_k["robust"], y_test),
+                **_metrics(test_means >= conservative.threshold, y_test),
             }
         )
         thresholds[f"corrected-k{k}"] = conservative.threshold

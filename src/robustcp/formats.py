@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .scores import PredictionSet
 from .smoothing import BinGrid, ScoreDistribution
 
 __all__ = [
@@ -435,21 +434,19 @@ def read_calibration_artifact(path: str | Path):
 # ----------------------------------------------------------- sets & metrics --
 
 
-def write_sets_csv(
-    path: str | Path, named_sets: Mapping[str, Sequence[PredictionSet]]
-) -> None:
-    """Prediction sets as one row per (method, point, member class).
+def write_sets_csv(path: str | Path, named_masks: Mapping[str, np.ndarray]) -> None:
+    """Boolean ``(points, classes)`` set masks as one row per (method, point, member class).
 
-    Points with empty sets produce no rows; readers recover them from
-    the accompanying labels file.
+    Rows run point by point, classes ascending within a point.  Points
+    with empty sets produce no rows; readers recover them from the
+    accompanying labels file.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["point_id", "method", "class_id"])
-    for method in sorted(named_sets):
-        for p, pset in enumerate(named_sets[method]):
-            for c in sorted(pset.members):
-                writer.writerow([p, method, c])
+    for method in sorted(named_masks):
+        for p, c in zip(*np.nonzero(named_masks[method])):
+            writer.writerow([int(p), method, int(c)])
     atomic_write_text(path, buf.getvalue())
 
 

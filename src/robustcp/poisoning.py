@@ -235,7 +235,8 @@ def replay_label_witness(
     """Quantile of true-label scores after applying a label-flip witness."""
     score_matrix, labels = _label_matrix(score_matrix, labels)
     flipped = labels.copy()
-    assert witness.labels is not None
+    if witness.labels is None:
+        raise ValueError("a label-flip witness must record the substituted labels")
     for i, c in zip(witness.indices, witness.labels):
         flipped[i] = c
     observed = score_matrix[np.arange(labels.size), flipped]

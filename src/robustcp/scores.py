@@ -4,13 +4,15 @@ Scores follow the "larger is more conforming" convention and live in
 [0, 1].  A prediction set keeps every class whose score clears a
 threshold calibrated on held-out data, so the calibration quantile is a
 lower quantile: the k-th smallest calibration score with
-k = floor(alpha * (n + 1)).
+k = floor(alpha * (n + 1)).  The sets of a batch of points are the rows
+of one boolean ``(points, classes)`` mask, ``class_scores >= threshold``;
+at the ``-inf`` threshold every class is kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -19,10 +21,8 @@ __all__ = [
     "aps_scores",
     "conformal_quantile",
     "inverse_quantile",
-    "prediction_set",
     "evaluate_sets",
     "coverage_distribution",
-    "PredictionSet",
     "MetricsReport",
     "CoverageBeta",
 ]
@@ -137,67 +137,44 @@ def inverse_quantile(threshold: float, scores: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class PredictionSet:
-    """Classes whose scores clear ``threshold``."""
-
-    members: frozenset[int]
-    threshold: float
-
-    def __contains__(self, label: int) -> bool:
-        return label in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def prediction_set(class_scores: np.ndarray, threshold: float) -> PredictionSet:
-    """Set of classes with score >= threshold (all classes at ``-inf``)."""
-    class_scores = np.asarray(class_scores, dtype=float)
-    if class_scores.ndim != 1 or class_scores.size == 0:
-        raise ValueError("class_scores must be a nonempty 1-d array")
-    members = frozenset(int(c) for c in np.nonzero(class_scores >= threshold)[0])
-    return PredictionSet(members=members, threshold=threshold)
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """Summary statistics of a batch of prediction sets."""
 
     empirical_coverage: float
     average_set_size: float
     singleton_hit_ratio: float
-    set_size_histogram: dict[int, int] = field(default_factory=dict)
-    n_points: int = 0
+    set_size_histogram: dict[int, int]
+    n_points: int
 
 
-def evaluate_sets(sets: list[PredictionSet], labels: np.ndarray) -> MetricsReport:
+def evaluate_sets(masks: np.ndarray, labels: np.ndarray) -> MetricsReport:
     """Coverage, average size, singleton hit ratio and size histogram.
 
-    The singleton hit ratio is the fraction of points whose set is
-    exactly the true label.
+    Row i of the boolean ``(points, classes)`` array ``masks`` is the
+    prediction set of point i, ``class_scores >= threshold``.  The
+    singleton hit ratio is the fraction of points whose set is exactly
+    the true label.
     """
-    labels = np.asarray(labels)
-    if len(sets) != labels.size:
+    masks = np.asarray(masks)
+    labels = np.asarray(labels, dtype=int)
+    if masks.dtype != bool or masks.ndim != 2:
+        raise ValueError("sets must be a boolean (points, classes) array")
+    if masks.shape[0] != labels.size:
         raise ValueError("sets and labels must have equal length")
-    if len(sets) == 0:
+    n = labels.size
+    if n == 0:
         raise ValueError("cannot evaluate an empty batch")
-    covered = 0
-    singles = 0
-    sizes: dict[int, int] = {}
-    total = 0
-    for ps, y in zip(sets, labels):
-        size = len(ps)
-        total += size
-        sizes[size] = sizes.get(size, 0) + 1
-        hit = int(y) in ps
-        covered += hit
-        singles += hit and size == 1
-    n = len(sets)
+    if np.any(labels < 0) or np.any(labels >= masks.shape[1]):
+        raise ValueError("labels must index the classes of the sets")
+    sizes = masks.sum(axis=1)
+    hits = masks[np.arange(n), labels]
+    counts = np.bincount(sizes)
+    # Integer counts over n, so the ratios are the exact quotients.
     return MetricsReport(
-        empirical_coverage=covered / n,
-        average_set_size=total / n,
-        singleton_hit_ratio=singles / n,
-        set_size_histogram=dict(sorted(sizes.items())),
+        empirical_coverage=int(hits.sum()) / n,
+        average_set_size=int(sizes.sum()) / n,
+        singleton_hit_ratio=int(np.sum(hits & (sizes == 1))) / n,
+        set_size_histogram={size: int(c) for size, c in enumerate(counts) if c},
         n_points=n,
     )
 

@@ -5,7 +5,12 @@ deterministic given a seed, and errors must map onto the documented
 exit codes (2 input, 3 invariant, 4 configuration).
 """
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +20,9 @@ from robustcp.cli import main
 from robustcp.correction import BudgetLedger
 from robustcp.errors import InputError
 from robustcp.poisoning import PoisonWitness, replay_feature_witness
-from robustcp.scores import PredictionSet
 from robustcp.smoothing import substream
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -109,23 +115,20 @@ def test_matrix_and_bounds_round_trip(tmp_path):
 
 
 def test_sets_csv_round_trip(tmp_path):
-    sets = {
-        "vanilla": [
-            PredictionSet(frozenset({0, 2}), 0.5),
-            PredictionSet(frozenset(), 0.5),
-        ],
-        "robust": [
-            PredictionSet(frozenset({0, 1, 2}), 0.4),
-            PredictionSet(frozenset({1}), 0.4),
-        ],
-    }
-    formats.write_sets_csv(tmp_path / "s.csv", sets)
+    scores = np.array([[0.7, 0.1, 0.5], [0.2, 0.3, 0.1], [0.1, 0.45, 0.9]])
+    masks = {"vanilla": scores >= 0.5, "robust": scores >= 0.4}
+    masks["robust"][0, 1] = True
+    formats.write_sets_csv(tmp_path / "s.csv", masks)
     got = formats.read_sets_csv(tmp_path / "s.csv")
-    assert got["vanilla"][0] == frozenset({0, 2})
-    # Empty sets write no rows, so the point is simply absent.
-    assert 1 not in got["vanilla"]
-    assert got["robust"][0] == frozenset({0, 1, 2})
-    assert got["robust"][1] == frozenset({1})
+    assert got["vanilla"] == {0: frozenset({0, 2}), 2: frozenset({2})}
+    # The all-False row of point 1 writes no rows, so the point is simply absent.
+    assert got["robust"] == {0: frozenset({0, 1, 2}), 2: frozenset({1, 2})}
+    # Rows run method by method, point by point, classes ascending.
+    assert (tmp_path / "s.csv").read_text().splitlines() == [
+        "point_id,method,class_id",
+        "0,robust,0", "0,robust,1", "0,robust,2", "2,robust,1", "2,robust,2",
+        "0,vanilla,0", "0,vanilla,2", "2,vanilla,2",
+    ]
 
 
 def test_config_text_round_trip(tmp_path):
@@ -316,6 +319,37 @@ def test_predict_rejects_settings_that_contradict_the_artifact(workspace, tmp_pa
     assert predict(workspace, artifact, "p", "--set", "mode=calibration-time") == 0
 
 
+def test_predict_rechecks_artifact_thresholds(workspace):
+    """Every stored threshold must be the quantile of the stored points, exactly."""
+    artifact = calibrate(
+        workspace, out="calib-eta",
+        extra=("--set", "eta=0.01", "--set", "mode=calibration-time"),
+    )
+    mode = ("--set", "mode=calibration-time")
+    assert predict(workspace, artifact, "trusted", *mode) == 0
+    payload = json.loads(artifact.read_text())
+    assert set(payload["thresholds"]) == {"vanilla", "calibration-time", "corrected"}
+
+    def rewritten(thresholds):
+        path = workspace / "edited.json"
+        path.write_text(json.dumps({**payload, "thresholds": thresholds}))
+        return path
+
+    # Re-serialized but unchanged, the artifact predicts the same sets.
+    assert predict(workspace, rewritten(payload["thresholds"]), "same", *mode) == 0
+    for name in ("sets.csv", "metrics.json"):
+        assert (workspace / "same" / name).read_bytes() == (
+            workspace / "trusted" / name
+        ).read_bytes()
+    # Zeroed thresholds, or one float step down on any one threshold, are caught.
+    edits = [{name: 0.0 for name in payload["thresholds"]}]
+    for name, value in payload["thresholds"].items():
+        edits.append({**payload["thresholds"], name: float(np.nextafter(value, -np.inf))})
+    for edited in edits:
+        assert predict(workspace, rewritten(edited), "tampered", *mode) == 3
+    assert not (workspace / "tampered" / "sets.csv").exists()
+
+
 def test_corrected_predict_spends_through_one_ledger_per_point(workspace, monkeypatch):
     artifact = calibrate(
         workspace, out="calib-eta",
@@ -436,6 +470,16 @@ def test_exit_code_input_error(workspace):
     assert code == 2
     code = run_cli("simulate", "--out", str(workspace / "x"), "--set", "bogus=1")
     assert code == 2
+    # A test label must index a class of the test tensor (here 3 classes).
+    formats.write_labels_csv(workspace / "bad-labels.csv", [0, 1, 2, 3, 0, 1, 2, 0])
+    code = run_cli(
+        "predict",
+        "--artifact", str(calibrate(workspace)),
+        "--scores", str(workspace / "test.csv"),
+        "--labels", str(workspace / "bad-labels.csv"),
+        "--out", str(workspace / "x"),
+    )
+    assert code == 2
 
 
 def test_exit_code_configuration_conflict(workspace):
@@ -468,3 +512,57 @@ def test_exit_code_invariant_violation(workspace):
         "--set", "alpha=0.05", "--set", "eta=0.2",
     )
     assert code == 4
+
+
+# A solver that returns its threshold plus 0.01, run through the CLI.
+_OFF_BY_A_BIT = """
+import dataclasses, sys
+from robustcp import poisoning
+from robustcp.cli import main
+
+solve = poisoning._min_rank_search
+
+def off_by_a_bit(*args):
+    result = solve(*args)
+    return dataclasses.replace(result, threshold=result.threshold + 0.01)
+
+poisoning._min_rank_search = off_by_a_bit
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("kind", ["feature", "label"])
+def test_certify_checks_survive_optimized_mode(workspace, kind):
+    """Under ``python -O`` a wrong threshold still fails its replay and oracle checks."""
+    rng = substream(46, "certify-O", kind)
+    if kind == "feature":
+        scores = rng.uniform(0.3, 1.0, 10)
+        formats.write_feature_bounds_csv(workspace / "in.csv", scores, scores - 0.1)
+        inputs = ["--input", str(workspace / "in.csv")]
+    else:
+        formats.write_score_matrix_csv(workspace / "in.csv", rng.uniform(0, 1, (10, 3)))
+        formats.write_labels_csv(workspace / "in-labels.csv", rng.integers(0, 3, 10))
+        inputs = ["--input", str(workspace / "in.csv"),
+                  "--labels", str(workspace / "in-labels.csv")]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _OFF_BY_A_BIT, "certify-poisoning", *inputs,
+         "--out", str(workspace / "cert"), "--set", f"poison_kind={kind}",
+         "--set", "poison_budget=2", "--check-oracle"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "witness replay gives" in result.stderr
+    assert "brute-force oracle gives" in result.stderr
+    assert not (workspace / "cert" / "witness.json").exists()
+
+
+def test_package_has_no_assert_statements():
+    """Invariant checks raise explicitly, so ``python -O`` cannot strip them."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "robustcp").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -20,7 +20,7 @@ from robustcp.evasion import (
     predict,
     vanilla_worst_case_coverage,
 )
-from robustcp.scores import conformal_quantile, inverse_quantile, prediction_set
+from robustcp.scores import conformal_quantile, inverse_quantile
 from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,
@@ -145,13 +145,15 @@ def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
     threshold = calibrated.thresholds["vanilla"]
     dists = [class_distributions(oracle, x[i], config, seed=23, point_id=i) for i in range(4)]
     batch = predict(dists, calibrated, config)["robust"]
+    assert batch.shape == (4, 3) and batch.dtype == bool
     for i in range(4):
-        upper = [
+        upper = np.array([
             bound_for_clean(d, config.model.reversed(), config.scheme, "upper", config.bound_kind)
             for d in dists[i]
-        ]
-        assert batch[i].members == prediction_set(upper, threshold).members
-        assert predict([dists[i]], calibrated, config)["robust"][0].members == batch[i].members
+        ])
+        np.testing.assert_array_equal(batch[i], upper >= threshold)
+        alone = predict([dists[i]], calibrated, config)["robust"]
+        np.testing.assert_array_equal(alone[0], batch[i])
 
 
 def test_smooth_mean_set_is_plain_thresholding(gaussian_setup, calibrated):
@@ -160,7 +162,7 @@ def test_smooth_mean_set_is_plain_thresholding(gaussian_setup, calibrated):
     dists = class_distributions(oracle, x[0], config, seed=23, point_id=0)
     got = predict([dists], calibrated, config)["vanilla"][0]
     want = {c for c in range(3) if dists[c].mean >= threshold}
-    assert got.members == frozenset(want)
+    assert set(np.flatnonzero(got)) == want
 
 
 def test_set_nesting_vanilla_mean_cdf(gaussian_setup, calibrated):
@@ -171,16 +173,16 @@ def test_set_nesting_vanilla_mean_cdf(gaussian_setup, calibrated):
     dists = [class_distributions(oracle, x[i], config, seed=29, point_id=i) for i in range(8)]
     by_cdf = predict(dists, calibrated, config)
     by_mean = predict(dists, calibrated, mean_cfg)
-    for plain, cdf_set, mean_set in zip(by_cdf["vanilla"], by_cdf["robust"], by_mean["robust"]):
-        assert plain.members <= cdf_set.members <= mean_set.members
+    assert np.all(by_cdf["vanilla"] <= by_cdf["robust"])
+    assert np.all(by_cdf["robust"] <= by_mean["robust"])
 
 
 def test_vanilla_worst_case_coverage_definition(calibrated):
     table, threshold = calibrated.table, calibrated.thresholds["vanilla"]
-    beta = vanilla_worst_case_coverage(table, threshold)
+    beta = vanilla_worst_case_coverage(threshold, table.lower_bounds)
     assert beta == 1.0 - inverse_quantile(threshold, table.lower_bounds)
     # Without an attack the floor is the usual empirical level.
-    clean = vanilla_worst_case_coverage(table, threshold, lower_bounds=table.smooth_means)
+    clean = vanilla_worst_case_coverage(threshold, table.smooth_means)
     assert beta <= clean
 
 
@@ -204,10 +206,11 @@ def test_corrected_set_contains_mean_set(gaussian_setup, calibrated):
     eta = 0.02
     for i in range(4):
         dists = class_distributions(oracle, x[i], config, seed=31, point_id=i)
-        plain = prediction_set(np.array([d.mean for d in dists]), threshold)
+        plain = np.array([d.mean for d in dists]) >= threshold
         ledger = BudgetLedger(eta)
         wide = corrected_set_from_distributions(dists, threshold, eta, ledger, i)
-        assert plain.members <= wide.members
+        assert wide.shape == (3,) and wide.dtype == bool
+        assert np.all(plain <= wide)
         # One spend per class, each of eta / (2 * n_classes).
         assert len(ledger.entries) == 3
         assert ledger.spent == pytest.approx(eta / 2)
@@ -228,7 +231,18 @@ def test_corrected_set_membership_rule(gaussian_setup, calibrated):
         for c, d in enumerate(dists)
         if d.mean + bernstein_radius(d.n_samples, d.variance, per_class) >= threshold
     }
-    assert got.members == frozenset(want)
+    assert set(np.flatnonzero(got)) == want
+
+
+def test_predict_refuses_sets_that_do_not_nest(gaussian_setup, calibrated):
+    """A calibration-time threshold above the vanilla one would drop vanilla classes."""
+    _, oracle, x, _, config = gaussian_setup
+    dists = class_distributions(oracle, x[0], config, seed=23, point_id=0)
+    inverted = dataclasses.replace(
+        calibrated, thresholds={"vanilla": -np.inf, "calibration-time": np.inf}
+    )
+    with pytest.raises(AssertionError, match="not inside robust"):
+        predict([dists], inverted, dataclasses.replace(config, mode="calibration-time"))
 
 
 def test_binary_pipeline_end_to_end():
@@ -253,7 +267,8 @@ def test_binary_pipeline_end_to_end():
     np.testing.assert_allclose(table.lower_bounds, expect)
     dists = class_distributions(oracle, x[0], config, seed=4, point_id=0)
     sets = predict([dists], calibration, config)
-    assert sets["vanilla"][0].members <= sets["robust"][0].members <= frozenset(range(3))
+    assert sets["vanilla"].shape == sets["robust"].shape == (1, 3)
+    assert np.all(sets["vanilla"] <= sets["robust"])
 
 
 def test_length_mismatch_rejected(gaussian_setup):
@@ -283,8 +298,9 @@ def _random_distribution(rng):
     return distribution_from_samples(samples, _GRID)
 
 
-def _members(scores, threshold) -> frozenset:
-    return frozenset(c for c, s in enumerate(scores) if s >= threshold)
+def _members(scores, threshold) -> list[bool]:
+    """One point's set, class by class: the per-point reference for a mask row."""
+    return [bool(s >= threshold) for s in scores]
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,25 +353,27 @@ def test_calibrate_and_predict_properties(
     sets = predict(test, calibration, config)
     methods = {"vanilla", "robust", "corrected"} if eta > 0.0 else {"vanilla", "robust"}
     assert set(sets) == methods
+    for mask in sets.values():
+        assert mask.shape == (n_test, n_classes) and mask.dtype == bool
     per_class = eta / (2 * n_classes)
     for p, dists in enumerate(test):
         means = [d.mean for d in dists]
-        vanilla = sets["vanilla"][p].members
-        assert vanilla == _members(means, thresholds["vanilla"])
+        vanilla = sets["vanilla"][p]
+        assert vanilla.tolist() == _members(means, thresholds["vanilla"])
         if mode == "test-time":
             upper = [
                 bound_for_clean(d, observed_ball, scheme, "upper", bound_kind) for d in dists
             ]
-            assert sets["robust"][p].members == _members(upper, thresholds["vanilla"])
+            assert sets["robust"][p].tolist() == _members(upper, thresholds["vanilla"])
         else:
-            assert sets["robust"][p].members == _members(means, thresholds["calibration-time"])
-        assert vanilla <= sets["robust"][p].members
+            assert sets["robust"][p].tolist() == _members(means, thresholds["calibration-time"])
+        assert np.all(vanilla <= sets["robust"][p])
         if eta > 0.0:
             inflated = [
                 d.mean + bernstein_radius(d.n_samples, d.variance, per_class) for d in dists
             ]
-            assert sets["corrected"][p].members == _members(inflated, thresholds["corrected"])
-            assert vanilla <= sets["corrected"][p].members
+            assert sets["corrected"][p].tolist() == _members(inflated, thresholds["corrected"])
+            assert np.all(vanilla <= sets["corrected"][p])
     if mode == "test-time":
         # Thresholds on either side of one observed-ball bound pin its exact value.
         edge = bound_for_clean(test[0][0], observed_ball, scheme, "upper", bound_kind)
@@ -363,4 +381,4 @@ def test_calibrate_and_predict_properties(
             pinned = dataclasses.replace(
                 calibration, thresholds={**thresholds, "vanilla": threshold}
             )
-            assert (0 in predict(test, pinned, config)["robust"][0].members) == inside
+            assert predict(test, pinned, config)["robust"][0, 0] == inside

@@ -4,18 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustcp.scores import (
     ALL_CLASSES_THRESHOLD,
-    PredictionSet,
     aps_scores,
     conformal_quantile,
     coverage_distribution,
     evaluate_sets,
     inverse_quantile,
-    prediction_set,
 )
 
 DECILES = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
@@ -94,31 +92,75 @@ def test_inverse_quantile_monotone(scores, lo, hi):
 
 
 def test_prediction_set_orientation():
-    ps = prediction_set(np.array([0.5, 0.2, 0.7]), 0.4)
-    assert ps.members == frozenset({0, 2})
-    assert ps.threshold == 0.4
+    mask = np.array([[0.5, 0.2, 0.7]]) >= 0.4
+    np.testing.assert_array_equal(mask, [[True, False, True]])
     # Boundary scores are kept (score >= threshold).
-    assert prediction_set(np.array([0.4]), 0.4).members == frozenset({0})
+    np.testing.assert_array_equal(np.array([[0.4]]) >= 0.4, [[True]])
+    report = evaluate_sets(mask, np.array([2]))
+    assert report.empirical_coverage == 1.0
+    assert report.average_set_size == 2.0
 
 
 def test_prediction_set_sentinel_keeps_everything():
-    ps = prediction_set(np.array([0.0, 0.0, 0.0]), ALL_CLASSES_THRESHOLD)
-    assert ps.members == frozenset({0, 1, 2})
+    mask = np.zeros((2, 3)) >= ALL_CLASSES_THRESHOLD
+    assert mask.all()
+    report = evaluate_sets(mask, np.array([0, 2]))
+    assert report.empirical_coverage == 1.0
+    assert report.set_size_histogram == {3: 2}
 
 
 def test_evaluate_sets_frozen_example():
-    sets = [
-        PredictionSet(members=frozenset({0, 2}), threshold=0.4),
-        PredictionSet(members=frozenset({1}), threshold=0.4),
-        PredictionSet(members=frozenset(), threshold=0.4),
-    ]
-    report = evaluate_sets(sets, np.array([2, 1, 0]))
+    masks = np.array(
+        [
+            [True, False, True],
+            [False, True, False],
+            [False, False, False],
+        ]
+    )
+    report = evaluate_sets(masks, np.array([2, 1, 0]))
     assert report.n_points == 3
     assert report.empirical_coverage == pytest.approx(2 / 3)
     assert report.average_set_size == pytest.approx(1.0)
     # Only the second set is a correct singleton.
     assert report.singleton_hit_ratio == pytest.approx(1 / 3)
     assert report.set_size_histogram == {0: 1, 1: 1, 2: 1}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    scores=st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), min_size=1, max_size=12
+    ),
+    threshold=st.floats(0.0, 1.0),
+    labels=st.lists(st.integers(0, 2), min_size=12, max_size=12),
+)
+def test_evaluate_sets_matches_per_point_counts(scores, threshold, labels):
+    """The array metrics are the plain per-point counts divided by n, exactly."""
+    matrix = np.array(scores)
+    labels = np.array(labels[: len(scores)])
+    report = evaluate_sets(matrix >= threshold, labels)
+    members = [{c for c, s in enumerate(row) if s >= threshold} for row in scores]
+    n = len(scores)
+    assert report.empirical_coverage == sum(int(y) in m for m, y in zip(members, labels)) / n
+    assert report.average_set_size == sum(len(m) for m in members) / n
+    assert report.singleton_hit_ratio == sum(m == {int(y)} for m, y in zip(members, labels)) / n
+    sizes = [len(m) for m in members]
+    assert report.set_size_histogram == {k: sizes.count(k) for k in sorted(set(sizes))}
+    assert list(report.set_size_histogram) == sorted(report.set_size_histogram)
+
+
+def test_evaluate_sets_rejects_malformed_input():
+    masks = np.array([[True, False], [False, True]])
+    with pytest.raises(ValueError):
+        evaluate_sets(masks, np.array([0]))
+    with pytest.raises(ValueError):
+        evaluate_sets(np.zeros((0, 2), dtype=bool), np.array([], dtype=int))
+    with pytest.raises(ValueError):
+        evaluate_sets(masks.astype(float), np.array([0, 1]))
+    with pytest.raises(ValueError):
+        evaluate_sets(masks, np.array([0, 2]))
+    with pytest.raises(ValueError):
+        evaluate_sets(masks, np.array([-1, 0]))
 
 
 def test_coverage_distribution_beta_parameters():

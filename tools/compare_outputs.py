@@ -19,6 +19,10 @@ and ``ROBUSTCP_WORKERS=1``, which runs a fixed set of commands through
   calibration-time and corrected settings, one of them read from CSV;
 * ``certify-poisoning`` for feature and label poisoning.
 
+It then runs each of the tree's own demos (``SRC/../demos/*.py``) in a
+fresh interpreter and records its exit code and standard output, so a
+demo edited alongside the package must still print the same thing.
+
 Every output file, plus each command's exit code and printed output, goes
 under one directory per tree.  The two directories are then compared
 byte for byte.  The script prints every difference and exits 1 if there
@@ -153,6 +157,19 @@ def write_outputs(out: Path) -> None:
     ], out)
 
 
+def run_demos(src: Path, out: Path, env: dict) -> None:
+    """Record the exit code and standard output of every demo beside ``src``."""
+    logs = out / "demos"
+    logs.mkdir()
+    for demo in sorted((src.parent / "demos").glob("*.py")):
+        result = subprocess.run(
+            [sys.executable, str(demo)], env=env, cwd=out, capture_output=True, text=True,
+        )
+        (logs / f"{demo.stem}.log").write_text(
+            f"exit {result.returncode}\n--- stdout\n{result.stdout}"
+        )
+
+
 def _differences(a: Path, b: Path, prefix: str = "") -> list[str]:
     cmp = filecmp.dircmp(a, b)
     found = [f"only in A: {prefix}{name}" for name in cmp.left_only]
@@ -185,6 +202,7 @@ def main(argv: list[str]) -> int:
             [sys.executable, str(Path(__file__).resolve()), "--write", str(out)],
             env=env, cwd=work, check=True,
         )
+        run_demos(src, out, env)
         outs.append(out)
     found = _differences(*outs)
     n_files = sum(len(files) for _, _, files in os.walk(outs[0]))
