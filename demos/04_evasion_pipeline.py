@@ -25,7 +25,7 @@ from robustcp.evasion import (
     vanilla_worst_case_coverage,
 )
 from robustcp.scores import evaluate_sets
-from robustcp.smoothing import BinGrid, GaussianNoise, substream
+from robustcp.smoothing import BinGrid, GaussianNoise, ScoreBatch, substream
 from robustcp.tasks import make_gaussian_mixture, oracle_for
 
 ALPHA, SIGMA, RADIUS, SEED = 0.1, 0.5, 0.25, 5
@@ -60,6 +60,7 @@ for i in range(len(y_test)):
         substream(SEED, "attack", i), n_samples=128,
     )
     per_point.append(class_distributions(oracle, attacked, config, SEED, i))
+per_point = ScoreBatch.stack(per_point)  # one (points, classes) batch
 by_cdf = predict(per_point, calibration, config)
 by_mean = predict(per_point, calibration, replace(config, bound_kind="mean"))
 vanilla_sets, mean_sets, cdf_sets = by_cdf["vanilla"], by_mean["robust"], by_cdf["robust"]

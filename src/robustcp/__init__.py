@@ -67,6 +67,7 @@ from .scores import (
 from .smoothing import (
     BinGrid,
     GaussianNoise,
+    ScoreBatch,
     ScoreDistribution,
     SparseFlipNoise,
     distribution_from_samples,
@@ -75,6 +76,7 @@ from .smoothing import (
     sample_sparse,
     subseed,
     substream,
+    summarize_samples,
 )
 
 __version__ = "0.1.0"
@@ -97,6 +99,7 @@ __all__ = [
     "MetricsReport",
     "PoisonWitness",
     "RegionTable",
+    "ScoreBatch",
     "ScoreDistribution",
     "SparseFlipNoise",
     "bernstein_radius",
@@ -133,6 +136,7 @@ __all__ = [
     "sparse_mean_upper",
     "subseed",
     "substream",
+    "summarize_samples",
     "vanilla_worst_case_coverage",
     "worst_case_feature_quantile",
     "worst_case_label_quantile",

@@ -40,13 +40,7 @@ from .poisoning import (
     replay_label_witness,
 )
 from .scores import conformal_quantile, evaluate_sets
-from .smoothing import (
-    BinGrid,
-    GaussianNoise,
-    SparseFlipNoise,
-    distribution_from_samples,
-    substream,
-)
+from .smoothing import BinGrid, GaussianNoise, SparseFlipNoise, substream, summarize_samples
 
 __all__ = ["main", "CONFIG_SCHEMA"]
 
@@ -159,15 +153,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _tensor_distributions(tensor: np.ndarray, grid: BinGrid):
-    """Distributions for every (point, class) slice of a score tensor."""
-    n_points, n_classes, _ = tensor.shape
-    return [
-        [distribution_from_samples(tensor[p, c], grid) for c in range(n_classes)]
-        for p in range(n_points)
-    ]
-
-
 # ----------------------------------------------------------------- commands --
 
 
@@ -187,11 +172,8 @@ def cmd_calibrate(args) -> int:
     if np.any(tensor < 0.0) or np.any(tensor > 1.0):
         raise InputError("scores must lie in [0, 1]")
 
-    dists = [
-        distribution_from_samples(tensor[i, labels[i]], config.grid)
-        for i in range(labels.size)
-    ]
-    calibration = calibrate(dists, cfg["alpha"], config)
+    true_label = summarize_samples(tensor[np.arange(labels.size), labels], config.grid)
+    calibration = calibrate(true_label, cfg["alpha"], config)
     thresholds = calibration.thresholds
     formats.write_calibration_artifact(
         out / "calibration.json", calibration.table, thresholds, cfg
@@ -235,9 +217,10 @@ def cmd_predict(args) -> int:
     if np.any(tensor < 0.0) or np.any(tensor > 1.0):
         raise InputError("scores must lie in [0, 1]")
 
-    grid = table.distributions[0].grid
     named = predict(
-        _tensor_distributions(tensor, grid), Calibration(table, thresholds), config
+        summarize_samples(tensor, table.distributions.grid),
+        Calibration(table, thresholds),
+        config,
     )
 
     formats.write_sets_csv(out / "sets.csv", named)

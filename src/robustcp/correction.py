@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import ThreatModel, bound_for_clean
-from .smoothing import ScoreDistribution, SmoothingScheme
+from .smoothing import ScoreBatch, ScoreDistribution, SmoothingScheme
 
 __all__ = [
     "hoeffding_radius",
@@ -46,21 +46,24 @@ def hoeffding_radius(n_samples: int, eta: float) -> float:
     return math.sqrt(math.log(2.0 / eta) / (2.0 * n_samples))
 
 
-def bernstein_radius(n_samples: int, variance: float, eta: float) -> float:
+def bernstein_radius(n_samples: int, variance, eta: float):
     """Empirical-Bernstein deviation for the mean of n [0, 1] samples.
 
     Uses the observed sample variance, so it beats Hoeffding whenever the
-    score distribution is concentrated.
+    score distribution is concentrated.  An array of variances gives an
+    array of radii, each the float a single variance would give.
     """
     _check_eta(eta)
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if variance < 0.0:
+    variance = np.asarray(variance, dtype=float)
+    if np.any(variance < 0.0):
         raise ValueError("variance must be nonnegative")
     log_term = math.log(4.0 / eta)
-    return math.sqrt(2.0 * variance * log_term / n_samples) + (
+    radius = np.sqrt(2.0 * variance * log_term / n_samples) + (
         7.0 * log_term / (3.0 * (n_samples - 1))
     )
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def dkw_radius(n_samples: int, eta: float) -> float:
@@ -85,6 +88,24 @@ class CorrectedDistribution:
     cdf_hi: np.ndarray
 
 
+def _mean_interval(mean, n_samples: int, variance, eta: float):
+    """Bernstein interval around the mean, clipped to [0, 1]; any batch shape."""
+    eps = bernstein_radius(n_samples, variance, eta)
+    return np.maximum(mean - eps, 0.0), np.minimum(mean + eps, 1.0)
+
+
+def _cdf_band(cdf: np.ndarray, n_samples: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """DKW band around CDFs on the last axis, clipped to [0, 1] and monotone."""
+    eps = dkw_radius(n_samples, eta)
+    lo = np.maximum(cdf - eps, 0.0)
+    hi = np.minimum(cdf + eps, 1.0)
+    # A uniform shift keeps monotonicity, but enforce it anyway so the
+    # band is a valid CDF no matter how it was produced.
+    lo = np.maximum.accumulate(lo, axis=-1)
+    hi = np.minimum.accumulate(hi[..., ::-1], axis=-1)[..., ::-1]
+    return lo, hi
+
+
 def corrected_distribution(dist: ScoreDistribution, eta: float) -> CorrectedDistribution:
     """Bernstein mean interval and DKW CDF band at failure budget ``eta``.
 
@@ -93,50 +114,52 @@ def corrected_distribution(dist: ScoreDistribution, eta: float) -> CorrectedDist
     ``eta`` on its own.
     """
     _check_eta(eta)
-    eps_mean = bernstein_radius(dist.n_samples, dist.variance, eta)
-    eps_cdf = dkw_radius(dist.n_samples, eta)
-    lo = np.maximum(dist.cdf - eps_cdf, 0.0)
-    hi = np.minimum(dist.cdf + eps_cdf, 1.0)
-    # A uniform shift keeps monotonicity, but enforce it anyway so the
-    # band is a valid CDF no matter how it was produced.
-    lo = np.maximum.accumulate(lo)
-    hi = np.minimum.accumulate(hi[::-1])[::-1]
+    mean_lo, mean_hi = _mean_interval(dist.mean, dist.n_samples, dist.variance, eta)
+    cdf_lo, cdf_hi = _cdf_band(dist.cdf, dist.n_samples, eta)
     return CorrectedDistribution(
         base=dist,
         eta=eta,
-        mean_lo=max(dist.mean - eps_mean, 0.0),
-        mean_hi=min(dist.mean + eps_mean, 1.0),
-        cdf_lo=lo,
-        cdf_hi=hi,
+        mean_lo=float(mean_lo),
+        mean_hi=float(mean_hi),
+        cdf_lo=cdf_lo,
+        cdf_hi=cdf_hi,
     )
 
 
 def corrected_bound(
-    dist: ScoreDistribution,
+    dists: ScoreBatch | ScoreDistribution,
     model: ThreatModel,
     scheme: SmoothingScheme,
     direction: str,
     kind: str,
     eta: float,
-) -> float:
-    """Worst-case bound over ``model`` taken after widening the measured statistic.
+):
+    """Worst-case bounds over ``model`` taken after widening the measured statistic.
 
     Upper bounds consume the upper mean end or the lower CDF band (a
     lower CDF weakens the constraint exactly the way more mass above
-    every edge would); lower bounds take the mirrored choices.  As in
-    :func:`~robustcp.bounds.bound_for_clean`, ``model`` is the ball
-    around the measured point.
+    every edge would); lower bounds take the mirrored choices.  The
+    whole batch is widened at once, each entry at level ``eta``, and
+    then bounded one entry per :func:`~robustcp.bounds.bound_for_clean`
+    call, in row-major order.  Returns an array of the batch shape, or a
+    float for a single distribution.  As in ``bound_for_clean``,
+    ``model`` is the ball around the measured point.
     """
-    corr = corrected_distribution(dist, eta)
+    _check_eta(eta)
+    batch = ScoreBatch.stack([dists]) if isinstance(dists, ScoreDistribution) else dists
     if kind == "mean":
-        mean = corr.mean_hi if direction == "upper" else corr.mean_lo
-        pessimistic = replace(dist, mean=mean)
+        lo, hi = _mean_interval(batch.mean, batch.n_samples, batch.variance, eta)
+        widened = replace(batch, mean=hi if direction == "upper" else lo)
     elif kind == "cdf":
-        band = corr.cdf_lo if direction == "upper" else corr.cdf_hi
-        pessimistic = replace(dist, cdf=band)
+        lo, hi = _cdf_band(batch.cdf, batch.n_samples, eta)
+        widened = replace(batch, cdf=lo if direction == "upper" else hi)
     else:
         raise ValueError("kind must be 'mean' or 'cdf'")
-    return bound_for_clean(pessimistic, model, scheme, direction, kind)
+    bounds = np.array(
+        [bound_for_clean(d, model, scheme, direction, kind) for d in widened.rows()],
+        dtype=float,
+    )
+    return float(bounds[0]) if isinstance(dists, ScoreDistribution) else bounds.reshape(batch.shape)
 
 
 @dataclass

@@ -16,8 +16,9 @@ variants additionally account for Monte-Carlo estimation error and give
 finite-sample guarantees at a declared failure budget.
 
 After estimation everything runs through two functions: :func:`calibrate`
-turns true-label calibration distributions into thresholds, and
-:func:`predict` turns per-class test distributions into boolean
+turns a ``(points,)`` :class:`~robustcp.smoothing.ScoreBatch` of
+true-label calibration distributions into thresholds, and :func:`predict`
+turns a ``(points, classes)`` batch of test distributions into boolean
 ``(points, classes)`` set masks.
 """
 
@@ -33,7 +34,7 @@ from .errors import ConfigurationError
 from .scores import conformal_quantile, inverse_quantile
 from .smoothing import (
     BinGrid,
-    ScoreDistribution,
+    ScoreBatch,
     ScoreOracle,
     SmoothingScheme,
     distribution_from_samples,
@@ -86,16 +87,23 @@ class EvasionConfig:
 
 @dataclass
 class CalibrationTable:
-    """Per-calibration-point smooth-score summaries and certified bounds."""
+    """Per-calibration-point smooth-score summaries and certified bounds.
+
+    ``distributions`` is a ``(points,)`` batch; the bound columns are
+    aligned with it.
+    """
 
     point_ids: np.ndarray
-    smooth_means: np.ndarray
     lower_bounds: np.ndarray
-    distributions: list[ScoreDistribution]
+    distributions: ScoreBatch
     corrected_lower_bounds: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.distributions)
+
+    @property
+    def smooth_means(self) -> np.ndarray:
+        return self.distributions.mean
 
     def thresholds(self, alpha: float, eta: float) -> dict[str, float]:
         """Thresholds by method: the conformal quantiles of the stored columns.
@@ -127,22 +135,24 @@ class Calibration:
     ledger: BudgetLedger | None = None
 
 
-def _bounds(distributions, config: EvasionConfig, direction: str):
+def _bounds(batch: ScoreBatch, config: EvasionConfig, direction: str) -> np.ndarray:
+    """Certified bounds of the batch's shape, one ``bound_for_clean`` call per entry."""
     return np.array(
         [
             bound_for_clean(d, config.model, config.scheme, direction, config.bound_kind)
-            for d in distributions
-        ]
-    )
+            for d in batch.rows()
+        ],
+        dtype=float,
+    ).reshape(batch.shape)
 
 
 def calibrate(
-    distributions: list[ScoreDistribution],
+    distributions: ScoreBatch,
     alpha: float,
     config: EvasionConfig,
     point_ids: np.ndarray | None = None,
 ) -> Calibration:
-    """Thresholds from the true-label smooth-score distributions of clean points.
+    """Thresholds from a ``(points,)`` batch of true-label smooth-score distributions.
 
     "vanilla" is the conformal quantile of the smooth means and
     "calibration-time" that of the certified lower bounds over the
@@ -156,9 +166,8 @@ def calibrate(
     point_ids = np.arange(n) if point_ids is None else np.asarray(point_ids, dtype=int)
     table = CalibrationTable(
         point_ids=point_ids,
-        smooth_means=np.array([d.mean for d in distributions]),
         lower_bounds=_bounds(distributions, config, "lower"),
-        distributions=list(distributions),
+        distributions=distributions,
     )
     eta = config.eta
     ledger = None
@@ -167,23 +176,21 @@ def calibrate(
             raise ConfigurationError("alpha must exceed the correction budget eta")
         ledger = BudgetLedger(eta=eta)
         per_point = eta / (2.0 * n)
-        corrected = np.empty(n)
-        for i, d in enumerate(distributions):
-            ledger.spend(f"calibration cdf band {int(point_ids[i])}", per_point)
-            corrected[i] = corrected_bound(
-                d, config.model, config.scheme, "lower", config.bound_kind, per_point
-            )
+        for point_id in point_ids.tolist():
+            ledger.spend(f"calibration cdf band {point_id}", per_point)
+        table.corrected_lower_bounds = corrected_bound(
+            distributions, config.model, config.scheme, "lower", config.bound_kind, per_point
+        )
         ledger.assert_within()
-        table.corrected_lower_bounds = corrected
     return Calibration(table, table.thresholds(alpha, eta), ledger)
 
 
 def predict(
-    per_point_distributions: list[list[ScoreDistribution]],
+    distributions: ScoreBatch,
     calibration: Calibration,
     config: EvasionConfig,
 ) -> dict[str, np.ndarray]:
-    """Boolean ``(points, classes)`` set masks by method from per-class distributions.
+    """Boolean ``(points, classes)`` set masks by method from a ``(points, classes)`` batch.
 
     "vanilla" thresholds smooth means at the vanilla threshold.  "robust"
     thresholds, in test-time mode, certified upper bounds at the vanilla
@@ -200,13 +207,13 @@ def predict(
         raise ConfigurationError("corrected prediction is a calibration-time mode")
     if corrected and "corrected" not in thresholds:
         raise ConfigurationError("eta > 0 but the calibration has no corrected threshold")
-    means = np.array([[d.mean for d in dists] for dists in per_point_distributions])
+    if len(distributions.shape) != 2:
+        raise ValueError("predict takes a (points, classes) batch")
+    means = distributions.mean
     named = {"vanilla": means >= thresholds["vanilla"]}
     if config.mode == "test-time":
         reversed_cfg = replace(config, model=config.model.reversed())
-        upper = np.array(
-            [_bounds(dists, reversed_cfg, "upper") for dists in per_point_distributions]
-        )
+        upper = _bounds(distributions, reversed_cfg, "upper")
         named["robust"] = upper >= thresholds["vanilla"]
     else:
         named["robust"] = means >= thresholds["calibration-time"]
@@ -216,15 +223,13 @@ def predict(
         calibration_side = (
             calibration.ledger.spent if calibration.ledger is not None else config.eta / 2.0
         )
-        rows = []
-        for point_id, dists in enumerate(per_point_distributions):
+        n_points, n_classes = distributions.shape
+        for point_id in range(n_points):
             ledger = BudgetLedger(eta=config.eta)
             ledger.spend("calibration side", calibration_side)
-            rows.append(corrected_set_from_distributions(
-                dists, thresholds["corrected"], config.eta, ledger, point_id
-            ))
+            _spend_class_radii(ledger, point_id, n_classes, config.eta)
             ledger.assert_within()
-        named["corrected"] = np.array(rows)
+        named["corrected"] = _inflated_means(distributions, config.eta) >= thresholds["corrected"]
     for method, mask in named.items():
         if not np.all(named["vanilla"] <= mask):
             raise AssertionError(f"vanilla set not inside {method} set")
@@ -255,7 +260,7 @@ def calibrate_smooth(
         rng = substream(seed, "cal", int(point_id))
         scores = score_samples(oracle, x, config.scheme, config.n_samples, rng)
         dists.append(distribution_from_samples(scores[:, label], config.grid))
-    return calibrate(dists, alpha, config, point_ids)
+    return calibrate(ScoreBatch.stack(dists), alpha, config, point_ids)
 
 
 def class_distributions(
@@ -264,8 +269,8 @@ def class_distributions(
     config: EvasionConfig,
     seed: int,
     point_id: int,
-) -> list[ScoreDistribution]:
-    """Estimate one smooth-score distribution per class at a test input.
+) -> ScoreBatch:
+    """Estimate a ``(classes,)`` batch of smooth-score distributions at a test input.
 
     All classes come from one noise batch and one oracle call.  Splitting
     estimation from bounding lets callers reuse the same Monte-Carlo
@@ -302,14 +307,28 @@ def vanilla_worst_case_coverage(threshold: float, lower_bounds: np.ndarray) -> f
     return 1.0 - inverse_quantile(threshold, lower_bounds)
 
 
+def _inflated_means(distributions: ScoreBatch, eta: float) -> np.ndarray:
+    """Means plus empirical Bernstein radii at eta / (2 n_classes), classes on the last axis."""
+    per_class = eta / (2.0 * distributions.shape[-1])
+    return distributions.mean + bernstein_radius(
+        distributions.n_samples, distributions.variance, per_class
+    )
+
+
+def _spend_class_radii(ledger: BudgetLedger, point_id: int, n_classes: int, eta: float) -> None:
+    per_class = eta / (2.0 * n_classes)
+    for c in range(n_classes):
+        ledger.spend(f"test point {int(point_id)} class {c} mean radius", per_class)
+
+
 def corrected_set_from_distributions(
-    distributions: list[ScoreDistribution],
+    distributions: ScoreBatch,
     threshold: float,
     eta: float,
     ledger: BudgetLedger,
     point_id: int,
 ) -> np.ndarray:
-    """Corrected calibration-time set mask (one entry per class) from distributions.
+    """Corrected calibration-time set mask from one point's ``(classes,)`` batch.
 
     Scores each class by its Monte-Carlo mean plus an empirical
     Bernstein radius at eta / (2 n_classes), so the true smooth score of
@@ -317,10 +336,5 @@ def corrected_set_from_distributions(
     would.  Every class's share is spent through ``ledger``, labelled
     with ``point_id``.
     """
-    n_classes = len(distributions)
-    per_class = eta / (2.0 * n_classes)
-    inflated = np.empty(n_classes)
-    for c, d in enumerate(distributions):
-        ledger.spend(f"test point {int(point_id)} class {c} mean radius", per_class)
-        inflated[c] = d.mean + bernstein_radius(d.n_samples, d.variance, per_class)
-    return inflated >= threshold
+    _spend_class_radii(ledger, point_id, distributions.shape[-1], eta)
+    return _inflated_means(distributions, eta) >= threshold

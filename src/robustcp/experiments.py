@@ -44,7 +44,7 @@ from .poisoning import (
     label_poison_threshold,
 )
 from .scores import conformal_quantile, evaluate_sets
-from .smoothing import BinGrid, GaussianNoise, SparseFlipNoise, subseed, substream
+from .smoothing import BinGrid, GaussianNoise, ScoreBatch, SparseFlipNoise, subseed, substream
 from .tasks import make_binary_task, make_gaussian_mixture, oracle_for
 
 __all__ = [
@@ -201,8 +201,11 @@ def _evasion_config(config: ExperimentConfig, **fields) -> EvasionConfig:
     )
 
 
-def _test_distributions(oracle, points, cfg, ts):
-    return [class_distributions(oracle, x, cfg, ts, i) for i, x in enumerate(points)]
+def _test_distributions(oracle, points, cfg, ts) -> ScoreBatch:
+    """``(points, classes)`` batch of the test points' class distributions."""
+    return ScoreBatch.stack(
+        [class_distributions(oracle, x, cfg, ts, i) for i, x in enumerate(points)]
+    )
 
 
 @dataclass
@@ -378,7 +381,7 @@ def feature_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
     defender = replace(cfg, model=cfg.model.reversed())
     calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, defender, seed=ts)
     per_test = _test_distributions(oracle, x_test, cfg, ts)
-    test_means = np.array([[d.mean for d in dists] for dists in per_test])
+    test_means = per_test.mean
     rows = []
     thresholds = {}
     for k in config.budgets:
@@ -431,7 +434,7 @@ def corrected_trial(config: ExperimentConfig, index: int) -> TrialResult:
     calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, cfg, seed=ts)
     table = calibration.table
     per_test = _test_distributions(oracle, x_test, cfg, ts)
-    test_means = np.array([[d.mean for d in dists] for dists in per_test])
+    test_means = per_test.mean
     sets = predict(per_test, calibration, cfg)
     rows = [
         {"method": "corrected-sets", **_metrics(sets["corrected"], y_test)},

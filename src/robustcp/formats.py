@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .smoothing import BinGrid, ScoreDistribution
+from .smoothing import BinGrid, ScoreBatch
 
 __all__ = [
     "atomic_write_text",
@@ -57,6 +57,8 @@ ARTIFACT_FORMAT = "robustcp-calibration"
 ARTIFACT_VERSION = 1
 WITNESS_FORMAT = "robustcp-poisoning"
 WITNESS_VERSION = 1
+# float32 values read per block when widening a packed tensor.
+_READ_BLOCK_VALUES = 1 << 20
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -136,18 +138,27 @@ def _tensor_to_binary(tensor: np.ndarray) -> bytes:
 
 
 def _tensor_from_binary(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
     head_size = len(TENSOR_MAGIC) + struct.calcsize("<HIII")
-    if len(raw) < head_size or raw[:4] != TENSOR_MAGIC:
-        raise InputError(f"{path}: not a packed score tensor")
-    version, n_points, n_classes, n_samples = struct.unpack("<HIII", raw[4:head_size])
-    if version != TENSOR_VERSION:
-        raise InputError(f"{path}: unsupported tensor version {version}")
-    expected = n_points * n_classes * n_samples * 4
-    if len(raw) - head_size != expected:
-        raise InputError(f"{path}: payload size does not match the declared dims")
-    values = np.frombuffer(raw, dtype="<f4", offset=head_size)
-    return values.astype(float).reshape(n_points, n_classes, n_samples)
+    with open(path, "rb") as handle:
+        head = handle.read(head_size)
+        if len(head) < head_size or head[:4] != TENSOR_MAGIC:
+            raise InputError(f"{path}: not a packed score tensor")
+        version, n_points, n_classes, n_samples = struct.unpack("<HIII", head[4:])
+        if version != TENSOR_VERSION:
+            raise InputError(f"{path}: unsupported tensor version {version}")
+        size = n_points * n_classes * n_samples
+        if os.fstat(handle.fileno()).st_size - head_size != 4 * size:
+            raise InputError(f"{path}: payload size does not match the declared dims")
+        # Widen to float64 one block at a time, so the float32 payload is
+        # never held whole beside its float64 copy.
+        tensor = np.empty(size)
+        block = np.empty(min(size, _READ_BLOCK_VALUES), dtype="<f4")
+        for start in range(0, size, block.size):
+            part = block[: size - start]
+            if handle.readinto(part) != part.nbytes:
+                raise InputError(f"{path}: payload ended early")
+            tensor[start : start + part.size] = part
+    return tensor.reshape(n_points, n_classes, n_samples)
 
 
 def write_score_tensor(path: str | Path, tensor: np.ndarray) -> None:
@@ -348,40 +359,81 @@ def render_config(values: Mapping[str, object]) -> str:
 # ----------------------------------------------------- calibration artifact --
 
 
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it (``allow_nan`` on)."""
+    if value != value:
+        return "NaN"
+    if value in (float("inf"), float("-inf")):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_nested(value: object) -> str:
+    """``value`` as ``json.dumps(indent=2)`` lays it out one level down."""
+    # JSON strings never hold a raw newline, so re-indenting by line is exact.
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def _artifact_points(table) -> str:
+    """The artifact's ``points`` array, laid out exactly as ``json.dumps(indent=2)`` would.
+
+    Written from the table's columns rather than through one dict per
+    point; each point's keys are in sorted order.
+    """
+    dists = table.distributions
+    if len(dists) == 0:
+        return "[]"
+    columns = [
+        ['"cdf": [\n        ' + ",\n        ".join(map(_json_float, row)) + "\n      ]"
+         for row in dists.cdf.tolist()],
+    ]
+    if table.corrected_lower_bounds is not None:
+        columns.append(
+            [f'"corrected_lower_bound": {_json_float(v)}'
+             for v in table.corrected_lower_bounds.tolist()]
+        )
+    columns += [
+        [f'"id": {int(v)}' for v in table.point_ids.tolist()],
+        [f'"lower_bound": {_json_float(v)}' for v in table.lower_bounds.tolist()],
+        [f'"mean": {_json_float(v)}' for v in dists.mean.tolist()],
+        [f'"n_samples": {dists.n_samples}'] * len(dists),
+        [f'"variance": {_json_float(v)}' for v in dists.variance.tolist()],
+    ]
+    points = (
+        "    {\n      " + ",\n      ".join(fields) + "\n    }" for fields in zip(*columns)
+    )
+    return "[\n" + ",\n".join(points) + "\n  ]"
+
+
 def write_calibration_artifact(
     path: str | Path,
     table,
     thresholds: Mapping[str, float],
     config: Mapping[str, object],
 ) -> None:
-    """Serialize a calibration table plus its thresholds and config echo."""
-    points = []
-    for i, dist in enumerate(table.distributions):
-        entry = {
-            "id": int(table.point_ids[i]),
-            "n_samples": int(dist.n_samples),
-            "mean": float(dist.mean),
-            "variance": float(dist.variance),
-            "cdf": [float(v) for v in dist.cdf],
-            "lower_bound": float(table.lower_bounds[i]),
-        }
-        if table.corrected_lower_bounds is not None:
-            entry["corrected_lower_bound"] = float(table.corrected_lower_bounds[i])
-        points.append(entry)
-    grid = table.distributions[0].grid if table.distributions else BinGrid.uniform()
-    payload = {
-        "format": ARTIFACT_FORMAT,
-        "version": ARTIFACT_VERSION,
-        "grid_edges": [float(e) for e in grid.edges],
-        "thresholds": {k: float(v) for k, v in thresholds.items()},
-        "config": dict(config),
-        "points": points,
+    """Serialize a calibration table plus its thresholds and config echo.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True,
+    indent=2)`` on the per-point dicts, written from the table's arrays.
+    """
+    members = {
+        "config": _json_nested(dict(config)),
+        "format": _json_nested(ARTIFACT_FORMAT),
+        "grid_edges": _json_nested([float(e) for e in table.distributions.grid.edges]),
+        "points": _artifact_points(table),
+        "thresholds": _json_nested({k: float(v) for k, v in thresholds.items()}),
+        "version": _json_nested(ARTIFACT_VERSION),
     }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    lines = [f'  "{key}": {text}' for key, text in sorted(members.items())]
+    atomic_write_text(path, "{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def read_calibration_artifact(path: str | Path):
-    """Load an artifact back into a table, thresholds, and config echo."""
+    """Load an artifact back into a table, thresholds, and config echo.
+
+    The points become one :class:`~robustcp.smoothing.ScoreBatch`,
+    validated once; every point must have the same ``n_samples``.
+    """
     from .evasion import CalibrationTable
 
     path = Path(path)
@@ -397,31 +449,29 @@ def read_calibration_artifact(path: str | Path):
         raise InputError(f"{path}: unsupported artifact version {payload.get('version')}")
     try:
         grid = BinGrid(np.array(payload["grid_edges"], dtype=float))
-        dists = []
-        lower = []
-        corrected = []
-        ids = []
-        for entry in payload["points"]:
-            ids.append(int(entry["id"]))
-            lower.append(float(entry["lower_bound"]))
-            if "corrected_lower_bound" in entry:
-                corrected.append(float(entry["corrected_lower_bound"]))
-            dists.append(
-                ScoreDistribution(
-                    n_samples=int(entry["n_samples"]),
-                    mean=float(entry["mean"]),
-                    variance=float(entry["variance"]),
-                    grid=grid,
-                    cdf=np.array(entry["cdf"], dtype=float),
-                )
-            )
-        if corrected and len(corrected) != len(dists):
+        points = payload["points"]
+        if not points:
+            raise InputError(f"{path}: no calibration points")
+        n_samples = {int(entry["n_samples"]) for entry in points}
+        if len(n_samples) > 1:
+            raise InputError(f"{path}: points disagree on n_samples")
+        corrected = [
+            float(entry["corrected_lower_bound"])
+            for entry in points if "corrected_lower_bound" in entry
+        ]
+        if corrected and len(corrected) != len(points):
             raise InputError(f"{path}: corrected bounds on only some points")
+        distributions = ScoreBatch(
+            n_samples=n_samples.pop(),
+            mean=np.array([float(entry["mean"]) for entry in points]),
+            variance=np.array([float(entry["variance"]) for entry in points]),
+            grid=grid,
+            cdf=np.array([entry["cdf"] for entry in points], dtype=float),
+        )
         table = CalibrationTable(
-            point_ids=np.array(ids, dtype=int),
-            smooth_means=np.array([d.mean for d in dists]),
-            lower_bounds=np.array(lower),
-            distributions=dists,
+            point_ids=np.array([int(entry["id"]) for entry in points], dtype=int),
+            lower_bounds=np.array([float(entry["lower_bound"]) for entry in points]),
+            distributions=distributions,
             corrected_lower_bounds=np.array(corrected) if corrected else None,
         )
         thresholds = {k: float(v) for k, v in payload["thresholds"].items()}

@@ -24,7 +24,7 @@ from .bounds import ThreatModel
 from .correction import BudgetLedger, corrected_bound, hoeffding_radius
 from .errors import ConfigurationError
 from .scores import ALL_CLASSES_THRESHOLD, _order_index
-from .smoothing import ScoreDistribution, SmoothingScheme
+from .smoothing import ScoreBatch, SmoothingScheme
 
 __all__ = [
     "PoisonWitness",
@@ -293,7 +293,7 @@ def brute_force_label_threshold(
 
 
 def corrected_feature_poison_threshold(
-    distributions: list[ScoreDistribution],
+    distributions: ScoreBatch,
     model: ThreatModel,
     scheme: SmoothingScheme,
     budget: int,
@@ -322,13 +322,10 @@ def corrected_feature_poison_threshold(
     ledger.spend("clean-score mc slack", eta / 2.0)
     per_point = eta / (2.0 * n)
     reversed_ball = model.reversed()
-    observed = np.array([d.mean for d in distributions])
-    lower = np.array(
-        [
-            corrected_bound(d, reversed_ball, scheme, "lower", bound_kind, per_point)
-            - eps_mc
-            for d in distributions
-        ]
+    observed = distributions.mean
+    lower = (
+        corrected_bound(distributions, reversed_ball, scheme, "lower", bound_kind, per_point)
+        - eps_mc
     )
     result = _min_rank_search(observed, np.minimum(lower, observed), budget, alpha - eta)
     ledger.assert_within()

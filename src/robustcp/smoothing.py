@@ -5,6 +5,7 @@ is the expectation of a base score under that noise.  Expectations are
 estimated by Monte Carlo and summarized as a :class:`ScoreDistribution`
 (mean, variance, and the empirical CDF on a fixed bin grid), which is
 all the certification routines in :mod:`robustcp.bounds` consume.
+Whole stacks of them travel as one :class:`ScoreBatch` of arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "SparseFlipNoise",
     "BinGrid",
     "ScoreDistribution",
+    "ScoreBatch",
     "substream",
     "subseed",
     "sample_gaussian",
@@ -29,7 +31,12 @@ __all__ = [
     "score_samples",
     "estimate_distribution",
     "distribution_from_samples",
+    "summarize_samples",
 ]
+
+# Rows of samples summarized per pass of :func:`summarize_samples`; bounds
+# the pass's temporaries to a few copies of this many rows.
+_SUMMARY_CHUNK_ROWS = 256
 
 # Batch score oracle: maps an (m, d) array of perturbed inputs to an
 # (m, n_classes) array of scores in [0, 1], every class from one forward
@@ -197,6 +204,35 @@ class BinGrid:
         return hash(self.edges.tobytes())
 
 
+def _check_summaries(n_samples, mean, variance, cdf, n_edges: int) -> None:
+    """Validate summaries of any batch shape at once (a scalar mean is one row)."""
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    if not np.all((0.0 <= mean) & (mean <= 1.0)):
+        raise ValueError("mean must lie in [0, 1]")
+    # Unbiased variance of a [0, 1] variable is at most m / (4 (m-1)).
+    cap = 0.25 * n_samples / (n_samples - 1)
+    if np.shape(variance) != np.shape(mean) or not np.all(
+        (0.0 <= variance) & (variance <= cap + 1e-12)
+    ):
+        raise ValueError("variance outside the feasible range for [0, 1] scores")
+    if cdf.shape != np.shape(mean) + (n_edges,):
+        raise ValueError("cdf must have one value per interior grid edge")
+    if np.any(cdf < 0.0) or np.any(cdf > 1.0) or np.any(np.diff(cdf, axis=-1) < -1e-12):
+        raise ValueError("cdf values must be nondecreasing within [0, 1]")
+
+
+def _trusted(cls, n_samples, mean, variance, grid, cdf):
+    """An instance of ``cls`` from fields already validated as part of a batch."""
+    obj = object.__new__(cls)
+    for name, value in (
+        ("n_samples", n_samples), ("mean", mean), ("variance", variance),
+        ("grid", grid), ("cdf", cdf),
+    ):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class ScoreDistribution:
     """Monte-Carlo summary of a smooth score.
@@ -224,43 +260,141 @@ class ScoreDistribution:
     def __post_init__(self) -> None:
         cdf = np.asarray(self.cdf, dtype=float)
         object.__setattr__(self, "cdf", cdf)
-        if self.n_samples < 2:
-            raise ValueError("need at least 2 samples")
-        if not 0.0 <= self.mean <= 1.0:
-            raise ValueError("mean must lie in [0, 1]")
-        # Unbiased variance of a [0, 1] variable is at most m / (4 (m-1)).
-        cap = 0.25 * self.n_samples / (self.n_samples - 1)
-        if not 0.0 <= self.variance <= cap + 1e-12:
-            raise ValueError("variance outside the feasible range for [0, 1] scores")
-        if cdf.size != self.grid.inner_edges.size:
-            raise ValueError("cdf must have one value per interior grid edge")
-        if np.any(cdf < 0.0) or np.any(cdf > 1.0) or np.any(np.diff(cdf) < -1e-12):
-            raise ValueError("cdf values must be nondecreasing within [0, 1]")
+        _check_summaries(
+            self.n_samples, self.mean, self.variance, cdf, self.grid.inner_edges.size
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreBatch:
+    """Many :class:`ScoreDistribution` summaries as arrays.
+
+    ``mean`` and ``variance`` have the batch shape, e.g. ``(points,)`` or
+    ``(points, classes)``, and ``cdf`` has the batch shape plus one axis
+    of interior grid edges; every entry shares ``n_samples`` and
+    ``grid``.  The whole batch is validated once, on construction.
+    ``len``, indexing and iteration follow the leading axis; an entry
+    indexed down to one summary is a :class:`ScoreDistribution` that is
+    not validated again.
+    """
+
+    n_samples: int
+    mean: np.ndarray
+    variance: np.ndarray
+    grid: BinGrid
+    cdf: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("mean", "variance", "cdf"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "n_samples", int(self.n_samples))
+        _check_summaries(
+            self.n_samples, self.mean, self.variance, self.cdf, self.grid.inner_edges.size
+        )
+
+    @classmethod
+    def stack(cls, items: Sequence["ScoreDistribution | ScoreBatch"]) -> "ScoreBatch":
+        """Stack summaries (or equal-shape batches) along a new leading axis."""
+        items = list(items)
+        if not items:
+            raise ValueError("nothing to stack")
+        n_samples, grid = items[0].n_samples, items[0].grid
+        if any(d.n_samples != n_samples or d.grid != grid for d in items):
+            raise ValueError("stacked summaries must share n_samples and grid")
+        return cls(
+            n_samples=n_samples,
+            mean=np.array([d.mean for d in items], dtype=float),
+            variance=np.array([d.variance for d in items], dtype=float),
+            grid=grid,
+            cdf=np.array([d.cdf for d in items], dtype=float),
+        )
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.mean.shape
+
+    def __len__(self) -> int:
+        if not self.shape:
+            raise TypeError("len() of a batch of one summary")
+        return self.shape[0]
+
+    def __getitem__(self, index) -> "ScoreDistribution | ScoreBatch":
+        mean = self.mean[index]
+        if np.ndim(mean) == 0:
+            return _trusted(
+                ScoreDistribution, self.n_samples, float(mean),
+                float(self.variance[index]), self.grid, self.cdf[index],
+            )
+        return _trusted(
+            ScoreBatch, self.n_samples, mean, self.variance[index], self.grid, self.cdf[index]
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def rows(self):
+        """Every entry as a :class:`ScoreDistribution`, in row-major order."""
+        cdf = self.cdf.reshape(-1, self.cdf.shape[-1])
+        for i, (mean, variance) in enumerate(
+            zip(self.mean.ravel().tolist(), self.variance.ravel().tolist())
+        ):
+            yield _trusted(ScoreDistribution, self.n_samples, mean, variance, self.grid, cdf[i])
+
+
+def summarize_samples(samples: np.ndarray, grid: BinGrid) -> ScoreBatch:
+    """Summarize every row of raw smooth-score samples on ``grid``.
+
+    ``samples`` has a batch shape plus one trailing axis of at least 2
+    draws; the result has that batch shape.  Each entry equals, bit for
+    bit, the summary of its row alone: the row's mean, its unbiased
+    variance, and the fraction of its draws <= each interior edge.
+    Scores within 1e-9 of the [0, 1] boundary are clipped; anything
+    farther out is a contract violation.  Rows are summarized a fixed
+    number at a time, so the temporaries stay small at any batch size.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim < 1 or samples.shape[-1] < 2:
+        raise ValueError("need at least 2 samples per row")
+    batch_shape, m = samples.shape[:-1], samples.shape[-1]
+    rows = samples.reshape(-1, m)
+    edges = grid.inner_edges
+    mean = np.empty(rows.shape[0])
+    variance = np.empty(rows.shape[0])
+    cdf = np.empty((rows.shape[0], edges.size))
+    for start in range(0, rows.shape[0], _SUMMARY_CHUNK_ROWS):
+        part = slice(start, start + _SUMMARY_CHUNK_ROWS)
+        # A C-ordered copy: reducing along a strided axis (a transposed
+        # view, say) would sum in another order and change the last bits.
+        chunk = np.array(rows[part], order="C")
+        if np.any(chunk < -1e-9) or np.any(chunk > 1.0 + 1e-9):
+            raise ValueError("score oracle produced values outside [0, 1]")
+        np.clip(chunk, 0.0, 1.0, out=chunk)
+        mean[part] = chunk.mean(axis=1)
+        variance[part] = chunk.var(axis=1, ddof=1)
+        chunk.sort(axis=1)
+        for i, row in enumerate(chunk, start):
+            cdf[i] = np.searchsorted(row, edges, side="right") / m
+    return ScoreBatch(
+        n_samples=m,
+        mean=mean.reshape(batch_shape),
+        variance=variance.reshape(batch_shape),
+        grid=grid,
+        cdf=cdf.reshape(batch_shape + (edges.size,)),
+    )
 
 
 def distribution_from_samples(
     samples: Sequence[float] | np.ndarray, grid: BinGrid
 ) -> ScoreDistribution:
-    """Summarize raw smooth-score samples on ``grid``.
+    """Summarize one row of raw smooth-score samples on ``grid``.
 
-    Scores within 1e-9 of the [0, 1] boundary are clipped; anything
-    farther out is a contract violation.
+    The one-row case of :func:`summarize_samples`, with its clipping and
+    range contract.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
         raise ValueError("need a 1-d array of at least 2 samples")
-    if np.any(samples < -1e-9) or np.any(samples > 1.0 + 1e-9):
-        raise ValueError("score oracle produced values outside [0, 1]")
-    samples = np.clip(samples, 0.0, 1.0)
-    m = samples.size
-    cdf = np.searchsorted(np.sort(samples), grid.inner_edges, side="right") / m
-    return ScoreDistribution(
-        n_samples=m,
-        mean=float(samples.mean()),
-        variance=float(samples.var(ddof=1)),
-        grid=grid,
-        cdf=cdf,
-    )
+    return summarize_samples(samples, grid)[()]
 
 
 def score_samples(
@@ -290,7 +424,7 @@ def estimate_distribution(
     n_samples: int,
     grid: BinGrid,
     rng: np.random.Generator,
-) -> list[ScoreDistribution]:
+) -> ScoreBatch:
     """Monte-Carlo estimate of every class's smooth score distribution at ``x``.
 
     Parameters
@@ -310,9 +444,9 @@ def estimate_distribution(
         pass a :func:`substream` keyed by point for reproducible,
         order-independent batches.
 
-    Returns one distribution per class.  All classes share the noise
-    batch, so each marginal is exactly what a separate batch would give
-    while the classes are correlated with each other.
+    Returns a ``(n_classes,)`` batch, one distribution per class.  All
+    classes share the noise batch, so each marginal is exactly what a
+    separate batch would give while the classes are correlated with
+    each other.
     """
-    scores = score_samples(score_fn, x, scheme, n_samples, rng)
-    return [distribution_from_samples(column, grid) for column in scores.T]
+    return summarize_samples(score_samples(score_fn, x, scheme, n_samples, rng).T, grid)

@@ -48,6 +48,33 @@ def test_score_tensor_binary_round_trip(tmp_path, tensor):
     np.testing.assert_array_equal(got, tensor.astype(np.float32).astype(float))
 
 
+def test_score_tensor_binary_read_in_blocks(tmp_path, tensor, monkeypatch):
+    """A payload longer than one read block, with a partial last block, reads back whole."""
+    path = tmp_path / "t.bin"
+    formats.write_score_tensor(path, tensor)
+    monkeypatch.setattr(formats, "_READ_BLOCK_VALUES", 7)  # 360 values: 51 blocks + 3
+    got = formats.read_score_tensor(path)
+    np.testing.assert_array_equal(got, tensor.astype(np.float32).astype(float))
+
+
+def test_score_tensor_binary_rejects_malformed_files(tmp_path, tensor):
+    path = tmp_path / "t.bin"
+    formats.write_score_tensor(path, tensor)
+    blob = path.read_bytes()
+    bad_version = blob[:4] + (2).to_bytes(2, "little") + blob[6:]
+    cases = {
+        "bad magic": b"XXXX" + blob[4:],
+        "short header": blob[:10],
+        "unknown version": bad_version,
+        "truncated payload": blob[:-4],
+        "trailing bytes": blob + b"\0\0\0\0",
+    }
+    for data in cases.values():
+        (tmp_path / "bad.bin").write_bytes(data)
+        with pytest.raises(InputError):
+            formats.read_score_tensor(tmp_path / "bad.bin")
+
+
 def test_score_tensor_binary_layout(tmp_path, tensor):
     path = tmp_path / "t.bin"
     formats.write_score_tensor(path, tensor)
@@ -221,6 +248,95 @@ def test_calibrate_writes_artifact_that_round_trips(workspace):
     np.testing.assert_array_equal(reread[0].smooth_means, table.smooth_means)
     np.testing.assert_array_equal(reread[0].lower_bounds, table.lower_bounds)
     assert reread[1] == thresholds
+
+
+def _reference_artifact_text(table, thresholds, config) -> str:
+    """The artifact as one dict per point through ``json.dumps(indent=2)``."""
+    points = []
+    for i, dist in enumerate(table.distributions):
+        entry = {
+            "id": int(table.point_ids[i]),
+            "n_samples": int(dist.n_samples),
+            "mean": float(dist.mean),
+            "variance": float(dist.variance),
+            "cdf": [float(v) for v in dist.cdf],
+            "lower_bound": float(table.lower_bounds[i]),
+        }
+        if table.corrected_lower_bounds is not None:
+            entry["corrected_lower_bound"] = float(table.corrected_lower_bounds[i])
+        points.append(entry)
+    payload = {
+        "format": "robustcp-calibration",
+        "version": 1,
+        "grid_edges": [float(e) for e in table.distributions.grid.edges],
+        "thresholds": {k: float(v) for k, v in thresholds.items()},
+        "config": dict(config),
+        "points": points,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.02])
+def test_artifact_writer_matches_json_dumps(tmp_path, eta):
+    from robustcp.bounds import L2Ball
+    from robustcp.evasion import EvasionConfig, calibrate as calibrate_table
+    from robustcp.smoothing import BinGrid, GaussianNoise, summarize_samples
+
+    rng = substream(47, "artifact-writer")
+    samples = np.clip(rng.normal(rng.uniform(0, 1, (30, 1)), 0.2, (30, 40)), 0, 1)
+    config = EvasionConfig(
+        scheme=GaussianNoise(0.25), model=L2Ball(0.125), grid=BinGrid.uniform(21), eta=eta
+    )
+    calibration = calibrate_table(summarize_samples(samples, config.grid), 0.1, config)
+    table = calibration.table
+    table.point_ids = table.point_ids * 7 - 3
+    assert (table.corrected_lower_bounds is not None) == (eta > 0.0)
+    # Non-finite thresholds, and config values that nest or hold newlines.
+    thresholds = {**calibration.thresholds, "none": -np.inf}
+    echo = {"alpha": 0.1, "note": "two\nlines", "nested": {"b": [1, 2.5], "a": "x"}}
+    formats.write_calibration_artifact(tmp_path / "a.json", table, thresholds, echo)
+    assert (tmp_path / "a.json").read_text() == _reference_artifact_text(
+        table, thresholds, echo
+    )
+
+
+def test_predict_rejects_malformed_artifact_points(workspace):
+    """Any one bad point in an artifact is malformed input (exit 2)."""
+    artifact = calibrate(workspace)
+    payload = json.loads(artifact.read_text())
+    n_edges = len(payload["points"][0]["cdf"])
+
+    def edit_point(point, **fields):
+        points = [dict(p) for p in payload["points"]]
+        points[point].update(fields)
+        return points
+
+    cases = {
+        "cdf not monotone": edit_point(3, cdf=[1.0] + [0.0] * (n_edges - 1)),
+        "mean above 1": edit_point(7, mean=1.5),
+        "mean below 0": edit_point(0, mean=-0.25),
+        "variance over its cap": edit_point(11, variance=0.5),
+        "every cdf one short": [
+            {**p, "cdf": p["cdf"][:-1]} for p in payload["points"]
+        ],
+        "ragged cdf": edit_point(5, cdf=payload["points"][5]["cdf"] + [1.0]),
+    }
+    for name, points in cases.items():
+        path = workspace / "malformed.json"
+        path.write_text(json.dumps({**payload, "points": points}))
+        assert predict(workspace, path, "malformed") == 2, name
+    assert not (workspace / "malformed" / "sets.csv").exists()
+
+
+def test_predict_rejects_artifact_without_one_sample_count(workspace):
+    artifact = calibrate(workspace)
+    payload = json.loads(artifact.read_text())
+    mixed = [dict(p) for p in payload["points"]]
+    mixed[2]["n_samples"] += 1
+    for points in (mixed, []):
+        path = workspace / "odd.json"
+        path.write_text(json.dumps({**payload, "points": points}))
+        assert predict(workspace, path, "odd") == 2
 
 
 def test_calibrate_with_eta_adds_corrected_threshold(workspace):

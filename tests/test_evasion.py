@@ -24,6 +24,7 @@ from robustcp.scores import conformal_quantile, inverse_quantile
 from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,
+    ScoreBatch,
     SparseFlipNoise,
     distribution_from_samples,
     score_samples,
@@ -143,7 +144,9 @@ def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
     a point's set does not depend on the batch it is predicted in."""
     _, oracle, x, _, config = gaussian_setup
     threshold = calibrated.thresholds["vanilla"]
-    dists = [class_distributions(oracle, x[i], config, seed=23, point_id=i) for i in range(4)]
+    dists = ScoreBatch.stack(
+        [class_distributions(oracle, x[i], config, seed=23, point_id=i) for i in range(4)]
+    )
     batch = predict(dists, calibrated, config)["robust"]
     assert batch.shape == (4, 3) and batch.dtype == bool
     for i in range(4):
@@ -152,7 +155,7 @@ def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
             for d in dists[i]
         ])
         np.testing.assert_array_equal(batch[i], upper >= threshold)
-        alone = predict([dists[i]], calibrated, config)["robust"]
+        alone = predict(ScoreBatch.stack([dists[i]]), calibrated, config)["robust"]
         np.testing.assert_array_equal(alone[0], batch[i])
 
 
@@ -160,7 +163,7 @@ def test_smooth_mean_set_is_plain_thresholding(gaussian_setup, calibrated):
     _, oracle, x, _, config = gaussian_setup
     threshold = calibrated.thresholds["vanilla"]
     dists = class_distributions(oracle, x[0], config, seed=23, point_id=0)
-    got = predict([dists], calibrated, config)["vanilla"][0]
+    got = predict(ScoreBatch.stack([dists]), calibrated, config)["vanilla"][0]
     want = {c for c in range(3) if dists[c].mean >= threshold}
     assert set(np.flatnonzero(got)) == want
 
@@ -170,7 +173,9 @@ def test_set_nesting_vanilla_mean_cdf(gaussian_setup, calibrated):
     stays inside the mean route."""
     _, oracle, x, _, config = gaussian_setup
     mean_cfg = dataclasses.replace(config, bound_kind="mean")
-    dists = [class_distributions(oracle, x[i], config, seed=29, point_id=i) for i in range(8)]
+    dists = ScoreBatch.stack(
+        [class_distributions(oracle, x[i], config, seed=29, point_id=i) for i in range(8)]
+    )
     by_cdf = predict(dists, calibrated, config)
     by_mean = predict(dists, calibrated, mean_cfg)
     assert np.all(by_cdf["vanilla"] <= by_cdf["robust"])
@@ -242,7 +247,10 @@ def test_predict_refuses_sets_that_do_not_nest(gaussian_setup, calibrated):
         calibrated, thresholds={"vanilla": -np.inf, "calibration-time": np.inf}
     )
     with pytest.raises(AssertionError, match="not inside robust"):
-        predict([dists], inverted, dataclasses.replace(config, mode="calibration-time"))
+        predict(
+            ScoreBatch.stack([dists]), inverted,
+            dataclasses.replace(config, mode="calibration-time"),
+        )
 
 
 def test_binary_pipeline_end_to_end():
@@ -266,7 +274,7 @@ def test_binary_pipeline_end_to_end():
     ]
     np.testing.assert_allclose(table.lower_bounds, expect)
     dists = class_distributions(oracle, x[0], config, seed=4, point_id=0)
-    sets = predict([dists], calibration, config)
+    sets = predict(ScoreBatch.stack([dists]), calibration, config)
     assert sets["vanilla"].shape == sets["robust"].shape == (1, 3)
     assert np.all(sets["vanilla"] <= sets["robust"])
 
@@ -322,7 +330,9 @@ def test_calibrate_and_predict_properties(
     config = EvasionConfig(
         scheme=scheme, model=model, mode=mode, bound_kind=bound_kind, grid=_GRID, eta=eta
     )
-    calibration = calibrate([_random_distribution(rng) for _ in range(n_cal)], ALPHA, config)
+    calibration = calibrate(
+        ScoreBatch.stack([_random_distribution(rng) for _ in range(n_cal)]), ALPHA, config
+    )
     table, thresholds = calibration.table, calibration.thresholds
 
     lower = [bound_for_clean(d, model, scheme, "lower", bound_kind) for d in table.distributions]
@@ -345,7 +355,10 @@ def test_calibrate_and_predict_properties(
         assert set(thresholds) == {"vanilla", "calibration-time"}
         assert calibration.ledger is None
 
-    test = [[_random_distribution(rng) for _ in range(n_classes)] for _ in range(n_test)]
+    test = ScoreBatch.stack([
+        ScoreBatch.stack([_random_distribution(rng) for _ in range(n_classes)])
+        for _ in range(n_test)
+    ])
     if eta > 0.0 and mode == "test-time":
         with pytest.raises(ConfigurationError):
             predict(test, calibration, config)

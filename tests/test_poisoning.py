@@ -24,6 +24,7 @@ from robustcp.scores import ALL_CLASSES_THRESHOLD, conformal_quantile
 from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,
+    ScoreBatch,
     SparseFlipNoise,
     distribution_from_samples,
     substream,
@@ -145,10 +146,10 @@ def test_budget_larger_than_set_is_total_control():
 def test_corrected_feature_threshold_dominated_and_budgeted():
     rng = substream(28, "corrected-poison")
     grid = BinGrid.uniform(51)
-    dists = [
+    dists = ScoreBatch.stack([
         distribution_from_samples(np.clip(rng.beta(4, 2, 300), 0, 1), grid)
         for _ in range(12)
-    ]
+    ])
     eta = 0.02
     # Threat model, and the ball around a received point that holds its
     # clean point (the flip budgets swap).

@@ -5,10 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robustcp import smoothing
 from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,
+    ScoreBatch,
     ScoreDistribution,
     SparseFlipNoise,
     distribution_from_samples,
@@ -18,6 +22,7 @@ from robustcp.smoothing import (
     sample_sparse,
     subseed,
     substream,
+    summarize_samples,
 )
 
 
@@ -242,3 +247,132 @@ def test_estimate_distribution_rejects_bad_oracle():
             estimate_distribution(
                 lambda pts, rng: bad, x, GaussianNoise(0.1), 5, grid, substream(0)
             )
+
+
+# ------------------------------------------------------------ batch summary --
+
+_CHUNK = smoothing._SUMMARY_CHUNK_ROWS
+
+
+def _reference_row(row, edges):
+    """Per-row summary: clip, sort, count <= each edge, mean and var(ddof=1)."""
+    row = np.clip(np.asarray(row, dtype=float), 0.0, 1.0)
+    cdf = np.searchsorted(np.sort(row), edges, side="right") / row.size
+    return row.mean(), row.var(ddof=1), cdf
+
+
+def _score_rows(rng, n_rows, n_samples, edges):
+    """Scores mixing grid edges, exact 0 and 1, values within 1e-9 outside
+    [0, 1], and plain uniforms; few distinct values, so ties abound."""
+    pool = np.concatenate([
+        edges, [0.0, 1.0, -1e-9, -4e-10, 1.0 + 1e-9, 1.0 + 3e-10], rng.uniform(0, 1, 5)
+    ])
+    return pool[rng.integers(0, pool.size, (n_rows, n_samples))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 3 * _CHUNK // 2),
+    n_classes=st.integers(1, 3),
+    n_samples=st.integers(2, 40),
+    n_edges=st.integers(3, 12),
+    layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+)
+def test_batch_summary_matches_each_row_bit_for_bit(
+    seed, n_points, n_classes, n_samples, n_edges, layout
+):
+    rng = substream(seed, "summary")
+    grid = BinGrid.uniform(n_edges)
+    rows = _score_rows(rng, n_points * n_classes, n_samples, grid.inner_edges)
+    tensor = rows.reshape(n_points, n_classes, n_samples)
+    if layout == "transposed":
+        # Samples outermost in memory, viewed back as (points, classes, samples).
+        tensor = np.ascontiguousarray(tensor.transpose(2, 0, 1)).transpose(1, 2, 0)
+    elif layout == "strided":
+        wide = np.zeros((n_points, 2 * n_classes, 3 * n_samples))
+        wide[:, ::2, ::3] = tensor
+        tensor = wide[:, ::2, ::3]
+    batch = summarize_samples(tensor, grid)
+    assert batch.shape == (n_points, n_classes) and batch.n_samples == n_samples
+    assert batch.cdf.shape == (n_points, n_classes, grid.inner_edges.size)
+    for p in range(n_points):
+        for c in range(n_classes):
+            mean, variance, cdf = _reference_row(tensor[p, c], grid.inner_edges)
+            row = batch[p, c]
+            assert isinstance(row, ScoreDistribution)
+            assert (row.mean, row.variance) == (mean, variance)
+            np.testing.assert_array_equal(row.cdf, cdf)
+            np.testing.assert_array_equal(batch[p][c].cdf, cdf)
+
+
+@pytest.mark.parametrize("bad", [-2e-9, 1.0 + 2e-9, -0.5, 1.5])
+def test_batch_summary_rejects_scores_outside_the_tolerance(bad):
+    grid = BinGrid.uniform(11)
+    rows = np.full((_CHUNK + 7, 4), 0.5)
+    rows[-1, 2] = bad  # in the last, partial chunk
+    with pytest.raises(ValueError, match="outside"):
+        summarize_samples(rows, grid)
+    with pytest.raises(ValueError, match="outside"):
+        distribution_from_samples(rows[-1], grid)
+
+
+def test_distribution_from_samples_is_the_one_row_summary():
+    rng = substream(4, "one-row")
+    grid = BinGrid.uniform(51)
+    samples = _score_rows(rng, 1, 30, grid.inner_edges)[0]
+    row = distribution_from_samples(samples, grid)
+    batch = summarize_samples(samples, grid)
+    assert batch.shape == () and isinstance(row, ScoreDistribution)
+    assert (row.mean, row.variance, row.n_samples) == (
+        batch.mean, batch.variance, batch.n_samples
+    )
+    np.testing.assert_array_equal(row.cdf, batch.cdf)
+
+
+def test_score_batch_indexing_and_stacking():
+    grid = BinGrid.uniform(11)
+    rng = substream(6, "batch")
+    batch = summarize_samples(rng.uniform(0, 1, (4, 3, 25)), grid)
+    assert len(batch) == 4 and batch.shape == (4, 3)
+    point = batch[1]
+    assert isinstance(point, ScoreBatch) and point.shape == (3,)
+    a, b, c = point  # unpacking yields the class rows
+    assert isinstance(a, ScoreDistribution) and b.mean == batch.mean[1, 1]
+    assert [d.mean for d in batch.rows()] == batch.mean.ravel().tolist()
+    again = ScoreBatch.stack(list(batch))
+    for name in ("mean", "variance", "cdf"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(batch, name))
+    rows = ScoreBatch.stack(list(point))
+    np.testing.assert_array_equal(rows.cdf, point.cdf)
+    other = summarize_samples(rng.uniform(0, 1, (3, 26)), grid)
+    with pytest.raises(ValueError):
+        ScoreBatch.stack([point, other])
+    with pytest.raises(ValueError):
+        ScoreBatch.stack([])
+
+
+def test_score_batch_validates_every_entry():
+    grid = BinGrid.uniform(5)
+    ok = {
+        "n_samples": 10, "grid": grid, "mean": np.full((2, 3), 0.5),
+        "variance": np.full((2, 3), 0.1), "cdf": np.tile([0.2, 0.5, 0.9], (2, 3, 1)),
+    }
+    ScoreBatch(**ok)
+    mean = ok["mean"].copy()
+    mean[1, 2] = 1.2
+    variance = ok["variance"].copy()
+    variance[0, 1] = 0.9
+    falling = ok["cdf"].copy()
+    falling[1, 0] = [0.5, 0.4, 0.9]
+    for bad in (
+        {"n_samples": 1},
+        {"mean": mean},
+        {"variance": variance},
+        {"variance": ok["variance"][:1]},
+        {"cdf": falling},
+        {"cdf": ok["cdf"][..., :2]},
+        {"cdf": ok["cdf"] + 0.2},
+    ):
+        with pytest.raises(ValueError):
+            ScoreBatch(**{**ok, **bad})

@@ -17,6 +17,10 @@ and ``ROBUSTCP_WORKERS=1``, which runs a fixed set of commands through
 * ``calibrate`` then ``predict`` on seeded 200x4x60 score tensors, for
   Gaussian test-time, sparse asymmetric test-time, sparse mean-route
   calibration-time and corrected settings, one of them read from CSV;
+* the same for Gaussian test-time and corrected settings on CSV tensors
+  whose scores often sit exactly on the default grid's edges, at 0 or at
+  1, with 300 calibration points and 150x4 test slices: more rows than
+  one 256-row summary chunk, and no multiple of it;
 * ``certify-poisoning`` for feature and label poisoning.
 
 It then runs each of the tree's own demos (``SRC/../demos/*.py``) in a
@@ -69,7 +73,8 @@ SIMULATIONS = {
     "corrected-binary": ["experiment=corrected", "eta=0.01", "flips=1:2", *BINARY_TASK],
 }
 
-# Pipeline name -> (`--set` values shared by calibrate and predict, tensor suffix).
+# Pipeline name -> (`--set` values shared by calibrate and predict, tensor
+# file suffix: ".bin" and ".csv" hold the same tensors, "-edges.csv" others).
 PIPELINES = {
     "gaussian-test-time": (
         ["scheme=gaussian", "sigma=0.25", "radius=0.125", "mode=test-time"], ".bin",
@@ -85,6 +90,13 @@ PIPELINES = {
     "corrected": (
         ["scheme=gaussian", "sigma=0.25", "radius=0.125", "eta=0.01",
          "mode=calibration-time"], ".bin",
+    ),
+    "gaussian-grid-edges": (
+        ["scheme=gaussian", "sigma=0.25", "radius=0.125", "mode=test-time"], "-edges.csv",
+    ),
+    "corrected-grid-edges": (
+        ["scheme=gaussian", "sigma=0.25", "radius=0.125", "eta=0.01",
+         "mode=calibration-time"], "-edges.csv",
     ),
 }
 
@@ -108,6 +120,24 @@ def _score_tensor(rng, n_points: int, n_classes: int, n_samples: int):
     return (centre[:, :, None] + noise).clip(0.0, 1.0), labels
 
 
+def _edge_tensor(rng, n_points: int, n_classes: int, n_samples: int):
+    """A :func:`_score_tensor` with scores moved onto grid edges, 0 and 1.
+
+    Half the scores snap to the nearest edge of the default 51-edge grid
+    (the edges of ``BinGrid.uniform(51)``), and one in ten more become
+    exactly 0 or 1, so ties and values on an edge are everywhere.
+    """
+    import numpy as np
+
+    tensor, labels = _score_tensor(rng, n_points, n_classes, n_samples)
+    edges = np.linspace(0.0, 1.0, 51)
+    snap = rng.random(tensor.shape) < 0.5
+    tensor[snap] = edges[np.rint(tensor[snap] * 50).astype(int)]
+    ends = rng.random(tensor.shape) < 0.1
+    tensor[ends] = rng.integers(0, 2, ends.sum()).astype(float)
+    return tensor, labels
+
+
 def write_outputs(out: Path) -> None:
     """Write every compared output of the importable robustcp tree under ``out``."""
     import numpy as np
@@ -128,17 +158,23 @@ def write_outputs(out: Path) -> None:
         for suffix in (".bin", ".csv"):
             formats.write_score_tensor(inputs / f"{split}{suffix}", tensor)
         formats.write_labels_csv(inputs / f"{split}-labels.csv", labels)
+    edge_rng = np.random.default_rng(20241)
+    for split, n_points in (("cal", 300), ("test", 150)):
+        tensor, labels = _edge_tensor(edge_rng, n_points, 4, 60)
+        formats.write_score_tensor(inputs / f"{split}-edges.csv", tensor)
+        formats.write_labels_csv(inputs / f"{split}-edges-labels.csv", labels)
     for name, (settings, suffix) in PIPELINES.items():
         sets = [f"--set={item}" for item in settings]
+        labels = suffix.rsplit(".", 1)[0] + "-labels.csv"
         cal_out, pred_out = out / f"{name}-calibrate", out / f"{name}-predict"
         _run(main, f"calibrate-{name}", [
             "calibrate", "--scores", str(inputs / f"cal{suffix}"),
-            "--labels", str(inputs / "cal-labels.csv"), "--out", str(cal_out), *sets,
+            "--labels", str(inputs / f"cal{labels}"), "--out", str(cal_out), *sets,
         ], out)
         _run(main, f"predict-{name}", [
             "predict", "--artifact", str(cal_out / "calibration.json"),
             "--scores", str(inputs / f"test{suffix}"),
-            "--labels", str(inputs / "test-labels.csv"), "--out", str(pred_out), *sets,
+            "--labels", str(inputs / f"test{labels}"), "--out", str(pred_out), *sets,
         ], out)
 
     scores = rng.uniform(0.2, 1.0, 40)
