@@ -26,10 +26,8 @@ from .bounds import (
 )
 from .correction import (
     BudgetLedger,
-    CorrectedDistribution,
     bernstein_radius,
     corrected_bound,
-    corrected_distribution,
     dkw_radius,
     hoeffding_radius,
 )
@@ -68,9 +66,7 @@ from .smoothing import (
     BinGrid,
     GaussianNoise,
     ScoreBatch,
-    ScoreDistribution,
     SparseFlipNoise,
-    distribution_from_samples,
     estimate_distribution,
     sample_gaussian,
     sample_sparse,
@@ -90,7 +86,6 @@ __all__ = [
     "CalibrationTable",
     "ConfigurationError",
     "ConservativeThreshold",
-    "CorrectedDistribution",
     "CoverageBeta",
     "EvasionConfig",
     "GaussianNoise",
@@ -100,7 +95,6 @@ __all__ = [
     "PoisonWitness",
     "RegionTable",
     "ScoreBatch",
-    "ScoreDistribution",
     "SparseFlipNoise",
     "bernstein_radius",
     "bound_for_clean",
@@ -110,11 +104,9 @@ __all__ = [
     "class_distributions",
     "conformal_quantile",
     "corrected_bound",
-    "corrected_distribution",
     "corrected_feature_poison_threshold",
     "coverage_distribution",
     "dkw_radius",
-    "distribution_from_samples",
     "estimate_distribution",
     "evaluate_sets",
     "feature_poison_threshold",

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .bounds import BinaryBall, L2Ball, ThreatModel, bound_for_clean
+from .bounds import BinaryBall, L2Ball, bound_batch
 from .evasion import CalibrationTable, EvasionConfig
 from .poisoning import PoisonWitness, worst_case_feature_quantile, worst_case_label_quantile
 from .smoothing import GaussianNoise, ScoreOracle, SparseFlipNoise, sample_noise, substream
@@ -186,12 +186,7 @@ def poison_features_attack(
     evasion search run in maximize mode.
     """
     budget = _clamped_budget(budget, len(table))
-    ceilings = np.array(
-        [
-            bound_for_clean(d, config.model, config.scheme, "upper", "mean")
-            for d in table.distributions
-        ]
-    )
+    ceilings = bound_batch(table.distributions, config.model, config.scheme, "upper", "mean")
     result = worst_case_feature_quantile(table.smooth_means, ceilings, budget, alpha)
     poisoned = np.array(inputs, copy=True)
     if isinstance(config.model, L2Ball):

@@ -5,7 +5,8 @@ With m Monte-Carlo samples they are not; these helpers widen the
 measured statistics by concentration radii (Hoeffding or empirical
 Bernstein for the mean, Dvoretzky-Kiefer-Wolfowitz for the whole CDF)
 before the worst-case bound is taken, so that the final guarantee holds
-with probability 1 - eta over the sampling.
+with probability 1 - eta over the sampling.  :func:`corrected_bound`
+widens a whole :class:`~robustcp.smoothing.ScoreBatch` at once.
 
 A :class:`BudgetLedger` tracks how composite pipelines split their
 failure budget; every spend is checked against the declared total.
@@ -18,15 +19,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import ThreatModel, bound_for_clean
-from .smoothing import ScoreBatch, ScoreDistribution, SmoothingScheme
+from .bounds import ThreatModel, bound_batch
+from .smoothing import ScoreBatch, SmoothingScheme
 
 __all__ = [
     "hoeffding_radius",
     "bernstein_radius",
     "dkw_radius",
-    "CorrectedDistribution",
-    "corrected_distribution",
     "corrected_bound",
     "BudgetLedger",
 ]
@@ -71,23 +70,6 @@ def dkw_radius(n_samples: int, eta: float) -> float:
     return hoeffding_radius(n_samples, eta)
 
 
-@dataclass(frozen=True)
-class CorrectedDistribution:
-    """A score distribution with confidence envelopes on its statistics.
-
-    ``mean_lo <= base.mean <= mean_hi`` by construction, and the CDF
-    bands bracket the empirical CDF edgewise while remaining valid CDFs
-    (clipped to [0, 1] and monotonized).
-    """
-
-    base: ScoreDistribution
-    eta: float
-    mean_lo: float
-    mean_hi: float
-    cdf_lo: np.ndarray
-    cdf_hi: np.ndarray
-
-
 def _mean_interval(mean, n_samples: int, variance, eta: float):
     """Bernstein interval around the mean, clipped to [0, 1]; any batch shape."""
     eps = bernstein_radius(n_samples, variance, eta)
@@ -106,28 +88,8 @@ def _cdf_band(cdf: np.ndarray, n_samples: int, eta: float) -> tuple[np.ndarray, 
     return lo, hi
 
 
-def corrected_distribution(dist: ScoreDistribution, eta: float) -> CorrectedDistribution:
-    """Bernstein mean interval and DKW CDF band at failure budget ``eta``.
-
-    The two statistics are alternatives, not a union: a consumer uses
-    either the mean interval or the CDF band, each valid at level
-    ``eta`` on its own.
-    """
-    _check_eta(eta)
-    mean_lo, mean_hi = _mean_interval(dist.mean, dist.n_samples, dist.variance, eta)
-    cdf_lo, cdf_hi = _cdf_band(dist.cdf, dist.n_samples, eta)
-    return CorrectedDistribution(
-        base=dist,
-        eta=eta,
-        mean_lo=float(mean_lo),
-        mean_hi=float(mean_hi),
-        cdf_lo=cdf_lo,
-        cdf_hi=cdf_hi,
-    )
-
-
 def corrected_bound(
-    dists: ScoreBatch | ScoreDistribution,
+    batch: ScoreBatch,
     model: ThreatModel,
     scheme: SmoothingScheme,
     direction: str,
@@ -136,17 +98,17 @@ def corrected_bound(
 ):
     """Worst-case bounds over ``model`` taken after widening the measured statistic.
 
-    Upper bounds consume the upper mean end or the lower CDF band (a
-    lower CDF weakens the constraint exactly the way more mass above
-    every edge would); lower bounds take the mirrored choices.  The
-    whole batch is widened at once, each entry at level ``eta``, and
-    then bounded one entry per :func:`~robustcp.bounds.bound_for_clean`
-    call, in row-major order.  Returns an array of the batch shape, or a
-    float for a single distribution.  As in ``bound_for_clean``,
-    ``model`` is the ball around the measured point.
+    Upper bounds consume the upper end of the Bernstein mean interval or
+    the lower edge of the DKW CDF band (a lower CDF weakens the
+    constraint exactly the way more mass above every edge would); lower
+    bounds take the mirrored choices.  The two statistics are
+    alternatives, each valid at level ``eta`` on its own.  The whole
+    batch is widened at once, each entry at level ``eta``, and then
+    bounded by :func:`~robustcp.bounds.bound_batch`: the result has the
+    batch's shape (a numpy scalar for a 0-d batch).  As in
+    ``bound_for_clean``, ``model`` is the ball around the measured point.
     """
     _check_eta(eta)
-    batch = ScoreBatch.stack([dists]) if isinstance(dists, ScoreDistribution) else dists
     if kind == "mean":
         lo, hi = _mean_interval(batch.mean, batch.n_samples, batch.variance, eta)
         widened = replace(batch, mean=hi if direction == "upper" else lo)
@@ -155,11 +117,7 @@ def corrected_bound(
         widened = replace(batch, cdf=lo if direction == "upper" else hi)
     else:
         raise ValueError("kind must be 'mean' or 'cdf'")
-    bounds = np.array(
-        [bound_for_clean(d, model, scheme, direction, kind) for d in widened.rows()],
-        dtype=float,
-    )
-    return float(bounds[0]) if isinstance(dists, ScoreDistribution) else bounds.reshape(batch.shape)
+    return bound_batch(widened, model, scheme, direction, kind)
 
 
 @dataclass

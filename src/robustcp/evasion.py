@@ -24,11 +24,11 @@ turns a ``(points, classes)`` batch of test distributions into boolean
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import ThreatModel, bound_for_clean
+from .bounds import ThreatModel, bound_batch
 from .correction import BudgetLedger, bernstein_radius, corrected_bound
 from .errors import ConfigurationError
 from .scores import conformal_quantile, inverse_quantile
@@ -37,10 +37,10 @@ from .smoothing import (
     ScoreBatch,
     ScoreOracle,
     SmoothingScheme,
-    distribution_from_samples,
     estimate_distribution,
     score_samples,
     substream,
+    summarize_samples,
 )
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "class_distributions",
     "lower_bounds_for",
     "vanilla_worst_case_coverage",
-    "corrected_set_from_distributions",
 ]
 
 @dataclass(frozen=True)
@@ -135,17 +134,6 @@ class Calibration:
     ledger: BudgetLedger | None = None
 
 
-def _bounds(batch: ScoreBatch, config: EvasionConfig, direction: str) -> np.ndarray:
-    """Certified bounds of the batch's shape, one ``bound_for_clean`` call per entry."""
-    return np.array(
-        [
-            bound_for_clean(d, config.model, config.scheme, direction, config.bound_kind)
-            for d in batch.rows()
-        ],
-        dtype=float,
-    ).reshape(batch.shape)
-
-
 def calibrate(
     distributions: ScoreBatch,
     alpha: float,
@@ -166,7 +154,9 @@ def calibrate(
     point_ids = np.arange(n) if point_ids is None else np.asarray(point_ids, dtype=int)
     table = CalibrationTable(
         point_ids=point_ids,
-        lower_bounds=_bounds(distributions, config, "lower"),
+        lower_bounds=bound_batch(
+            distributions, config.model, config.scheme, "lower", config.bound_kind
+        ),
         distributions=distributions,
     )
     eta = config.eta
@@ -212,8 +202,9 @@ def predict(
     means = distributions.mean
     named = {"vanilla": means >= thresholds["vanilla"]}
     if config.mode == "test-time":
-        reversed_cfg = replace(config, model=config.model.reversed())
-        upper = _bounds(distributions, reversed_cfg, "upper")
+        upper = bound_batch(
+            distributions, config.model.reversed(), config.scheme, "upper", config.bound_kind
+        )
         named["robust"] = upper >= thresholds["vanilla"]
     else:
         named["robust"] = means >= thresholds["calibration-time"]
@@ -223,13 +214,21 @@ def predict(
         calibration_side = (
             calibration.ledger.spent if calibration.ledger is not None else config.eta / 2.0
         )
+        # Each class's mean gets an empirical Bernstein radius at
+        # eta / (2 n_classes), so the true class's smooth score clears
+        # the threshold whenever its bound would.
         n_points, n_classes = distributions.shape
+        per_class = config.eta / (2.0 * n_classes)
         for point_id in range(n_points):
             ledger = BudgetLedger(eta=config.eta)
             ledger.spend("calibration side", calibration_side)
-            _spend_class_radii(ledger, point_id, n_classes, config.eta)
+            for c in range(n_classes):
+                ledger.spend(f"test point {point_id} class {c} mean radius", per_class)
             ledger.assert_within()
-        named["corrected"] = _inflated_means(distributions, config.eta) >= thresholds["corrected"]
+        inflated = means + bernstein_radius(
+            distributions.n_samples, distributions.variance, per_class
+        )
+        named["corrected"] = inflated >= thresholds["corrected"]
     for method, mask in named.items():
         if not np.all(named["vanilla"] <= mask):
             raise AssertionError(f"vanilla set not inside {method} set")
@@ -259,7 +258,7 @@ def calibrate_smooth(
     for x, label, point_id in zip(inputs, labels, point_ids):
         rng = substream(seed, "cal", int(point_id))
         scores = score_samples(oracle, x, config.scheme, config.n_samples, rng)
-        dists.append(distribution_from_samples(scores[:, label], config.grid))
+        dists.append(summarize_samples(scores[:, label], config.grid))
     return calibrate(ScoreBatch.stack(dists), alpha, config, point_ids)
 
 
@@ -292,7 +291,9 @@ def lower_bounds_for(table: CalibrationTable, config: EvasionConfig) -> np.ndarr
     whose model is ``model.reversed()``, the ball that holds the clean
     point.
     """
-    return _bounds(table.distributions, config, "lower")
+    return bound_batch(
+        table.distributions, config.model, config.scheme, "lower", config.bound_kind
+    )
 
 
 def vanilla_worst_case_coverage(threshold: float, lower_bounds: np.ndarray) -> float:
@@ -305,36 +306,3 @@ def vanilla_worst_case_coverage(threshold: float, lower_bounds: np.ndarray) -> f
     under any radius or bound kind.
     """
     return 1.0 - inverse_quantile(threshold, lower_bounds)
-
-
-def _inflated_means(distributions: ScoreBatch, eta: float) -> np.ndarray:
-    """Means plus empirical Bernstein radii at eta / (2 n_classes), classes on the last axis."""
-    per_class = eta / (2.0 * distributions.shape[-1])
-    return distributions.mean + bernstein_radius(
-        distributions.n_samples, distributions.variance, per_class
-    )
-
-
-def _spend_class_radii(ledger: BudgetLedger, point_id: int, n_classes: int, eta: float) -> None:
-    per_class = eta / (2.0 * n_classes)
-    for c in range(n_classes):
-        ledger.spend(f"test point {int(point_id)} class {c} mean radius", per_class)
-
-
-def corrected_set_from_distributions(
-    distributions: ScoreBatch,
-    threshold: float,
-    eta: float,
-    ledger: BudgetLedger,
-    point_id: int,
-) -> np.ndarray:
-    """Corrected calibration-time set mask from one point's ``(classes,)`` batch.
-
-    Scores each class by its Monte-Carlo mean plus an empirical
-    Bernstein radius at eta / (2 n_classes), so the true smooth score of
-    the (unknown) true class clears the threshold whenever its bound
-    would.  Every class's share is spent through ``ledger``, labelled
-    with ``point_id``.
-    """
-    _spend_class_radii(ledger, point_id, distributions.shape[-1], eta)
-    return _inflated_means(distributions, eta) >= threshold

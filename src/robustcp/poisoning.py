@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import ThreatModel
 from .correction import BudgetLedger, corrected_bound, hoeffding_radius
 from .errors import ConfigurationError
-from .scores import ALL_CLASSES_THRESHOLD, _order_index
+from .scores import ALL_CLASSES_THRESHOLD, _order_index, conformal_quantile
 from .smoothing import ScoreBatch, SmoothingScheme
 
 __all__ = [
@@ -223,10 +223,7 @@ def replay_feature_witness(
     modified = np.asarray(scores, dtype=float).copy()
     for i, v in zip(witness.indices, witness.values):
         modified[i] = v
-    k_order = _order_index(alpha, modified.size)
-    if k_order == 0:
-        return ALL_CLASSES_THRESHOLD
-    return float(np.sort(modified)[k_order - 1])
+    return conformal_quantile(modified, alpha)
 
 
 def replay_label_witness(
@@ -239,11 +236,7 @@ def replay_label_witness(
         raise ValueError("a label-flip witness must record the substituted labels")
     for i, c in zip(witness.indices, witness.labels):
         flipped[i] = c
-    observed = score_matrix[np.arange(labels.size), flipped]
-    k_order = _order_index(alpha, observed.size)
-    if k_order == 0:
-        return ALL_CLASSES_THRESHOLD
-    return float(np.sort(observed)[k_order - 1])
+    return conformal_quantile(score_matrix[np.arange(labels.size), flipped], alpha)
 
 
 _BRUTE_FORCE_LIMIT = 12

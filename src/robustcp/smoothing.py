@@ -2,10 +2,10 @@
 
 A smoothing scheme perturbs an input with random noise; the smooth score
 is the expectation of a base score under that noise.  Expectations are
-estimated by Monte Carlo and summarized as a :class:`ScoreDistribution`
-(mean, variance, and the empirical CDF on a fixed bin grid), which is
-all the certification routines in :mod:`robustcp.bounds` consume.
-Whole stacks of them travel as one :class:`ScoreBatch` of arrays.
+estimated by Monte Carlo and summarized as a :class:`ScoreBatch` (mean,
+variance, and the empirical CDF on a fixed bin grid), which is all the
+certification routines in :mod:`robustcp.bounds` consume.  A batch holds
+any number of summaries as arrays; a single summary is a 0-d batch.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "GaussianNoise",
     "SparseFlipNoise",
     "BinGrid",
-    "ScoreDistribution",
     "ScoreBatch",
     "substream",
     "subseed",
@@ -30,7 +29,6 @@ __all__ = [
     "sample_noise",
     "score_samples",
     "estimate_distribution",
-    "distribution_from_samples",
     "summarize_samples",
 ]
 
@@ -205,7 +203,7 @@ class BinGrid:
 
 
 def _check_summaries(n_samples, mean, variance, cdf, n_edges: int) -> None:
-    """Validate summaries of any batch shape at once (a scalar mean is one row)."""
+    """Validate summaries of any batch shape at once (a scalar mean is one summary)."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     if not np.all((0.0 <= mean) & (mean <= 1.0)):
@@ -222,9 +220,9 @@ def _check_summaries(n_samples, mean, variance, cdf, n_edges: int) -> None:
         raise ValueError("cdf values must be nondecreasing within [0, 1]")
 
 
-def _trusted(cls, n_samples, mean, variance, grid, cdf):
-    """An instance of ``cls`` from fields already validated as part of a batch."""
-    obj = object.__new__(cls)
+def _trusted(n_samples, mean, variance, grid, cdf) -> "ScoreBatch":
+    """A :class:`ScoreBatch` from fields already validated as part of a larger batch."""
+    obj = object.__new__(ScoreBatch)
     for name, value in (
         ("n_samples", n_samples), ("mean", mean), ("variance", variance),
         ("grid", grid), ("cdf", cdf),
@@ -233,49 +231,30 @@ def _trusted(cls, n_samples, mean, variance, grid, cdf):
     return obj
 
 
-@dataclass(frozen=True)
-class ScoreDistribution:
-    """Monte-Carlo summary of a smooth score.
+@dataclass(frozen=True, eq=False)
+class ScoreBatch:
+    """Monte-Carlo summaries of smooth scores, as arrays.
 
     Attributes
     ----------
     n_samples : int
-        Number of Monte-Carlo draws (at least 2).
-    mean : float
-        Sample mean, in [0, 1].
-    variance : float
-        Unbiased sample variance.
+        Number of Monte-Carlo draws behind every entry (at least 2).
+    mean : np.ndarray or np.float64
+        Sample means in [0, 1], of the batch shape, e.g. ``(points,)`` or
+        ``(points, classes)``.
+    variance : np.ndarray or np.float64
+        Unbiased sample variances, of the batch shape.
     grid : BinGrid
-        Bin edges the CDF is recorded on.
+        Bin edges every CDF is recorded on.
     cdf : np.ndarray
-        Fraction of samples <= each interior edge; nondecreasing.
-    """
+        Fraction of draws <= each interior edge: the batch shape plus
+        one nondecreasing axis of edges.
 
-    n_samples: int
-    mean: float
-    variance: float
-    grid: BinGrid
-    cdf: np.ndarray
-
-    def __post_init__(self) -> None:
-        cdf = np.asarray(self.cdf, dtype=float)
-        object.__setattr__(self, "cdf", cdf)
-        _check_summaries(
-            self.n_samples, self.mean, self.variance, cdf, self.grid.inner_edges.size
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreBatch:
-    """Many :class:`ScoreDistribution` summaries as arrays.
-
-    ``mean`` and ``variance`` have the batch shape, e.g. ``(points,)`` or
-    ``(points, classes)``, and ``cdf`` has the batch shape plus one axis
-    of interior grid edges; every entry shares ``n_samples`` and
-    ``grid``.  The whole batch is validated once, on construction.
-    ``len``, indexing and iteration follow the leading axis; an entry
-    indexed down to one summary is a :class:`ScoreDistribution` that is
-    not validated again.
+    A single summary is a 0-d batch, whose ``mean`` and ``variance`` are
+    numpy scalars.  The whole batch is validated once, on construction.
+    ``len``, indexing and iteration follow the leading axis, and
+    :meth:`rows` walks every entry; the entries they yield are smaller
+    batches that are not validated again.
     """
 
     n_samples: int
@@ -285,16 +264,18 @@ class ScoreBatch:
     cdf: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("mean", "variance", "cdf"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        # ``[()]`` turns a 0-d array into a numpy scalar and leaves others be.
+        for name in ("mean", "variance"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float)[()])
+        object.__setattr__(self, "cdf", np.asarray(self.cdf, dtype=float))
         object.__setattr__(self, "n_samples", int(self.n_samples))
         _check_summaries(
             self.n_samples, self.mean, self.variance, self.cdf, self.grid.inner_edges.size
         )
 
     @classmethod
-    def stack(cls, items: Sequence["ScoreDistribution | ScoreBatch"]) -> "ScoreBatch":
-        """Stack summaries (or equal-shape batches) along a new leading axis."""
+    def stack(cls, items: Sequence["ScoreBatch"]) -> "ScoreBatch":
+        """Stack equal-shape batches (or single summaries) along a new leading axis."""
         items = list(items)
         if not items:
             raise ValueError("nothing to stack")
@@ -318,35 +299,33 @@ class ScoreBatch:
             raise TypeError("len() of a batch of one summary")
         return self.shape[0]
 
-    def __getitem__(self, index) -> "ScoreDistribution | ScoreBatch":
-        mean = self.mean[index]
-        if np.ndim(mean) == 0:
-            return _trusted(
-                ScoreDistribution, self.n_samples, float(mean),
-                float(self.variance[index]), self.grid, self.cdf[index],
-            )
+    def __getitem__(self, index) -> "ScoreBatch":
         return _trusted(
-            ScoreBatch, self.n_samples, mean, self.variance[index], self.grid, self.cdf[index]
+            self.n_samples, self.mean[index][()], self.variance[index][()],
+            self.grid, self.cdf[index],
         )
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
     def rows(self):
-        """Every entry as a :class:`ScoreDistribution`, in row-major order."""
+        """Every entry as a 0-d batch, in row-major order."""
         cdf = self.cdf.reshape(-1, self.cdf.shape[-1])
-        for i, (mean, variance) in enumerate(
-            zip(self.mean.ravel().tolist(), self.variance.ravel().tolist())
-        ):
-            yield _trusted(ScoreDistribution, self.n_samples, mean, variance, self.grid, cdf[i])
+        for mean, variance, row in zip(self.mean.ravel(), self.variance.ravel(), cdf):
+            yield _trusted(self.n_samples, mean, variance, self.grid, row)
+
+
+# ``bench/test_smoke.py`` builds a single summary under this name; the
+# alias goes once the benchmark stops importing it.
+ScoreDistribution = ScoreBatch
 
 
 def summarize_samples(samples: np.ndarray, grid: BinGrid) -> ScoreBatch:
     """Summarize every row of raw smooth-score samples on ``grid``.
 
     ``samples`` has a batch shape plus one trailing axis of at least 2
-    draws; the result has that batch shape.  Each entry equals, bit for
-    bit, the summary of its row alone: the row's mean, its unbiased
+    draws; the result has that batch shape (a 1-d row gives a 0-d batch).
+    Each entry equals, bit for bit, the summary of its row alone: the row's mean, its unbiased
     variance, and the fraction of its draws <= each interior edge.
     Scores within 1e-9 of the [0, 1] boundary are clipped; anything
     farther out is a contract violation.  Rows are summarized a fixed
@@ -381,20 +360,6 @@ def summarize_samples(samples: np.ndarray, grid: BinGrid) -> ScoreBatch:
         grid=grid,
         cdf=cdf.reshape(batch_shape + (edges.size,)),
     )
-
-
-def distribution_from_samples(
-    samples: Sequence[float] | np.ndarray, grid: BinGrid
-) -> ScoreDistribution:
-    """Summarize one row of raw smooth-score samples on ``grid``.
-
-    The one-row case of :func:`summarize_samples`, with its clipping and
-    range contract.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
-        raise ValueError("need a 1-d array of at least 2 samples")
-    return summarize_samples(samples, grid)[()]
 
 
 def score_samples(

@@ -54,7 +54,7 @@ from robustcp.poisoning import (
     feature_poison_threshold,
     label_poison_threshold,
 )
-from robustcp.smoothing import BinGrid, distribution_from_samples, substream
+from robustcp.smoothing import BinGrid, substream, summarize_samples
 
 mp.dps = 50
 
@@ -228,7 +228,7 @@ def test_criterion_2_gaussian_bound_oracle():
     # At zero radius the CDF variants must collapse to the classic
     # stepwise-envelope integral of the binned CDF.
     rng = substream(3, "acceptance-anderson")
-    dist = distribution_from_samples(rng.beta(2.0, 5.0, 300), BinGrid.uniform(51))
+    dist = summarize_samples(rng.beta(2.0, 5.0, 300), BinGrid.uniform(51))
     edges = dist.grid.edges
     widths = np.diff(edges)
     envelope_up = float(np.sum(widths * (1.0 - np.concatenate(([0.0], dist.cdf)))))
@@ -346,7 +346,7 @@ def test_criterion_4_sparse_bounds_vs_lp():
             abs(sparse_mean_upper(p, table) - _lp_transfer(p, table, True)),
             abs(sparse_mean_lower(p, table) - _lp_transfer(p, table, False)),
         )
-        dist = distribution_from_samples(rng.uniform(0.0, 1.0, 40), grid)
+        dist = summarize_samples(rng.uniform(0.0, 1.0, 40), grid)
         per_edge_min = np.array([sparse_mean_lower(c, table) for c in dist.cdf])
         per_edge_max = np.array([sparse_mean_upper(c, table) for c in dist.cdf])
         for c, lo, hi in zip(dist.cdf, per_edge_min, per_edge_max):

@@ -4,6 +4,7 @@
 point in subprocesses: traced on the evasion workloads, where spans wrap
 every public function and every oracle factory of ``robustcp.tasks``,
 and untraced on the CLI workload.  Each run checks its own outputs.
+The benchmark's own bound-reference test runs the same way.
 """
 
 import json
@@ -30,3 +31,16 @@ def test_benchmark_runs_and_its_checks_pass(workload, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["attempted"] >= 1
     assert result["failed"] == 0 and result["correct"], proc.stderr[-2000:]
+
+
+def test_benchmark_bound_references_accept_a_single_summary():
+    """The benchmark builds one summary as ``smoothing.ScoreDistribution``
+    and hands its ``mean`` to mpmath, which takes a numpy scalar but not
+    a 0-d array; this pins both the name and the scalar."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "bench/test_smoke.py", "-k", "bound_references"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "1 passed" in proc.stdout

@@ -19,7 +19,7 @@ from robustcp.bounds import (
     gaussian_mean_lower,
     gaussian_mean_upper,
 )
-from robustcp.smoothing import BinGrid, GaussianNoise, distribution_from_samples, substream
+from robustcp.smoothing import BinGrid, GaussianNoise, substream, summarize_samples
 
 mpmath.mp.dps = 50
 
@@ -105,7 +105,7 @@ def test_extreme_probabilities_stay_in_unit_interval():
 def beta_dist():
     rng = substream(3, "gauss-bounds")
     samples = np.clip(rng.beta(2, 5, 500), 0.0, 1.0)
-    return distribution_from_samples(samples, BinGrid.uniform(51))
+    return summarize_samples(samples, BinGrid.uniform(51))
 
 
 def test_cdf_bounds_at_zero_radius_equal_binned_dominance(beta_dist):

@@ -27,8 +27,8 @@ from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,
     SparseFlipNoise,
-    distribution_from_samples,
     substream,
+    summarize_samples,
 )
 
 
@@ -156,7 +156,7 @@ def test_mean_bounds_monotone_in_budget():
 def binary_dist():
     rng = substream(4, "sparse-bounds")
     samples = np.clip(rng.beta(5, 2, 400), 0.0, 1.0)
-    return distribution_from_samples(samples, BinGrid.uniform(51))
+    return summarize_samples(samples, BinGrid.uniform(51))
 
 
 def test_cdf_bound_composes_per_edge_transfers(binary_dist):

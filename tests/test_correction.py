@@ -1,5 +1,6 @@
-"""Concentration radii, widened distributions, and failure-budget accounting."""
+"""Concentration radii, widened bounds, and failure-budget accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean
 from robustcp.correction import (
     BudgetLedger,
+    _cdf_band,
     bernstein_radius,
     corrected_bound,
-    corrected_distribution,
     dkw_radius,
     hoeffding_radius,
 )
@@ -18,8 +19,8 @@ from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,
     SparseFlipNoise,
-    distribution_from_samples,
     substream,
+    summarize_samples,
 )
 
 
@@ -70,33 +71,41 @@ def test_radius_validation():
 @pytest.fixture()
 def sample_dist():
     rng = substream(9, "correction")
-    return distribution_from_samples(
-        np.clip(rng.beta(3, 3, 200), 0, 1), BinGrid.uniform(51)
-    )
+    return summarize_samples(np.clip(rng.beta(3, 3, 200), 0, 1), BinGrid.uniform(51))
 
 
-def test_corrected_distribution_mean_interval(sample_dist):
+def test_corrected_mean_interval(sample_dist):
+    """At radius 0 the mean route returns the widened mean itself: the
+    Bernstein interval's ends, clipped to [0, 1]."""
     eta = 0.05
-    corr = corrected_distribution(sample_dist, eta)
+    model, scheme = L2Ball(0.0), GaussianNoise(0.25)
     radius = bernstein_radius(sample_dist.n_samples, sample_dist.variance, eta)
-    assert corr.mean_lo == pytest.approx(max(sample_dist.mean - radius, 0.0))
-    assert corr.mean_hi == pytest.approx(min(sample_dist.mean + radius, 1.0))
-    assert corr.mean_lo <= sample_dist.mean <= corr.mean_hi
+    mean_hi = corrected_bound(sample_dist, model, scheme, "upper", "mean", eta)
+    mean_lo = corrected_bound(sample_dist, model, scheme, "lower", "mean", eta)
+    assert mean_hi == min(sample_dist.mean + radius, 1.0)
+    assert mean_lo == max(sample_dist.mean - radius, 0.0)
+    assert mean_lo <= sample_dist.mean <= mean_hi
 
 
-def test_corrected_distribution_cdf_band(sample_dist):
+def test_corrected_cdf_band(sample_dist):
     eta = 0.05
-    corr = corrected_distribution(sample_dist, eta)
+    cdf_lo, cdf_hi = _cdf_band(sample_dist.cdf, sample_dist.n_samples, eta)
     width = dkw_radius(sample_dist.n_samples, eta)
-    assert np.all(corr.cdf_lo <= sample_dist.cdf + 1e-15)
-    assert np.all(corr.cdf_hi >= sample_dist.cdf - 1e-15)
-    np.testing.assert_allclose(
-        corr.cdf_lo, np.maximum(sample_dist.cdf - width, 0.0), atol=1e-15
-    )
+    assert np.all(cdf_lo <= sample_dist.cdf + 1e-15)
+    assert np.all(cdf_hi >= sample_dist.cdf - 1e-15)
+    np.testing.assert_allclose(cdf_lo, np.maximum(sample_dist.cdf - width, 0.0), atol=1e-15)
     # Bands stay valid CDFs.
-    assert np.all(np.diff(corr.cdf_lo) >= 0)
-    assert np.all(np.diff(corr.cdf_hi) >= 0)
-    assert np.all(corr.cdf_lo >= 0) and np.all(corr.cdf_hi <= 1)
+    assert np.all(np.diff(cdf_lo) >= 0)
+    assert np.all(np.diff(cdf_hi) >= 0)
+    assert np.all(cdf_lo >= 0) and np.all(cdf_hi <= 1)
+    # The cdf route bounds the band's edge on its side, and nothing else.
+    model, scheme = L2Ball(0.1), GaussianNoise(0.25)
+    for direction, band in (("upper", cdf_lo), ("lower", cdf_hi)):
+        assert corrected_bound(sample_dist, model, scheme, direction, "cdf", eta) == (
+            bound_for_clean(
+                dataclasses.replace(sample_dist, cdf=band), model, scheme, direction, "cdf"
+            )
+        )
 
 
 def test_corrected_bound_dominates_plain(sample_dist):

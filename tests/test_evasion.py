@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustcp import evasion
 from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean
 from robustcp.correction import BudgetLedger, bernstein_radius, corrected_bound
 from robustcp.errors import ConfigurationError
@@ -15,7 +16,6 @@ from robustcp.evasion import (
     calibrate,
     calibrate_smooth,
     class_distributions,
-    corrected_set_from_distributions,
     lower_bounds_for,
     predict,
     vanilla_worst_case_coverage,
@@ -26,9 +26,9 @@ from robustcp.smoothing import (
     GaussianNoise,
     ScoreBatch,
     SparseFlipNoise,
-    distribution_from_samples,
     score_samples,
     substream,
+    summarize_samples,
 )
 from robustcp.tasks import make_binary_task, make_gaussian_mixture, oracle_for
 
@@ -100,7 +100,7 @@ def test_class_distributions_share_one_oracle_call(gaussian_setup):
     )
     assert len(dists) == scores.shape[1] == 3
     for c, d in enumerate(dists):
-        _same_distribution(d, distribution_from_samples(scores[:, c], config.grid))
+        _same_distribution(d, summarize_samples(scores[:, c], config.grid))
 
 
 def test_calibration_keeps_the_label_column(gaussian_setup, calibrated):
@@ -111,7 +111,7 @@ def test_calibration_keeps_the_label_column(gaussian_setup, calibrated):
         )
         _same_distribution(
             calibrated.table.distributions[i],
-            distribution_from_samples(scores[:, y[i]], config.grid),
+            summarize_samples(scores[:, y[i]], config.grid),
         )
 
 
@@ -205,38 +205,56 @@ def test_corrected_calibrate_dominates_plain(gaussian_setup, calibrated):
     assert corrected.thresholds["calibration-time"] == calibrated.thresholds["calibration-time"]
 
 
-def test_corrected_set_contains_mean_set(gaussian_setup, calibrated):
-    _, oracle, x, _, config = gaussian_setup
-    threshold = calibrated.thresholds["vanilla"]
-    eta = 0.02
-    for i in range(4):
-        dists = class_distributions(oracle, x[i], config, seed=31, point_id=i)
-        plain = np.array([d.mean for d in dists]) >= threshold
-        ledger = BudgetLedger(eta)
-        wide = corrected_set_from_distributions(dists, threshold, eta, ledger, i)
-        assert wide.shape == (3,) and wide.dtype == bool
-        assert np.all(plain <= wide)
-        # One spend per class, each of eta / (2 * n_classes).
-        assert len(ledger.entries) == 3
-        assert ledger.spent == pytest.approx(eta / 2)
+@pytest.fixture(scope="module")
+def corrected_prediction(gaussian_setup):
+    """A corrected calibration, four test points, and predict's ledger spends."""
+    _, oracle, x, y, config = gaussian_setup
+    cfg = dataclasses.replace(config, mode="calibration-time", eta=0.02)
+    calibration = calibrate_smooth(oracle, x, y, ALPHA, cfg, seed=17)
+    test = ScoreBatch.stack(
+        [class_distributions(oracle, x[i], cfg, seed=31, point_id=i) for i in range(4)]
+    )
+    spends = []
+
+    class RecordingLedger(BudgetLedger):
+        def spend(self, label, amount):
+            spends.append((label, amount))
+            return super().spend(label, amount)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evasion, "BudgetLedger", RecordingLedger)
+        sets = predict(test, calibration, cfg)
+    return cfg, calibration, test, sets, spends
 
 
-def test_corrected_set_membership_rule(gaussian_setup, calibrated):
-    _, oracle, x, _, config = gaussian_setup
-    threshold = calibrated.thresholds["vanilla"]
-    eta = 0.02
-    dists = class_distributions(oracle, x[1], config, seed=31, point_id=1)
-    got = corrected_set_from_distributions(dists, threshold, eta, BudgetLedger(eta), 1)
-    # No spend goes off the books: the ledger is required.
-    with pytest.raises(TypeError):
-        corrected_set_from_distributions(dists, threshold, eta)
-    per_class = eta / (2 * 3)
-    want = {
-        c
-        for c, d in enumerate(dists)
-        if d.mean + bernstein_radius(d.n_samples, d.variance, per_class) >= threshold
-    }
-    assert set(np.flatnonzero(got)) == want
+def test_corrected_set_contains_mean_set(corrected_prediction):
+    cfg, calibration, test, sets, spends = corrected_prediction
+    threshold = calibration.thresholds["corrected"]
+    wide = sets["corrected"]
+    assert wide.shape == (4, 3) and wide.dtype == bool
+    assert np.all((test.mean >= threshold) <= wide)
+    # Per point: the calibration side, then one spend per class, each of
+    # eta / (2 * n_classes).
+    per_class = cfg.eta / (2 * 3)
+    assert spends == [
+        entry
+        for i in range(4)
+        for entry in [("calibration side", calibration.ledger.spent)]
+        + [(f"test point {i} class {c} mean radius", per_class) for c in range(3)]
+    ]
+
+
+def test_corrected_set_membership_rule(corrected_prediction):
+    cfg, calibration, test, sets, _ = corrected_prediction
+    threshold = calibration.thresholds["corrected"]
+    per_class = cfg.eta / (2 * 3)
+    for i, dists in enumerate(test):
+        want = {
+            c
+            for c, d in enumerate(dists)
+            if d.mean + bernstein_radius(d.n_samples, d.variance, per_class) >= threshold
+        }
+        assert set(np.flatnonzero(sets["corrected"][i])) == want
 
 
 def test_predict_refuses_sets_that_do_not_nest(gaussian_setup, calibrated):
@@ -303,7 +321,7 @@ _THREATS = {
 def _random_distribution(rng):
     centre = rng.uniform(0.0, 1.0)
     samples = np.clip(centre + rng.normal(0.0, rng.uniform(0.01, 0.3), 50), 0.0, 1.0)
-    return distribution_from_samples(samples, _GRID)
+    return summarize_samples(samples, _GRID)
 
 
 def _members(scores, threshold) -> list[bool]:

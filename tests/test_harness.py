@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ def test_evasion_trial_bounds_each_calibration_point_once_per_route(monkeypatch)
     route (also the calibration table's) and 20 for the cdf route.  The
     only other bounds are the upper bounds of the 4 test points' 3 classes
     for each route."""
-    import robustcp.evasion as evasion
+    import robustcp.bounds as bounds
 
     calls = []
 
@@ -148,7 +149,7 @@ def test_evasion_trial_bounds_each_calibration_point_once_per_route(monkeypatch)
         calls.append(args[3:5])
         return bound_for_clean(*args, **kwargs)
 
-    monkeypatch.setattr(evasion, "bound_for_clean", counted)
+    monkeypatch.setattr(bounds, "bound_for_clean", counted)
     config = ExperimentConfig(
         kind="evasion", task=TaskSpec(n_cal=20, n_test=4), sigma=0.25, radii=(0.125,),
         n_samples=100, attack_samples=16, n_trials=1, seed=5,
@@ -264,26 +265,28 @@ def test_label_poison_trial_thresholds():
 def test_feature_poison_trial_bounds_only_the_reversed_ball(monkeypatch):
     """The defender calibrates its tables (the clean one and one per budget
     k > 0) over the reversed ball, and the rank search reads their lower
-    bounds: 20 points x 3 tables, with no other bound evaluated."""
+    bounds: 20 points x 3 tables.  The only other bounds are the
+    attacker's mean-route score ceilings over the forward ball, 20 points
+    for each budget k > 0."""
     import robustcp.bounds as bounds
-    import robustcp.evasion as evasion
 
-    models = []
+    calls = []
 
-    def counted(dist, model, *args, **kwargs):
-        models.append(model)
-        return bound_for_clean(dist, model, *args, **kwargs)
+    def counted(dist, model, scheme, direction, kind):
+        calls.append((model, direction, kind))
+        return bound_for_clean(dist, model, scheme, direction, kind)
 
     monkeypatch.setattr(bounds, "bound_for_clean", counted)
-    monkeypatch.setattr(evasion, "bound_for_clean", counted)
     config = ExperimentConfig(
         kind="feature-poison", task=TaskSpec(kind="binary-linear", dim=16, n_cal=20, n_test=6),
         p0=0.1, p1=0.2, flips=((1, 2),), budgets=(0, 1, 2), n_samples=400,
         attack_samples=32, n_trials=1, seed=8,
     )
     thresholds = feature_poison_trial(config, 0).thresholds
-    assert len(models) == 60
-    assert set(models) == {BinaryBall(additions=2, deletions=1)}
+    assert Counter(calls) == {
+        (BinaryBall(additions=2, deletions=1), "lower", "cdf"): 60,
+        (BinaryBall(additions=1, deletions=2), "upper", "mean"): 40,
+    }
     assert thresholds["robust-k0"] == thresholds["vanilla-k0"]
     for k in (1, 2):
         assert thresholds[f"robust-k{k}"] <= thresholds[f"vanilla-k{k}"]

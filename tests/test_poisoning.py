@@ -26,8 +26,8 @@ from robustcp.smoothing import (
     GaussianNoise,
     ScoreBatch,
     SparseFlipNoise,
-    distribution_from_samples,
     substream,
+    summarize_samples,
 )
 
 
@@ -147,7 +147,7 @@ def test_corrected_feature_threshold_dominated_and_budgeted():
     rng = substream(28, "corrected-poison")
     grid = BinGrid.uniform(51)
     dists = ScoreBatch.stack([
-        distribution_from_samples(np.clip(rng.beta(4, 2, 300), 0, 1), grid)
+        summarize_samples(np.clip(rng.beta(4, 2, 300), 0, 1), grid)
         for _ in range(12)
     ])
     eta = 0.02

@@ -13,9 +13,7 @@ from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,
     ScoreBatch,
-    ScoreDistribution,
     SparseFlipNoise,
-    distribution_from_samples,
     estimate_distribution,
     sample_gaussian,
     sample_noise,
@@ -184,11 +182,11 @@ def test_uniform_grid():
         BinGrid(edges=np.array([0.0, 0.5, 0.4, 1.0]))
 
 
-def test_distribution_from_samples_moments_and_cdf():
+def test_summarize_samples_moments_and_cdf():
     g = BinGrid.uniform(51)
     samples = np.array([0.1, 0.3, 0.3, 0.8])
-    d = distribution_from_samples(samples, g)
-    assert d.n_samples == 4
+    d = summarize_samples(samples, g)
+    assert d.shape == () and d.n_samples == 4
     assert d.mean == pytest.approx(np.mean(samples))
     # Sample variance with the n-1 denominator.
     assert d.variance == pytest.approx(np.var(samples, ddof=1))
@@ -199,20 +197,21 @@ def test_distribution_from_samples_moments_and_cdf():
     assert np.all(np.diff(d.cdf) >= 0)
 
 
-def test_distribution_from_samples_validation():
+def test_summarize_samples_validation():
     g = BinGrid.uniform(51)
     with pytest.raises(ValueError):
-        distribution_from_samples(np.array([0.5]), g)
+        summarize_samples(np.array([0.5]), g)
     with pytest.raises(ValueError):
-        distribution_from_samples(np.array([0.5, 1.2]), g)
+        summarize_samples(np.array([0.5, 1.2]), g)
 
 
 def test_score_distribution_variance_cap():
+    """A single summary is a 0-d batch, validated like any other."""
     g = BinGrid.uniform(51)
     with pytest.raises(ValueError):
-        ScoreDistribution(
-            n_samples=10, mean=0.5, variance=0.9, grid=g, cdf=np.linspace(0, 1, 49)
-        )
+        ScoreBatch(n_samples=10, mean=0.5, variance=0.9, grid=g, cdf=np.linspace(0, 1, 49))
+    ok = ScoreBatch(n_samples=10, mean=0.5, variance=0.2, grid=g, cdf=np.linspace(0, 1, 49))
+    assert ok.shape == () and ok.cdf.shape == (49,)
 
 
 def test_estimate_distribution_matches_manual_pipeline():
@@ -232,7 +231,7 @@ def test_estimate_distribution_matches_manual_pipeline():
     manual = np.clip(sample_gaussian(x, 0.3, 500, substream(3, "est")), 0.0, 1.0)
     assert len(dists) == 2
     for c, d in enumerate(dists):
-        expect = distribution_from_samples(manual[:, c], grid)
+        expect = summarize_samples(manual[:, c], grid)
         assert d.n_samples == expect.n_samples
         assert d.mean == expect.mean
         assert d.variance == expect.variance
@@ -300,7 +299,7 @@ def test_batch_summary_matches_each_row_bit_for_bit(
         for c in range(n_classes):
             mean, variance, cdf = _reference_row(tensor[p, c], grid.inner_edges)
             row = batch[p, c]
-            assert isinstance(row, ScoreDistribution)
+            assert isinstance(row, ScoreBatch) and row.shape == ()
             assert (row.mean, row.variance) == (mean, variance)
             np.testing.assert_array_equal(row.cdf, cdf)
             np.testing.assert_array_equal(batch[p][c].cdf, cdf)
@@ -314,20 +313,26 @@ def test_batch_summary_rejects_scores_outside_the_tolerance(bad):
     with pytest.raises(ValueError, match="outside"):
         summarize_samples(rows, grid)
     with pytest.raises(ValueError, match="outside"):
-        distribution_from_samples(rows[-1], grid)
+        summarize_samples(rows[-1], grid)
 
 
-def test_distribution_from_samples_is_the_one_row_summary():
+def test_summarize_samples_one_row_is_a_0d_batch():
+    """A 1-d row summarizes to a 0-d batch with numpy-scalar moments, the
+    same entry it is inside a larger batch."""
     rng = substream(4, "one-row")
     grid = BinGrid.uniform(51)
-    samples = _score_rows(rng, 1, 30, grid.inner_edges)[0]
-    row = distribution_from_samples(samples, grid)
-    batch = summarize_samples(samples, grid)
-    assert batch.shape == () and isinstance(row, ScoreDistribution)
+    samples = _score_rows(rng, 1, 30, grid.inner_edges)
+    row = summarize_samples(samples[0], grid)
+    entry = summarize_samples(samples, grid)[0]
+    assert row.shape == () and entry.shape == ()
+    for d in (row, entry):
+        assert type(d.mean) is np.float64 and type(d.variance) is np.float64
     assert (row.mean, row.variance, row.n_samples) == (
-        batch.mean, batch.variance, batch.n_samples
+        entry.mean, entry.variance, entry.n_samples
     )
-    np.testing.assert_array_equal(row.cdf, batch.cdf)
+    np.testing.assert_array_equal(row.cdf, entry.cdf)
+    with pytest.raises(TypeError):
+        len(row)
 
 
 def test_score_batch_indexing_and_stacking():
@@ -338,8 +343,9 @@ def test_score_batch_indexing_and_stacking():
     point = batch[1]
     assert isinstance(point, ScoreBatch) and point.shape == (3,)
     a, b, c = point  # unpacking yields the class rows
-    assert isinstance(a, ScoreDistribution) and b.mean == batch.mean[1, 1]
+    assert isinstance(a, ScoreBatch) and a.shape == () and b.mean == batch.mean[1, 1]
     assert [d.mean for d in batch.rows()] == batch.mean.ravel().tolist()
+    assert all(type(d.mean) is np.float64 and d.shape == () for d in batch.rows())
     again = ScoreBatch.stack(list(batch))
     for name in ("mean", "variance", "cdf"):
         np.testing.assert_array_equal(getattr(again, name), getattr(batch, name))
