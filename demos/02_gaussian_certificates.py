@@ -12,14 +12,7 @@ Run with: python demos/02_gaussian_certificates.py
 
 import numpy as np
 
-from robustcp.bounds import (
-    L2Ball,
-    bound_for_clean,
-    gaussian_cdf_lower,
-    gaussian_cdf_upper,
-    gaussian_mean_lower,
-    gaussian_mean_upper,
-)
+from robustcp.bounds import L2Ball, bound_for_clean, gaussian_transfer
 from robustcp.smoothing import BinGrid, GaussianNoise, estimate_distribution, substream
 
 SIGMA = 0.25
@@ -38,6 +31,11 @@ x = np.array([0.2, -0.1])
 print(f"smooth score at x: mean {dist.mean:.4f}, variance {dist.variance:.5f}, "
       f"{dist.n_samples} draws")
 
+def envelope(r, kind):
+    """Certified (lower, upper) bounds of the smooth mean within radius r."""
+    return tuple(bound_for_clean(dist, L2Ball(r), scheme, d, kind) for d in ("lower", "upper"))
+
+
 # The mean route only sees dist.mean; the CDF route sees the whole
 # binned distribution.  At r = 0 the binning costs the CDF route up to
 # one bin of slack, but its envelope grows more slowly with r.
@@ -45,28 +43,25 @@ print("\ncertified envelope of the smooth mean within radius r")
 print(f"{'r/sigma':>8} {'mean lower':>11} {'cdf lower':>10} {'cdf upper':>10} {'mean upper':>11}")
 for factor in (0.0, 0.25, 0.5, 1.0, 2.0):
     r = factor * SIGMA
-    m_lo = gaussian_mean_lower(dist.mean, r, SIGMA)
-    m_up = gaussian_mean_upper(dist.mean, r, SIGMA)
-    c_lo = gaussian_cdf_lower(dist, r, SIGMA)
-    c_up = gaussian_cdf_upper(dist, r, SIGMA)
+    m_lo, m_up = envelope(r, "mean")
+    c_lo, c_up = envelope(r, "cdf")
     print(f"{factor:>8.2f} {m_lo:>11.4f} {c_lo:>10.4f} {c_up:>10.4f} {m_up:>11.4f}")
 
 # The provable comparison: pushing the CDF route's own r = 0 value
 # through the mean bound can only be looser than the CDF route itself.
-base_up = gaussian_cdf_upper(dist, 0.0, SIGMA)
-base_lo = gaussian_cdf_lower(dist, 0.0, SIGMA)
+base_lo, base_up = envelope(0.0, "cdf")
 for factor in (0.25, 0.5, 1.0, 2.0):
     r = factor * SIGMA
-    assert gaussian_cdf_upper(dist, r, SIGMA) <= gaussian_mean_upper(base_up, r, SIGMA) + 1e-12
-    assert gaussian_cdf_lower(dist, r, SIGMA) >= gaussian_mean_lower(base_lo, r, SIGMA) - 1e-12
+    c_lo, c_up = envelope(r, "cdf")
+    assert c_up <= gaussian_transfer(base_up, r, SIGMA, increase=True) + 1e-12
+    assert c_lo >= gaussian_transfer(base_lo, r, SIGMA, increase=False) - 1e-12
 print("growth check passed: the cdf envelope widens no faster than the mean envelope")
 
 # Spot-check the certificate empirically: evaluate the smooth mean at
 # the worst corner of the ball in a few random directions; every
 # re-measured mean must stay inside the certified envelope.
 r = 0.5 * SIGMA
-lo = bound_for_clean(dist, L2Ball(r), scheme, "lower", "cdf")
-up = bound_for_clean(dist, L2Ball(r), scheme, "upper", "cdf")
+lo, up = envelope(r, "cdf")
 worst_lo, worst_up = 1.0, 0.0
 rng = substream(0, "probe")
 for k in range(40):

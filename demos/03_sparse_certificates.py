@@ -18,10 +18,7 @@ from robustcp.bounds import (
     BinaryBall,
     bound_for_clean,
     build_region_table,
-    sparse_cdf_lower,
-    sparse_cdf_upper,
-    sparse_mean_lower,
-    sparse_mean_upper,
+    sparse_transfer,
 )
 from robustcp.smoothing import BinGrid, SparseFlipNoise, estimate_distribution, substream
 
@@ -45,7 +42,7 @@ def lp_extreme(p, maximize):
 
 print("\nworst-case mean transfer, greedy vs LP")
 for p in (0.1, 0.5, 0.9):
-    up, lo = sparse_mean_upper(p, table), sparse_mean_lower(p, table)
+    up, lo = (sparse_transfer(p, table, increase) for increase in (True, False))
     print(f"  p={p}: upper {up:.6f} (LP {lp_extreme(p, True):.6f})   "
           f"lower {lo:.6f} (LP {lp_extreme(p, False):.6f})")
 
@@ -68,7 +65,7 @@ for a, d in ((0, 0), (1, 0), (1, 1), (2, 2)):
     ball = BinaryBall(additions=a, deletions=d)
     m_lo = bound_for_clean(dist, ball, scheme, "lower", "mean")
     m_up = bound_for_clean(dist, ball, scheme, "upper", "mean")
-    t = build_region_table(a, d, P0, P1)
-    c_lo, c_up = sparse_cdf_lower(dist, t), sparse_cdf_upper(dist, t)
+    c_lo = bound_for_clean(dist, ball, scheme, "lower", "cdf")
+    c_up = bound_for_clean(dist, ball, scheme, "upper", "cdf")
     print(f"  ball ({a},{d}): mean route [{m_lo:.4f}, {m_up:.4f}]   "
           f"cdf route [{c_lo:.4f}, {c_up:.4f}]")

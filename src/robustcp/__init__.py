@@ -15,14 +15,8 @@ from .bounds import (
     RegionTable,
     bound_for_clean,
     build_region_table,
-    gaussian_cdf_lower,
-    gaussian_cdf_upper,
-    gaussian_mean_lower,
-    gaussian_mean_upper,
-    sparse_cdf_lower,
-    sparse_cdf_upper,
-    sparse_mean_lower,
-    sparse_mean_upper,
+    gaussian_transfer,
+    sparse_transfer,
 )
 from .correction import (
     BudgetLedger,
@@ -110,10 +104,7 @@ __all__ = [
     "estimate_distribution",
     "evaluate_sets",
     "feature_poison_threshold",
-    "gaussian_cdf_lower",
-    "gaussian_cdf_upper",
-    "gaussian_mean_lower",
-    "gaussian_mean_upper",
+    "gaussian_transfer",
     "hoeffding_radius",
     "inverse_quantile",
     "label_poison_threshold",
@@ -122,10 +113,7 @@ __all__ = [
     "replay_label_witness",
     "sample_gaussian",
     "sample_sparse",
-    "sparse_cdf_lower",
-    "sparse_cdf_upper",
-    "sparse_mean_lower",
-    "sparse_mean_upper",
+    "sparse_transfer",
     "subseed",
     "substream",
     "summarize_samples",

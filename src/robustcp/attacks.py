@@ -13,12 +13,13 @@ import warnings
 
 import numpy as np
 
-from .bounds import BinaryBall, L2Ball, bound_batch
+from .bounds import BinaryBall, L2Ball, ThreatModel, bound_batch
 from .evasion import CalibrationTable, EvasionConfig
 from .poisoning import PoisonWitness, worst_case_feature_quantile, worst_case_label_quantile
 from .smoothing import GaussianNoise, ScoreOracle, SparseFlipNoise, sample_noise, substream
 
 __all__ = [
+    "evade",
     "evade_l2",
     "evade_binary",
     "poison_labels_attack",
@@ -144,6 +145,30 @@ def evade_binary(
     return x
 
 
+def evade(
+    oracle: ScoreOracle,
+    x: np.ndarray,
+    label: int,
+    model: ThreatModel,
+    scheme: GaussianNoise | SparseFlipNoise,
+    rng: np.random.Generator,
+    n_samples: int,
+    maximize: bool,
+) -> np.ndarray:
+    """The evasion search that fits the ball: :func:`evade_l2` or :func:`evade_binary`."""
+    if isinstance(model, L2Ball):
+        return evade_l2(
+            oracle, x, label, model.radius, scheme, rng,
+            n_samples=n_samples, maximize=maximize,
+        )
+    if isinstance(model, BinaryBall):
+        return evade_binary(
+            oracle, x, label, model.additions, model.deletions, scheme, rng,
+            n_samples=n_samples, maximize=maximize,
+        )
+    raise TypeError(f"unknown threat model: {model!r}")
+
+
 def _clamped_budget(budget: int, n: int) -> int:
     if budget > n:
         warnings.warn(
@@ -193,17 +218,8 @@ def poison_features_attack(
         poisoned = poisoned.astype(float)
     for i in result.witness.indices:
         rng = substream(seed, "poison-attack", int(table.point_ids[i]))
-        if isinstance(config.model, L2Ball):
-            poisoned[i] = evade_l2(
-                oracle, inputs[i], int(labels[i]), config.model.radius,
-                config.scheme, rng, n_samples=n_samples, maximize=True,
-            )
-        elif isinstance(config.model, BinaryBall):
-            poisoned[i] = evade_binary(
-                oracle, inputs[i], int(labels[i]), config.model.additions,
-                config.model.deletions, config.scheme, rng,
-                n_samples=n_samples, maximize=True,
-            )
-        else:
-            raise TypeError(f"unknown threat model: {config.model!r}")
+        poisoned[i] = evade(
+            oracle, inputs[i], int(labels[i]), config.model, config.scheme, rng,
+            n_samples, maximize=True,
+        )
     return poisoned, result.witness.indices

@@ -1,22 +1,22 @@
 """Worst-case bounds on smooth scores over a threat model.
 
 Given the summary of a smooth score measured at one point (a 0-d
-:class:`~robustcp.smoothing.ScoreBatch`), these routines bound the
-smooth score after the input moves anywhere inside a perturbation ball.
-:func:`bound_batch` bounds every entry of a larger batch.  Two families
-are covered:
+:class:`~robustcp.smoothing.ScoreBatch`), :func:`bound_for_clean`
+bounds the smooth score after the input moves anywhere inside a
+perturbation ball; :func:`bound_batch` bounds every entry of a larger
+batch.  Each noise family has one *push*, which moves a probability to
+its worst reachable value over the ball:
 
-* Gaussian noise with L2 balls, where the worst case has a closed form
-  in the Gaussian CDF.
-* Bit-flip noise with addition/deletion balls, where the worst case is
-  a small linear program over constant-likelihood-ratio regions, solved
-  exactly by a greedy fill.
+* Gaussian noise with L2 balls: the closed form
+  ``Phi(Phi^{-1}(p) +/- radius / sigma)`` (:func:`gaussian_transfer`).
+* Bit-flip noise with addition/deletion balls: a small linear program
+  over constant-likelihood-ratio regions, solved exactly by a greedy
+  fill (:func:`sparse_transfer`).
 
-For each family there is a mean-only bound (uses just the smooth mean)
-and a binned-CDF bound (uses the empirical CDF on a grid, one transfer
-problem per interior edge, recombined by partial summation).  The CDF
-route is what makes the certified sets competitive; the mean route is
-the classic baseline.
+The mean route pushes the smooth mean.  The binned-CDF route pushes the
+empirical CDF at every interior edge of the grid and recombines the
+edges by partial summation.  The CDF route is what makes the certified
+sets competitive; the mean route is the classic baseline.
 """
 
 from __future__ import annotations
@@ -35,15 +35,9 @@ __all__ = [
     "L2Ball",
     "BinaryBall",
     "RegionTable",
-    "gaussian_mean_upper",
-    "gaussian_mean_lower",
-    "gaussian_cdf_upper",
-    "gaussian_cdf_lower",
+    "gaussian_transfer",
     "build_region_table",
-    "sparse_mean_upper",
-    "sparse_mean_lower",
-    "sparse_cdf_upper",
-    "sparse_cdf_lower",
+    "sparse_transfer",
     "bound_for_clean",
 ]
 # ``bound_batch`` stays out of ``__all__``: the benchmark's spans wrap
@@ -99,56 +93,41 @@ def _check_prob(p: float) -> float:
     return float(p)
 
 
-def gaussian_mean_upper(p: float, radius: float, sigma: float) -> float:
-    """Largest smooth mean reachable within an L2 ball of ``radius``.
+def _check_probs(p) -> np.ndarray:
+    """A float copy of ``p``, whose every element must lie in [0, 1]."""
+    p = np.array(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    return p
 
-    For a [0, 1]-valued score smoothed with N(0, sigma^2 I), a measured
-    mean ``p`` at one point bounds the mean at any point within distance
-    ``radius`` by ``Phi(Phi^{-1}(p) + radius / sigma)``.  The endpoints
-    p in {0, 1} are fixed points: Gaussian measures at different centres
-    are mutually absolutely continuous.
+
+def _gaussian_push(p, shift: float):
+    """``Phi(Phi^{-1}(p) + shift)`` elementwise, unvalidated."""
+    return ndtr(ndtri(p) + shift)
+
+
+def gaussian_transfer(p, radius: float, sigma: float, increase: bool):
+    """Extreme probability reachable within an L2 ball under Gaussian smoothing.
+
+    For a [0, 1]-valued function smoothed with N(0, sigma^2 I), a value
+    ``p`` measured at one point bounds its value at any point within
+    distance ``radius`` by ``Phi(Phi^{-1}(p) + radius / sigma)`` from
+    above (``increase``) and by ``Phi(Phi^{-1}(p) - radius / sigma)``
+    from below.  The endpoints p in {0, 1} are fixed points: Gaussian
+    measures at different centres are mutually absolutely continuous.
+    Elementwise over an array of any shape; a 0-d input gives a numpy
+    scalar.  At ``radius = 0`` the values come back unchanged.
     """
-    p = _check_prob(p)
+    p = _check_probs(p)
     if radius < 0.0:
         raise ValueError("radius must be nonnegative")
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     if radius == 0.0:
         # Exact identity; ndtr(ndtri(p)) would round-trip with ~1 ulp error.
-        return p
-    return float(ndtr(ndtri(p) + radius / sigma))
-
-
-def gaussian_mean_lower(p: float, radius: float, sigma: float) -> float:
-    """Smallest smooth mean reachable within an L2 ball of ``radius``."""
-    p = _check_prob(p)
-    if radius < 0.0:
-        raise ValueError("radius must be nonnegative")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if radius == 0.0:
-        return p
-    return float(ndtr(ndtri(p) - radius / sigma))
-
-
-def gaussian_cdf_upper(dist: ScoreBatch, radius: float, sigma: float) -> float:
-    """Upper bound on the smooth mean within an L2 ball, from the binned CDF.
-
-    Each interior edge's CDF value is first driven to its worst (lowest)
-    reachable value, then the worst-case CDF is integrated against the
-    grid by partial summation.  At ``radius = 0`` this is the classic
-    stochastic-dominance upper bound for a binned CDF.
-    """
-    edges = dist.grid.edges
-    worst_cdf = ndtr(ndtri(dist.cdf) - radius / sigma)
-    return float(edges[-1] - np.sum(worst_cdf * (edges[2:] - edges[1:-1])))
-
-
-def gaussian_cdf_lower(dist: ScoreBatch, radius: float, sigma: float) -> float:
-    """Lower bound on the smooth mean within an L2 ball, from the binned CDF."""
-    edges = dist.grid.edges
-    worst_cdf = ndtr(ndtri(dist.cdf) + radius / sigma)
-    return float(edges[-2] - np.sum(worst_cdf * (edges[1:-1] - edges[:-2])))
+        return p[()]
+    shift = radius / sigma
+    return _gaussian_push(p, shift if increase else -shift)[()]
 
 
 # ------------------------------------------------------------------ sparse --
@@ -235,16 +214,18 @@ def _region_table(additions: int, deletions: int, p0: float, p1: float) -> Regio
     return table
 
 
-def _greedy_transfer(budgets: np.ndarray, table: RegionTable, maximize: bool) -> np.ndarray:
+def _greedy_transfer(budgets, table: RegionTable, maximize: bool) -> np.ndarray:
     """Exact extreme of sum(h * adv_mass) s.t. sum(h * clean_mass) = budget, 0 <= h <= 1.
 
     The optimum fills regions in likelihood-ratio order (cheapest clean
     mass per unit of adversarial mass first when maximizing), with one
     fractional region on the boundary.  Regions with zero clean mass are
-    free: all-in when maximizing, untouched when minimizing.
+    free: all-in when maximizing, untouched when minimizing.  One budget
+    per element; the result has the budgets' shape.
     """
-    budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
-    if np.any(budgets < -1e-12) or np.any(budgets > 1.0 + 1e-12):
+    budgets = np.asarray(budgets, dtype=float)
+    b = budgets.ravel()
+    if np.any(b < -1e-12) or np.any(b > 1.0 + 1e-12):
         raise ValueError("budgets must lie in [0, 1]")
     pos = table.clean_mass > 0.0
     base = table.adv_mass[~pos].sum() if maximize else 0.0
@@ -253,44 +234,29 @@ def _greedy_transfer(budgets: np.ndarray, table: RegionTable, maximize: bool) ->
     order = np.argsort(table.ratio[pos], kind="stable")
     if not maximize:
         order = order[::-1]
-    cum_t = np.concatenate(([0.0], np.cumsum(t[order])))
-    cum_tt = np.concatenate(([0.0], np.cumsum(tt[order])))
-    b = np.clip(budgets, 0.0, cum_t[-1])
+    t, tt = t[order], tt[order]
+    cum_t = np.concatenate(([0.0], np.cumsum(t)))
+    cum_tt = np.concatenate(([0.0], np.cumsum(tt)))
+    b = np.clip(b, 0.0, cum_t[-1])
     j = np.searchsorted(cum_t, b, side="right") - 1
     value = cum_tt[j].copy()
     inside = j < t.size
     ji = j[inside]
-    value[inside] += (b[inside] - cum_t[ji]) / t[order][ji] * tt[order][ji]
-    return base + value
+    value[inside] += (b[inside] - cum_t[ji]) / t[ji] * tt[ji]
+    return (base + value).reshape(budgets.shape)
 
 
-def sparse_mean_upper(p: float, table: RegionTable) -> float:
-    """Largest smooth mean at the perturbed point given mean ``p`` at the measured one."""
-    return float(_greedy_transfer(np.array([_check_prob(p)]), table, maximize=True)[0])
+def sparse_transfer(p, table: RegionTable, increase: bool):
+    """Extreme probability reachable within a bit-flip ball, from its region table.
 
-
-def sparse_mean_lower(p: float, table: RegionTable) -> float:
-    """Smallest smooth mean at the perturbed point given mean ``p`` at the measured one."""
-    return float(_greedy_transfer(np.array([_check_prob(p)]), table, maximize=False)[0])
-
-
-def sparse_cdf_upper(dist: ScoreBatch, table: RegionTable) -> float:
-    """Upper bound on the smooth mean at the perturbed point from the binned CDF.
-
-    One transfer problem per interior edge drives each CDF value to its
-    lowest reachable value; partial summation turns the worst-case CDF
-    into a mean bound.
+    A [0, 1]-valued function smoothed with bit-flip noise, with value
+    ``p`` at the measured point, can reach at most (``increase``) or at
+    least this value at the perturbed point that ``table`` describes.
+    The bound is the exact optimum of the transfer problem over the
+    table's constant-likelihood-ratio regions.  Elementwise over an
+    array of any shape; a 0-d input gives a numpy scalar.
     """
-    edges = dist.grid.edges
-    worst_cdf = _greedy_transfer(dist.cdf, table, maximize=False)
-    return float(edges[-1] - np.sum(worst_cdf * (edges[2:] - edges[1:-1])))
-
-
-def sparse_cdf_lower(dist: ScoreBatch, table: RegionTable) -> float:
-    """Lower bound on the smooth mean at the perturbed point from the binned CDF."""
-    edges = dist.grid.edges
-    worst_cdf = _greedy_transfer(dist.cdf, table, maximize=True)
-    return float(edges[-2] - np.sum(worst_cdf * (edges[1:-1] - edges[:-2])))
+    return _greedy_transfer(_check_probs(p), table, increase)[()]
 
 
 # ------------------------------------------------------------- dispatchers --
@@ -304,6 +270,14 @@ def bound_for_clean(
     kind: str,
 ) -> float:
     """Bound the smooth score over the ball around the measured (clean) point.
+
+    Each family has one push, which moves a probability to its extreme
+    over the ball (:func:`gaussian_transfer`, :func:`sparse_transfer`).
+    The mean route pushes the smooth mean the way of the bound.  The CDF
+    route pushes the binned CDF at every interior edge the other way
+    and integrates the result against the grid by partial summation; at
+    a zero radius it is the classic stochastic-dominance bound of a
+    binned CDF.
 
     Parameters
     ----------
@@ -323,24 +297,36 @@ def bound_for_clean(
         raise ValueError("direction must be 'upper' or 'lower'")
     if kind not in ("mean", "cdf"):
         raise ValueError("kind must be 'mean' or 'cdf'")
+    upper = direction == "upper"
+    if kind == "mean":
+        values, increase = _check_prob(dist.mean), upper
+    else:
+        # A lower CDF puts the mass higher up, so the CDF moves against the bound.
+        values, increase = dist.cdf, not upper
     if isinstance(model, L2Ball) and isinstance(scheme, GaussianNoise):
-        r, s = model.radius, scheme.sigma
-        if kind == "mean":
-            fn = gaussian_mean_upper if direction == "upper" else gaussian_mean_lower
-            return fn(dist.mean, r, s)
-        fn = gaussian_cdf_upper if direction == "upper" else gaussian_cdf_lower
-        return fn(dist, r, s)
-    if isinstance(model, BinaryBall) and isinstance(scheme, SparseFlipNoise):
+        if kind == "mean" and model.radius == 0.0:
+            # The identity, as in gaussian_transfer.  The CDF route takes no
+            # such shortcut: its zero-radius bits are those of the round trip
+            # through ndtri, which tests/test_bound_bits.py pins.
+            return values
+        shift = model.radius / scheme.sigma
+        pushed = _gaussian_push(values, shift if increase else -shift)
+    elif isinstance(model, BinaryBall) and isinstance(scheme, SparseFlipNoise):
         table = _region_table(model.additions, model.deletions, scheme.p0, scheme.p1)
-        if kind == "mean":
-            fn = sparse_mean_upper if direction == "upper" else sparse_mean_lower
-            return fn(dist.mean, table)
-        fn = sparse_cdf_upper if direction == "upper" else sparse_cdf_lower
-        return fn(dist, table)
-    raise ConfigurationError(
-        f"threat model {type(model).__name__} is incompatible with "
-        f"smoothing scheme {type(scheme).__name__}"
-    )
+        pushed = _greedy_transfer(values, table, increase)
+    else:
+        raise ConfigurationError(
+            f"threat model {type(model).__name__} is incompatible with "
+            f"smoothing scheme {type(scheme).__name__}"
+        )
+    if kind == "mean":
+        return float(pushed)
+    # Partial summation: each bin's mass sits at its right edge for an
+    # upper bound and at its left edge for a lower one.
+    edges = dist.grid.edges
+    if upper:
+        return float(edges[-1] - np.sum(pushed * (edges[2:] - edges[1:-1])))
+    return float(edges[-2] - np.sum(pushed * (edges[1:-1] - edges[:-2])))
 
 
 def bound_batch(

@@ -22,10 +22,8 @@ from .bounds import (
     BinaryBall,
     L2Ball,
     build_region_table,
-    gaussian_mean_lower,
-    gaussian_mean_upper,
-    sparse_mean_lower,
-    sparse_mean_upper,
+    gaussian_transfer,
+    sparse_transfer,
 )
 from .errors import ConfigurationError, InputError
 from .evasion import Calibration, EvasionConfig, calibrate, predict
@@ -331,7 +329,6 @@ def _parse_ints(raw: str, key: str) -> tuple[int, ...]:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     _validate_common(cfg)
-    out = _out_dir(args)
     spec = TaskSpec(
         kind=cfg["task"],
         n_classes=cfg["n_classes"],
@@ -363,6 +360,7 @@ def cmd_simulate(args) -> int:
         n_trials=cfg["n_trials"],
         seed=cfg["seed"],
     )
+    out = _out_dir(args)
     summary = run_experiment(experiment, out)
     _write_resolved(out, cfg)
     print(
@@ -388,10 +386,10 @@ def _oracle_checks():
 
     # Gaussian closed forms against the generic normal distribution.
     p, radius, sigma = 0.5, 0.25, 0.25
-    direct = gaussian_mean_upper(p, radius, sigma)
+    direct = gaussian_transfer(p, radius, sigma, increase=True)
     via_stats = float(stats.norm.cdf(stats.norm.ppf(p) + radius / sigma))
     yield "gaussian mean upper vs scipy.stats route", abs(direct - via_stats) < 1e-12
-    lower = gaussian_mean_lower(p, radius, sigma)
+    lower = gaussian_transfer(p, radius, sigma, increase=False)
     yield "gaussian bounds bracket the input", lower <= p <= direct
 
     # Sparse region table against direct enumeration of noise outcomes on
@@ -426,8 +424,8 @@ def _oracle_checks():
     table = build_region_table(2, 2, 0.15, 0.15)
     ok = True
     for p in (0.05, 0.3, 0.8, 0.95):
-        lo = sparse_mean_lower(p, table)
-        hi = sparse_mean_upper(p, table)
+        lo = sparse_transfer(p, table, increase=False)
+        hi = sparse_transfer(p, table, increase=True)
         ok = ok and lo <= p <= hi
     yield "sparse mean bounds bracket the input", ok
 

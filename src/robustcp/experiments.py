@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attacks import evade_binary, evade_l2, poison_features_attack, poison_labels_attack
+from .attacks import evade, poison_features_attack, poison_labels_attack
 from .bounds import BinaryBall, L2Ball, ThreatModel
 from .errors import ConfigurationError
 from .evasion import (
@@ -149,6 +149,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
+        if self.kind == "corrected" and not 0.0 < self.eta < self.alpha:
+            raise ConfigurationError("the corrected experiment needs 0 < eta < alpha")
         if self.score_kind not in ("tps", "aps"):
             raise ConfigurationError(f"unknown score kind {self.score_kind!r}")
         if self.n_trials < 1:
@@ -173,15 +175,6 @@ def _radius_value(model: ThreatModel) -> float:
     if isinstance(model, L2Ball):
         return float(model.radius)
     return float(model.additions + model.deletions)
-
-
-def _attack_point(oracle, x, label, model, scheme, rng, n_samples):
-    if isinstance(model, L2Ball):
-        return evade_l2(oracle, x, label, model.radius, scheme, rng, n_samples=n_samples)
-    return evade_binary(
-        oracle, x, label, model.additions, model.deletions, scheme, rng,
-        n_samples=n_samples,
-    )
 
 
 def _metrics(masks, labels) -> dict[str, float]:
@@ -302,9 +295,9 @@ def evasion_trial(config: ExperimentConfig, index: int) -> TrialResult:
     for model in models_for(config):
         r = _radius_value(model)
         attacked = [
-            _attack_point(
+            evade(
                 oracle, x_test[i], int(y_test[i]), model, base.scheme,
-                substream(ts, "attack", f"r={r:g}", i), config.attack_samples,
+                substream(ts, "attack", f"r={r:g}", i), config.attack_samples, maximize=False,
             )
             for i in range(len(y_test))
         ]

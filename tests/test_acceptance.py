@@ -24,15 +24,12 @@ from scipy.optimize import linprog
 
 from conftest import _SCOREBOARD, record_criterion
 from robustcp.bounds import (
+    BinaryBall,
+    L2Ball,
+    bound_for_clean,
     build_region_table,
-    gaussian_cdf_lower,
-    gaussian_cdf_upper,
-    gaussian_mean_lower,
-    gaussian_mean_upper,
-    sparse_cdf_lower,
-    sparse_cdf_upper,
-    sparse_mean_lower,
-    sparse_mean_upper,
+    gaussian_transfer,
+    sparse_transfer,
 )
 from robustcp.cli import main
 from robustcp.experiments import (
@@ -54,7 +51,13 @@ from robustcp.poisoning import (
     feature_poison_threshold,
     label_poison_threshold,
 )
-from robustcp.smoothing import BinGrid, substream, summarize_samples
+from robustcp.smoothing import (
+    BinGrid,
+    GaussianNoise,
+    SparseFlipNoise,
+    substream,
+    summarize_samples,
+)
 
 mp.dps = 50
 
@@ -206,7 +209,8 @@ def test_criterion_2_gaussian_bound_oracle():
     t0 = time.perf_counter()
     # High-precision reference for Phi(Phi^{-1}(p) +/- r/sigma).
     err_phi1 = max(
-        abs(gaussian_mean_upper(0.5, s, s) - _phi(1.0)) for s in (0.1, 0.25, 1.0, 2.0)
+        abs(gaussian_transfer(0.5, s, s, increase=True) - _phi(1.0))
+        for s in (0.1, 0.25, 1.0, 2.0)
     )
     cases = [
         (0.5, 1.0, 1.0), (0.5, 0.25, 0.25), (0.1, 0.5, 0.25),
@@ -217,12 +221,19 @@ def test_criterion_2_gaussian_bound_oracle():
     for p, radius, sigma in cases:
         err_oracle = max(
             err_oracle,
-            abs(gaussian_mean_upper(p, radius, sigma) - _phi(_phi_inv(p) + radius / sigma)),
-            abs(gaussian_mean_lower(p, radius, sigma) - _phi(_phi_inv(p) - radius / sigma)),
+            abs(
+                gaussian_transfer(p, radius, sigma, increase=True)
+                - _phi(_phi_inv(p) + radius / sigma)
+            ),
+            abs(
+                gaussian_transfer(p, radius, sigma, increase=False)
+                - _phi(_phi_inv(p) - radius / sigma)
+            ),
         )
     # Zero radius must be the exact identity, bit for bit.
     exact = all(
-        gaussian_mean_upper(p, 0.0, 0.3) == p and gaussian_mean_lower(p, 0.0, 0.3) == p
+        gaussian_transfer(p, 0.0, 0.3, increase=True) == p
+        and gaussian_transfer(p, 0.0, 0.3, increase=False) == p
         for p in (0.0, 1e-6, 0.1, 0.5, 0.9, 1.0)
     )
     # At zero radius the CDF variants must collapse to the classic
@@ -233,12 +244,11 @@ def test_criterion_2_gaussian_bound_oracle():
     widths = np.diff(edges)
     envelope_up = float(np.sum(widths * (1.0 - np.concatenate(([0.0], dist.cdf)))))
     envelope_lo = float(np.sum(widths * (1.0 - np.concatenate((dist.cdf, [1.0])))))
-    table0 = build_region_table(0, 0, 0.1, 0.1)
+    balls = ((L2Ball(0.0), GaussianNoise(0.25)), (BinaryBall(0, 0), SparseFlipNoise(0.1, 0.1)))
     err_cdf = max(
-        abs(gaussian_cdf_upper(dist, 0.0, 0.25) - envelope_up),
-        abs(gaussian_cdf_lower(dist, 0.0, 0.25) - envelope_lo),
-        abs(sparse_cdf_upper(dist, table0) - envelope_up),
-        abs(sparse_cdf_lower(dist, table0) - envelope_lo),
+        abs(bound_for_clean(dist, ball, scheme, direction, "cdf") - envelope)
+        for ball, scheme in balls
+        for direction, envelope in (("upper", envelope_up), ("lower", envelope_lo))
     )
     _finish(
         2, time.perf_counter() - t0, 30.0,
@@ -339,16 +349,17 @@ def test_criterion_4_sparse_bounds_vs_lp():
         deletions = int(rng.integers(0, 5 - additions))
         p0 = float(rng.uniform(0.01, 0.6))
         p1 = float(rng.uniform(0.01, 0.6))
+        ball, scheme = BinaryBall(additions, deletions), SparseFlipNoise(p0, p1)
         table = build_region_table(additions, deletions, p0, p1)
         p = float(rng.uniform())
         max_err = max(
             max_err,
-            abs(sparse_mean_upper(p, table) - _lp_transfer(p, table, True)),
-            abs(sparse_mean_lower(p, table) - _lp_transfer(p, table, False)),
+            abs(sparse_transfer(p, table, increase=True) - _lp_transfer(p, table, True)),
+            abs(sparse_transfer(p, table, increase=False) - _lp_transfer(p, table, False)),
         )
         dist = summarize_samples(rng.uniform(0.0, 1.0, 40), grid)
-        per_edge_min = np.array([sparse_mean_lower(c, table) for c in dist.cdf])
-        per_edge_max = np.array([sparse_mean_upper(c, table) for c in dist.cdf])
+        per_edge_min = np.array([sparse_transfer(c, table, increase=False) for c in dist.cdf])
+        per_edge_max = np.array([sparse_transfer(c, table, increase=True) for c in dist.cdf])
         for c, lo, hi in zip(dist.cdf, per_edge_min, per_edge_max):
             max_err = max(
                 max_err,
@@ -361,8 +372,8 @@ def test_criterion_4_sparse_bounds_vs_lp():
         want_lower = float(edges[-2] - np.sum(per_edge_max * (edges[1:-1] - edges[:-2])))
         max_compose = max(
             max_compose,
-            abs(sparse_cdf_upper(dist, table) - want_upper),
-            abs(sparse_cdf_lower(dist, table) - want_lower),
+            abs(bound_for_clean(dist, ball, scheme, "upper", "cdf") - want_upper),
+            abs(bound_for_clean(dist, ball, scheme, "lower", "cdf") - want_lower),
         )
     _finish(
         4, time.perf_counter() - t0, 120.0,

@@ -17,10 +17,7 @@ from robustcp.bounds import (
     _region_table,
     bound_for_clean,
     build_region_table,
-    sparse_cdf_lower,
-    sparse_cdf_upper,
-    sparse_mean_lower,
-    sparse_mean_upper,
+    sparse_transfer,
 )
 from robustcp.errors import ConfigurationError
 from robustcp.smoothing import (
@@ -103,8 +100,8 @@ def test_empty_ball_is_identity():
     table = build_region_table(0, 0, 0.1, 0.1)
     np.testing.assert_array_equal(table.ratio, [1.0])
     for p in (0.0, 0.3, 0.77, 1.0):
-        assert sparse_mean_upper(p, table) == p
-        assert sparse_mean_lower(p, table) == p
+        assert sparse_transfer(p, table, increase=True) == p
+        assert sparse_transfer(p, table, increase=False) == p
 
 
 def test_greedy_matches_linprog_on_random_instances():
@@ -115,10 +112,10 @@ def test_greedy_matches_linprog_on_random_instances():
         p0, p1 = rng.uniform(0.01, 0.7, 2)
         table = build_region_table(additions, deletions, p0, p1)
         p = float(rng.uniform(0, 1))
-        assert sparse_mean_upper(p, table) == pytest.approx(
+        assert sparse_transfer(p, table, increase=True) == pytest.approx(
             linprog_transfer(p, table, maximize=True), abs=1e-9
         )
-        assert sparse_mean_lower(p, table) == pytest.approx(
+        assert sparse_transfer(p, table, increase=False) == pytest.approx(
             linprog_transfer(p, table, maximize=False), abs=1e-9
         )
 
@@ -126,14 +123,14 @@ def test_greedy_matches_linprog_on_random_instances():
 def test_mean_bounds_bracket_and_endpoints():
     table = build_region_table(2, 1, 0.15, 0.3)
     for p in np.linspace(0, 1, 21):
-        lo = sparse_mean_lower(p, table)
-        up = sparse_mean_upper(p, table)
+        lo = sparse_transfer(p, table, increase=False)
+        up = sparse_transfer(p, table, increase=True)
         # One ulp of slack: the region masses themselves sum to 1 only
         # up to floating-point addition error.
         assert 0.0 <= lo <= p + 1e-12
         assert p - 1e-12 <= up <= 1.0 + 1e-12
-    assert sparse_mean_upper(1.0, table) == pytest.approx(1.0, abs=1e-12)
-    assert sparse_mean_lower(0.0, table) == pytest.approx(0.0, abs=1e-12)
+    assert sparse_transfer(1.0, table, increase=True) == pytest.approx(1.0, abs=1e-12)
+    assert sparse_transfer(0.0, table, increase=False) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mean_bounds_monotone_in_budget():
@@ -142,7 +139,7 @@ def test_mean_bounds_monotone_in_budget():
         p0, p1 = rng.uniform(0.01, 0.6, 2)
         p = float(rng.uniform(0, 1))
         vals = {
-            (a, d): sparse_mean_upper(p, build_region_table(a, d, p0, p1))
+            (a, d): sparse_transfer(p, build_region_table(a, d, p0, p1), increase=True)
             for a in range(4)
             for d in range(4)
         }
@@ -159,30 +156,34 @@ def binary_dist():
     return summarize_samples(samples, BinGrid.uniform(51))
 
 
+def _cdf_bound(dist, direction, additions, deletions):
+    ball, scheme = BinaryBall(additions, deletions), SparseFlipNoise(0.1, 0.1)
+    return bound_for_clean(dist, ball, scheme, direction, "cdf")
+
+
 def test_cdf_bound_composes_per_edge_transfers(binary_dist):
     """The CDF route is one transfer per edge plus a partial summation."""
     table = build_region_table(2, 2, 0.1, 0.1)
     edges = binary_dist.grid.edges
-    worst = np.array([sparse_mean_lower(float(v), table) for v in binary_dist.cdf])
+    worst = np.array([sparse_transfer(float(v), table, increase=False) for v in binary_dist.cdf])
     expect = edges[-1] - np.sum(worst * (edges[2:] - edges[1:-1]))
-    assert sparse_cdf_upper(binary_dist, table) == pytest.approx(expect, abs=1e-12)
-    best = np.array([sparse_mean_upper(float(v), table) for v in binary_dist.cdf])
+    assert _cdf_bound(binary_dist, "upper", 2, 2) == pytest.approx(expect, abs=1e-12)
+    best = np.array([sparse_transfer(float(v), table, increase=True) for v in binary_dist.cdf])
     expect = edges[-2] - np.sum(best * (edges[1:-1] - edges[:-2]))
-    assert sparse_cdf_lower(binary_dist, table) == pytest.approx(expect, abs=1e-12)
+    assert _cdf_bound(binary_dist, "lower", 2, 2) == pytest.approx(expect, abs=1e-12)
 
 
 def test_cdf_route_never_looser_than_mean_route(binary_dist):
-    empty = build_region_table(0, 0, 0.1, 0.1)
-    base_up = sparse_cdf_upper(binary_dist, empty)
-    base_lo = sparse_cdf_lower(binary_dist, empty)
+    base_up = _cdf_bound(binary_dist, "upper", 0, 0)
+    base_lo = _cdf_bound(binary_dist, "lower", 0, 0)
     assert base_lo <= binary_dist.mean <= base_up
     for a, d in ((1, 0), (1, 1), (2, 2)):
         table = build_region_table(a, d, 0.1, 0.1)
-        assert sparse_cdf_upper(binary_dist, table) <= sparse_mean_upper(
-            base_up, table
+        assert _cdf_bound(binary_dist, "upper", a, d) <= sparse_transfer(
+            base_up, table, increase=True
         ) + 1e-12
-        assert sparse_cdf_lower(binary_dist, table) >= sparse_mean_lower(
-            base_lo, table
+        assert _cdf_bound(binary_dist, "lower", a, d) >= sparse_transfer(
+            base_lo, table, increase=False
         ) - 1e-12
 
 
@@ -215,7 +216,7 @@ def test_mismatched_scheme_and_model_rejected(binary_dist):
 def test_budget_outside_unit_interval_rejected():
     table = build_region_table(1, 1, 0.2, 0.2)
     with pytest.raises(ValueError):
-        sparse_mean_upper(1.5, table)
+        sparse_transfer(1.5, table, increase=True)
 
 
 def test_cached_region_table_matches_a_fresh_build_and_is_read_only():

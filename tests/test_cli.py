@@ -18,7 +18,8 @@ import pytest
 from robustcp import formats
 from robustcp.cli import main
 from robustcp.correction import BudgetLedger
-from robustcp.errors import InputError
+from robustcp.errors import ConfigurationError, InputError
+from robustcp.experiments import ExperimentConfig
 from robustcp.poisoning import PoisonWitness, replay_feature_witness
 from robustcp.smoothing import substream
 
@@ -567,6 +568,20 @@ def test_simulate_small_run_and_rerun(workspace, monkeypatch):
         assert (workspace / "sim1" / rel).read_bytes() == (
             workspace / "sim2" / rel
         ).read_bytes()
+
+
+def test_simulate_corrected_needs_a_positive_eta(workspace):
+    # The schema's eta = 0 turns corrections off, so the corrected
+    # experiment refuses it before running any trial.
+    out = workspace / "corrected"
+    args = ("simulate", "--out", str(out), "--set", "experiment=corrected")
+    assert run_cli(*args, "--set", "n_trials=1") == 4
+    assert not out.exists()
+    for eta in (0.0, 0.1, 0.2):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(kind="corrected", alpha=0.1, eta=eta)
+    assert ExperimentConfig(kind="corrected", alpha=0.1, eta=0.01).eta == 0.01
+    assert ExperimentConfig(kind="evasion", alpha=0.1, eta=0.0).eta == 0.0
 
 
 def test_oracle_check_passes(capsys):

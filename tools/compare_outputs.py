@@ -21,6 +21,9 @@ and ``ROBUSTCP_WORKERS=1``, which runs a fixed set of commands through
   whose scores often sit exactly on the default grid's edges, at 0 or at
   1, with 300 calibration points and 150x4 test slices: more rows than
   one 256-row summary chunk, and no multiple of it;
+* the same for test-time pipelines at the schema defaults: Gaussian at
+  radius 0 with the mean and with the CDF route, and bit flips with no
+  flips;
 * ``certify-poisoning`` for feature and label poisoning.
 
 It then runs each of the tree's own demos (``SRC/../demos/*.py``) in a
@@ -98,6 +101,12 @@ PIPELINES = {
         ["scheme=gaussian", "sigma=0.25", "radius=0.125", "eta=0.01",
          "mode=calibration-time"], "-edges.csv",
     ),
+    # Schema defaults: a zero radius, where the mean route returns the
+    # mean itself while the CDF route still round-trips each edge
+    # through Phi^-1, and a ball of no flips.
+    "gaussian-radius-0-mean": (["scheme=gaussian", "bound_kind=mean"], ".bin"),
+    "gaussian-radius-0-cdf": (["scheme=gaussian", "bound_kind=cdf"], ".bin"),
+    "sparse-zero-flips": (["scheme=sparse"], ".bin"),
 }
 
 
