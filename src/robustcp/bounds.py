@@ -214,36 +214,67 @@ def _region_table(additions: int, deletions: int, p0: float, p1: float) -> Regio
     return table
 
 
-def _greedy_transfer(budgets, table: RegionTable, maximize: bool) -> np.ndarray:
+@dataclass(frozen=True)
+class _GreedyPlan:
+    """A region table laid out for the greedy fill in one direction.
+
+    Regions with positive clean mass come in fill order, followed by one
+    sentinel region (clean mass 1, adversarial mass 0) so that a budget
+    that fills every region gathers a zero fractional term instead of
+    needing a mask.  ``cum_clean`` and ``cum_adv`` are the cumulative
+    masses in that order, each starting at 0; ``base`` is the adversarial
+    mass taken for free.
+    """
+
+    base: float
+    cum_clean: np.ndarray
+    cum_adv: np.ndarray
+    clean: np.ndarray
+    adv: np.ndarray
+
+
+def _greedy_plan(table: RegionTable, maximize: bool) -> _GreedyPlan:
+    """The fill order and cumulative masses of ``table`` (see :func:`_greedy_transfer`)."""
+    pos = table.clean_mass > 0.0
+    base = table.adv_mass[~pos].sum() if maximize else 0.0
+    order = np.argsort(table.ratio[pos], kind="stable")
+    if not maximize:
+        order = order[::-1]
+    t, tt = table.clean_mass[pos][order], table.adv_mass[pos][order]
+    return _GreedyPlan(
+        base=base,
+        cum_clean=np.concatenate(([0.0], np.cumsum(t))),
+        cum_adv=np.concatenate(([0.0], np.cumsum(tt))),
+        clean=np.append(t, 1.0),
+        adv=np.append(tt, 0.0),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _sparse_plan(
+    additions: int, deletions: int, p0: float, p1: float, maximize: bool
+) -> _GreedyPlan:
+    """Shared, read-only greedy plan of the cached region table, for the dispatcher."""
+    plan = _greedy_plan(_region_table(additions, deletions, p0, p1), maximize)
+    for values in (plan.cum_clean, plan.cum_adv, plan.clean, plan.adv):
+        values.flags.writeable = False
+    return plan
+
+
+def _greedy_transfer(budgets, plan: _GreedyPlan):
     """Exact extreme of sum(h * adv_mass) s.t. sum(h * clean_mass) = budget, 0 <= h <= 1.
 
     The optimum fills regions in likelihood-ratio order (cheapest clean
     mass per unit of adversarial mass first when maximizing), with one
     fractional region on the boundary.  Regions with zero clean mass are
-    free: all-in when maximizing, untouched when minimizing.  One budget
-    per element; the result has the budgets' shape.
+    free: all-in when maximizing, untouched when minimizing.  Budgets
+    must lie in [0, 1] (unchecked); the result has their shape.
     """
-    budgets = np.asarray(budgets, dtype=float)
-    b = budgets.ravel()
-    if np.any(b < -1e-12) or np.any(b > 1.0 + 1e-12):
-        raise ValueError("budgets must lie in [0, 1]")
-    pos = table.clean_mass > 0.0
-    base = table.adv_mass[~pos].sum() if maximize else 0.0
-    t = table.clean_mass[pos]
-    tt = table.adv_mass[pos]
-    order = np.argsort(table.ratio[pos], kind="stable")
-    if not maximize:
-        order = order[::-1]
-    t, tt = t[order], tt[order]
-    cum_t = np.concatenate(([0.0], np.cumsum(t)))
-    cum_tt = np.concatenate(([0.0], np.cumsum(tt)))
-    b = np.clip(b, 0.0, cum_t[-1])
-    j = np.searchsorted(cum_t, b, side="right") - 1
-    value = cum_tt[j].copy()
-    inside = j < t.size
-    ji = j[inside]
-    value[inside] += (b[inside] - cum_t[ji]) / t[ji] * tt[ji]
-    return (base + value).reshape(budgets.shape)
+    b = np.clip(budgets, 0.0, plan.cum_clean[-1])
+    j = np.searchsorted(plan.cum_clean, b, side="right") - 1
+    return plan.base + (
+        plan.cum_adv[j] + (b - plan.cum_clean[j]) / plan.clean[j] * plan.adv[j]
+    )
 
 
 def sparse_transfer(p, table: RegionTable, increase: bool):
@@ -256,7 +287,7 @@ def sparse_transfer(p, table: RegionTable, increase: bool):
     table's constant-likelihood-ratio regions.  Elementwise over an
     array of any shape; a 0-d input gives a numpy scalar.
     """
-    return _greedy_transfer(_check_probs(p), table, increase)[()]
+    return _greedy_transfer(_check_probs(p), _greedy_plan(table, increase))[()]
 
 
 # ------------------------------------------------------------- dispatchers --
@@ -312,8 +343,10 @@ def bound_for_clean(
         shift = model.radius / scheme.sigma
         pushed = _gaussian_push(values, shift if increase else -shift)
     elif isinstance(model, BinaryBall) and isinstance(scheme, SparseFlipNoise):
-        table = _region_table(model.additions, model.deletions, scheme.p0, scheme.p1)
-        pushed = _greedy_transfer(values, table, increase)
+        plan = _sparse_plan(
+            model.additions, model.deletions, scheme.p0, scheme.p1, increase
+        )
+        pushed = _greedy_transfer(values, plan)
     else:
         raise ConfigurationError(
             f"threat model {type(model).__name__} is incompatible with "

@@ -17,6 +17,7 @@ import json
 import os
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -79,26 +80,62 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf8"))
 
 
-def _read_table(
-    path: Path, header: list[str], parsers: list
-) -> list[tuple]:
-    """Rows of a CSV file with exactly ``header``, parsed one parser per column."""
+def _parse_rows(lines, dtype: np.dtype) -> np.ndarray:
+    """CSV rows as one record per row, in numpy's number grammar (blank lines skipped)."""
+    with warnings.catch_warnings():
+        # Text with no rows is an empty table here, not a warning.
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+        )
+
+
+def _read_table(path: Path, header: list[str], kinds: list[type]) -> list[np.ndarray]:
+    """The columns of a CSV file with exactly ``header``, one array per column.
+
+    ``kinds`` types each column, ``int`` or ``float``.  The rows are
+    parsed in one numpy pass; only when that pass refuses them, or skips
+    a blank line, does a per-line pass look for the bad line to name.
+    """
     if not path.exists():
         raise InputError(f"{path}: no such file")
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        found = next(reader, None)
-        if found != header:
+    dtype = np.dtype(list(zip(header, kinds)))
+    with open(path) as handle:
+        if next(csv.reader([handle.readline()]), None) != header:
             raise InputError(f"{path}: expected header {','.join(header)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
-            try:
-                rows.append(tuple(parse(cell) for parse, cell in zip(parsers, row)))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+        body = handle.tell()
+        try:
+            rows = _parse_rows(handle, dtype)
+        except ValueError:
+            rows = None
+        handle.seek(body)
+        # numpy skips blank lines, so a row count short of the line count finds them.
+        if rows is None or rows.size != _count_lines(handle):
+            handle.seek(body)
+            raise _bad_line(path, handle, header, dtype)
+    return [np.ascontiguousarray(rows[name]) for name in header]
+
+
+def _count_lines(handle) -> int:
+    """Lines left in a text file, read in blocks; a last line needs no newline."""
+    count, last = 0, "\n"
+    for block in iter(lambda: handle.read(1 << 20), ""):
+        count += block.count("\n")
+        last = block[-1]
+    return count + (last != "\n")
+
+
+def _bad_line(path: Path, lines, header: list[str], dtype: np.dtype) -> InputError:
+    """The error naming the first data line that is not one row on its own."""
+    for lineno, line in enumerate(lines, start=2):
+        if len(next(csv.reader([line]), [])) != len(header):
+            return InputError(f"{path}:{lineno}: expected {len(header)} columns")
+        try:
+            _parse_rows([line], dtype)
+        except ValueError as exc:
+            return InputError(f"{path}:{lineno}: {exc}")
+    # Every line is a row on its own, so a quote left open joins lines.
+    return InputError(f"{path}: a quoted cell runs across lines")
 
 
 # ------------------------------------------------------------ score tensors --
@@ -117,16 +154,14 @@ def _tensor_to_csv(tensor: np.ndarray) -> str:
 
 
 def _tensor_from_csv(path: Path) -> np.ndarray:
-    rows = _read_table(path, SCORES_HEADER, [int, int, int, float])
-    if not rows:
+    *ids, scores = _read_table(path, SCORES_HEADER, [int, int, int, float])
+    if not scores.size:
         return np.empty((0, 0, 0))
-    data = np.array(rows)
-    dims = data[:, :3].astype(int)
-    shape = tuple(dims.max(axis=0) + 1)
-    if len(rows) != shape[0] * shape[1] * shape[2]:
+    shape = tuple(int(column.max()) + 1 for column in ids)
+    if scores.size != shape[0] * shape[1] * shape[2]:
         raise InputError(f"{path}: ids must form a full grid starting at 0")
     tensor = np.full(shape, np.nan)
-    tensor[dims[:, 0], dims[:, 1], dims[:, 2]] = data[:, 3]
+    tensor[tuple(ids)] = scores
     if np.isnan(tensor).any():
         raise InputError(f"{path}: duplicate or missing (point, class, sample) ids")
     return tensor
@@ -211,11 +246,10 @@ def write_labels_csv(path: str | Path, labels: np.ndarray) -> None:
 
 def read_labels_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
-    pairs = _read_table(path, ["point_id", "label"], [int, int])
-    ids = [p for p, _ in pairs]
-    if ids != list(range(len(ids))):
+    ids, labels = _read_table(path, ["point_id", "label"], [int, int])
+    if not np.array_equal(ids, np.arange(ids.size)):
         raise InputError(f"{path}: point ids must be contiguous from 0")
-    return np.array([y for _, y in pairs], dtype=int)
+    return labels
 
 
 def write_score_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
@@ -232,16 +266,14 @@ def write_score_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
 
 def read_score_matrix_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
-    rows = _read_table(path, ["point_id", "class_id", "score"], [int, int, float])
-    if not rows:
+    *ids, scores = _read_table(path, ["point_id", "class_id", "score"], [int, int, float])
+    if not scores.size:
         raise InputError(f"{path}: no score rows")
-    data = np.array(rows)
-    dims = data[:, :2].astype(int)
-    shape = tuple(dims.max(axis=0) + 1)
-    if len(rows) != shape[0] * shape[1]:
+    shape = tuple(int(column.max()) + 1 for column in ids)
+    if scores.size != shape[0] * shape[1]:
         raise InputError(f"{path}: ids must form a full grid starting at 0")
     matrix = np.full(shape, np.nan)
-    matrix[dims[:, 0], dims[:, 1]] = data[:, 2]
+    matrix[tuple(ids)] = scores
     if np.isnan(matrix).any():
         raise InputError(f"{path}: duplicate or missing (point, class) ids")
     return matrix
@@ -265,14 +297,13 @@ def write_feature_bounds_csv(
 
 def read_feature_bounds_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
-    rows = _read_table(path, ["point_id", "score", "lower_bound"], [int, float, float])
-    if not rows:
+    ids, scores, lower = _read_table(
+        path, ["point_id", "score", "lower_bound"], [int, float, float]
+    )
+    if not ids.size:
         raise InputError(f"{path}: no rows")
-    ids = [r[0] for r in rows]
-    if ids != list(range(len(ids))):
+    if not np.array_equal(ids, np.arange(ids.size)):
         raise InputError(f"{path}: point ids must be contiguous from 0")
-    scores = np.array([r[1] for r in rows])
-    lower = np.array([r[2] for r in rows])
     return scores, lower
 
 
@@ -374,6 +405,19 @@ def _json_nested(value: object) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
+def _json_floats(values) -> list:
+    """:func:`_json_float` of every element, as nested lists of the array's shape.
+
+    Each distinct bit pattern is formatted once and the strings are
+    gathered back, so ``-0.0`` stays apart from ``0.0``; a CDF over m
+    draws holds at most m + 1 distinct values.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([_json_float(v) for v in keys.view(float).tolist()], dtype=object)
+    return texts[inverse].reshape(values.shape).tolist()
+
+
 def _artifact_points(table) -> str:
     """The artifact's ``points`` array, laid out exactly as ``json.dumps(indent=2)`` would.
 
@@ -384,20 +428,20 @@ def _artifact_points(table) -> str:
     if len(dists) == 0:
         return "[]"
     columns = [
-        ['"cdf": [\n        ' + ",\n        ".join(map(_json_float, row)) + "\n      ]"
-         for row in dists.cdf.tolist()],
+        ['"cdf": [\n        ' + ",\n        ".join(row) + "\n      ]"
+         for row in _json_floats(dists.cdf)],
     ]
     if table.corrected_lower_bounds is not None:
         columns.append(
-            [f'"corrected_lower_bound": {_json_float(v)}'
-             for v in table.corrected_lower_bounds.tolist()]
+            [f'"corrected_lower_bound": {v}'
+             for v in _json_floats(table.corrected_lower_bounds)]
         )
     columns += [
         [f'"id": {int(v)}' for v in table.point_ids.tolist()],
-        [f'"lower_bound": {_json_float(v)}' for v in table.lower_bounds.tolist()],
-        [f'"mean": {_json_float(v)}' for v in dists.mean.tolist()],
+        [f'"lower_bound": {v}' for v in _json_floats(table.lower_bounds)],
+        [f'"mean": {v}' for v in _json_floats(dists.mean)],
         [f'"n_samples": {dists.n_samples}'] * len(dists),
-        [f'"variance": {_json_float(v)}' for v in dists.variance.tolist()],
+        [f'"variance": {v}' for v in _json_floats(dists.variance)],
     ]
     points = (
         "    {\n      " + ",\n      ".join(fields) + "\n    }" for fields in zip(*columns)

@@ -216,7 +216,7 @@ def _check_summaries(n_samples, mean, variance, cdf, n_edges: int) -> None:
         raise ValueError("variance outside the feasible range for [0, 1] scores")
     if cdf.shape != np.shape(mean) + (n_edges,):
         raise ValueError("cdf must have one value per interior grid edge")
-    if np.any(cdf < 0.0) or np.any(cdf > 1.0) or np.any(np.diff(cdf, axis=-1) < -1e-12):
+    if not np.all((0.0 <= cdf) & (cdf <= 1.0)) or np.any(np.diff(cdf, axis=-1) < -1e-12):
         raise ValueError("cdf values must be nondecreasing within [0, 1]")
 
 

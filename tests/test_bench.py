@@ -1,9 +1,10 @@
 """The benchmark harness runs against the package at a tiny size.
 
 ``bench/`` is outside this suite's test paths, so this runs its entry
-point in subprocesses: traced on the evasion workloads, where spans wrap
-every public function and every oracle factory of ``robustcp.tasks``,
-and untraced on the CLI workload.  Each run checks its own outputs.
+point in subprocesses: traced on every workload, where spans wrap every
+public function and every oracle factory of ``robustcp.tasks`` and the
+traced run re-derives a sample of the bounds in high precision, and
+untraced on the CLI workload.  Each run checks its own outputs.
 The benchmark's own bound-reference test runs the same way.
 """
 
@@ -19,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("evasion-gaussian", 1), ("evasion-binary", 1), ("cli-tensors", 0)],
+    [("evasion-gaussian", 1), ("evasion-binary", 1), ("cli-tensors", 0), ("cli-tensors", 1)],
 )
 def test_benchmark_runs_and_its_checks_pass(workload, trace):
     proc = subprocess.run(

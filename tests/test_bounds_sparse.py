@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from robustcp import bounds
 from robustcp.bounds import (
     BinaryBall,
     _region_table,
@@ -23,6 +24,7 @@ from robustcp.errors import ConfigurationError
 from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,
+    ScoreBatch,
     SparseFlipNoise,
     substream,
     summarize_samples,
@@ -229,3 +231,50 @@ def test_cached_region_table_matches_a_fresh_build_and_is_read_only():
             getattr(cached, name)[0] = 0.5
     # A fresh build stays the caller's own, writable copy.
     fresh.clean_mass[0] = fresh.clean_mass[0]
+
+
+def test_cached_greedy_plans_match_fresh_tables_bit_for_bit(monkeypatch):
+    """The dispatcher's cached fill plans are read-only, give exactly what
+    ``sparse_transfer`` gives on a freshly built table, and share one
+    region-table build per (flip ball, noise) however many calls use them."""
+    built = []
+    build = bounds.build_region_table
+
+    def counting_build(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(bounds, "build_region_table", counting_build)
+    bounds._region_table.cache_clear()
+    bounds._sparse_plan.cache_clear()
+    scheme, grid = SparseFlipNoise(0.05, 0.4), BinGrid.uniform(5)
+    edges = grid.edges
+    for ball in (BinaryBall(2, 1), BinaryBall(2, 1).reversed()):
+        fresh = build(ball.additions, ball.deletions, scheme.p0, scheme.p1)
+        for increase in (True, False):
+            plan = bounds._sparse_plan(
+                ball.additions, ball.deletions, scheme.p0, scheme.p1, increase
+            )
+            for values in (plan.cum_clean, plan.cum_adv, plan.clean, plan.adv):
+                with pytest.raises(ValueError):
+                    values[0] = 0.5
+            total = float(plan.cum_clean[-1])
+            if ball == BinaryBall(2, 1):
+                # A budget equal to the total clean mass lands on the sentinel region.
+                assert total == 1.0
+            mean_way = "upper" if increase else "lower"
+            cdf_way = "lower" if increase else "upper"
+            for p in (0.0, 0.3, 0.7, 1.0, min(total, 1.0)):
+                dist = ScoreBatch(
+                    n_samples=4, mean=np.float64(p), variance=np.float64(0.0),
+                    grid=grid, cdf=np.array([p / 2, p, p]),
+                )
+                got = bound_for_clean(dist, ball, scheme, mean_way, "mean")
+                assert got == float(sparse_transfer(p, fresh, increase))
+                pushed = sparse_transfer(dist.cdf, fresh, increase)
+                if cdf_way == "upper":
+                    want = edges[-1] - np.sum(pushed * (edges[2:] - edges[1:-1]))
+                else:
+                    want = edges[-2] - np.sum(pushed * (edges[1:-1] - edges[:-2]))
+                assert bound_for_clean(dist, ball, scheme, cdf_way, "cdf") == float(want)
+    assert sorted(built) == [(1, 2, 0.05, 0.4), (2, 1, 0.05, 0.4)]

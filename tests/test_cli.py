@@ -8,6 +8,7 @@ exit codes (2 input, 3 invariant, 4 configuration).
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +119,75 @@ def test_tensor_csv_rejects_missing_cells(tmp_path):
     formats.atomic_write_text(path, "\n".join(lines) + "\n")
     with pytest.raises(InputError):
         formats.read_score_tensor(path)
+
+
+_CSV_READERS = {
+    "labels": (formats.read_labels_csv, "point_id,label", ["0,2", "1,0", "2,1"]),
+    "matrix": (
+        formats.read_score_matrix_csv, "point_id,class_id,score",
+        ["0,0,0.25", "0,1,0.5", "1,0,0.75", "1,1,1.0"],
+    ),
+    "bounds": (
+        formats.read_feature_bounds_csv, "point_id,score,lower_bound",
+        ["0,0.5,0.25", "1,0.75,0.5", "2,1.0,0.125"],
+    ),
+    "tensor": (
+        formats.read_score_tensor, "point_id,class_id,sample_id,score",
+        ["0,0,0,0.25", "0,0,1,0.5", "0,1,0,0.75", "0,1,1,1.0"],
+    ),
+}
+
+
+def _second_row(rows, row):
+    return [rows[0], row, *rows[2:]]
+
+
+def _last_cell(row, cell):
+    return ",".join(row.split(",")[:-1] + [cell])
+
+
+# Each case edits the clean data rows and picks the line ending; the file
+# then reads back the clean arrays (None) or names its bad line: the second
+# data row is line 3, after the header.
+_CSV_CASES = {
+    "wrong column count": (lambda rows: _second_row(rows, rows[1] + ",1"), "\n", 3),
+    "non-numeric cell": (lambda rows: _second_row(rows, _last_cell(rows[1], "x")), "\n", 3),
+    "1.0 as an id": (lambda rows: _second_row(rows, "1.0" + rows[1][1:]), "\n", 3),
+    "quoted cells": (
+        lambda rows: _second_row(rows, ",".join(f'"{c}"' for c in rows[1].split(","))),
+        "\n", None,
+    ),
+    "crlf line endings": (lambda rows: rows, "\r\n", None),
+    "blank line": (lambda rows: [rows[0], "", *rows[1:]], "\n", 3),
+    "line starting with #": (lambda rows: _second_row(rows, "#" + rows[1]), "\n", 3),
+    # Python's int() and float() read these as numbers; the columnar reader
+    # does not (docs/formats.md, "CSV numbers").
+    "underscored digits": (lambda rows: _second_row(rows, _last_cell(rows[1], "1_0")), "\n", 3),
+    "non-ascii digits": (lambda rows: _second_row(rows, "\u0661" + rows[1][1:]), "\n", 3),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_CSV_READERS))
+@pytest.mark.parametrize("case", sorted(_CSV_CASES))
+def test_csv_readers_on_malformed_and_unusual_rows(tmp_path, reader, case):
+    """Every CSV reader either reads the clean arrays back or names the bad line (exit 2)."""
+    read, head, rows = _CSV_READERS[reader]
+    clean = tmp_path / "clean.csv"
+    formats.atomic_write_text(clean, "\n".join([head, *rows]) + "\n")
+    want = read(clean)
+    edit, newline, bad_line = _CSV_CASES[case]
+    path = tmp_path / "case.csv"
+    formats.atomic_write_text(path, newline.join([head, *edit(rows)]) + newline)
+    if bad_line is not None:
+        with pytest.raises(InputError, match="^" + re.escape(f"{path}:{bad_line}:")):
+            read(path)
+        return
+    got = read(path)
+    if not isinstance(want, tuple):
+        got, want = (got,), (want,)
+    for got_part, want_part in zip(got, want, strict=True):
+        np.testing.assert_array_equal(got_part, want_part)
+        assert got_part.dtype == want_part.dtype
 
 
 def test_labels_round_trip(tmp_path):
@@ -280,8 +350,8 @@ def _reference_artifact_text(table, thresholds, config) -> str:
 @pytest.mark.parametrize("eta", [0.0, 0.02])
 def test_artifact_writer_matches_json_dumps(tmp_path, eta):
     from robustcp.bounds import L2Ball
-    from robustcp.evasion import EvasionConfig, calibrate as calibrate_table
-    from robustcp.smoothing import BinGrid, GaussianNoise, summarize_samples
+    from robustcp.evasion import CalibrationTable, EvasionConfig, calibrate as calibrate_table
+    from robustcp.smoothing import BinGrid, GaussianNoise, ScoreBatch, summarize_samples
 
     rng = substream(47, "artifact-writer")
     samples = np.clip(rng.normal(rng.uniform(0, 1, (30, 1)), 0.2, (30, 40)), 0, 1)
@@ -299,6 +369,27 @@ def test_artifact_writer_matches_json_dumps(tmp_path, eta):
     assert (tmp_path / "a.json").read_text() == _reference_artifact_text(
         table, thresholds, echo
     )
+    # A hand-built table whose columns repeat values and hold -0.0 beside
+    # 0.0: a writer that formats each distinct value once must key on the
+    # bits, since -0.0 == 0.0.
+    cdf = np.array([
+        [-0.0, 0.0, 0.25, 0.25, 1.0],
+        [0.0, -0.0, -0.0, 0.25, 1.0],
+        [0.0, 0.25, 0.25, 1.0, 1.0],
+    ])
+    table = CalibrationTable(
+        point_ids=np.array([4, 0, 4]),
+        lower_bounds=np.array([0.125, -0.0, 0.125]),
+        distributions=ScoreBatch(
+            n_samples=4, mean=np.array([0.5, 0.0, -0.0]),
+            variance=np.array([0.0, 0.0, 0.0625]), grid=BinGrid.uniform(7), cdf=cdf,
+        ),
+        corrected_lower_bounds=np.array([0.0, 0.0, -0.0]) if eta > 0.0 else None,
+    )
+    formats.write_calibration_artifact(tmp_path / "b.json", table, thresholds, echo)
+    text = (tmp_path / "b.json").read_text()
+    assert text == _reference_artifact_text(table, thresholds, echo)
+    assert "-0.0" in text
 
 
 def test_predict_rejects_malformed_artifact_points(workspace):
@@ -321,6 +412,10 @@ def test_predict_rejects_malformed_artifact_points(workspace):
             {**p, "cdf": p["cdf"][:-1]} for p in payload["points"]
         ],
         "ragged cdf": edit_point(5, cdf=payload["points"][5]["cdf"] + [1.0]),
+        "NaN in a cdf": edit_point(
+            9, cdf=[float("nan") if i == n_edges // 2 else v
+                    for i, v in enumerate(payload["points"][9]["cdf"])]
+        ),
     }
     for name, points in cases.items():
         path = workspace / "malformed.json"

@@ -371,12 +371,15 @@ def test_score_batch_validates_every_entry():
     variance[0, 1] = 0.9
     falling = ok["cdf"].copy()
     falling[1, 0] = [0.5, 0.4, 0.9]
+    undefined = ok["cdf"].copy()
+    undefined[0, 2] = [0.1, np.nan, 0.9]
     for bad in (
         {"n_samples": 1},
         {"mean": mean},
         {"variance": variance},
         {"variance": ok["variance"][:1]},
         {"cdf": falling},
+        {"cdf": undefined},
         {"cdf": ok["cdf"][..., :2]},
         {"cdf": ok["cdf"] + 0.2},
     ):
