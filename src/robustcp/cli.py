@@ -38,7 +38,14 @@ from .poisoning import (
     replay_label_witness,
 )
 from .scores import conformal_quantile, evaluate_sets
-from .smoothing import BinGrid, GaussianNoise, SparseFlipNoise, substream, summarize_samples
+from .smoothing import (
+    BinGrid,
+    GaussianNoise,
+    ScoreBatch,
+    SparseFlipNoise,
+    substream,
+    summarize_samples,
+)
 
 __all__ = ["main", "CONFIG_SCHEMA"]
 
@@ -154,24 +161,29 @@ def _out_dir(args) -> Path:
 # ----------------------------------------------------------------- commands --
 
 
+def _check_labels(labels: np.ndarray, shape: tuple[int, int, int]) -> None:
+    if labels.size != shape[0]:
+        raise InputError("scores and labels disagree on the number of points")
+    if labels.min() < 0 or labels.max() >= shape[1]:
+        raise InputError("labels must index classes of the score tensor")
+
+
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     _validate_common(cfg)
     config = _evasion_config(cfg)
     out = _out_dir(args)
-    tensor = formats.read_score_tensor(args.scores)
+    shape, blocks = formats.read_score_blocks(args.scores)
     labels = formats.read_labels_csv(args.labels)
-    if tensor.shape[0] == 0:
+    if shape[0] == 0:
         raise InputError("calibration requires at least one point")
-    if tensor.shape[0] != labels.size:
-        raise InputError("scores and labels disagree on the number of points")
-    if labels.min() < 0 or labels.max() >= tensor.shape[1]:
-        raise InputError("labels must index classes of the score tensor")
-    if np.any(tensor < 0.0) or np.any(tensor > 1.0):
-        raise InputError("scores must lie in [0, 1]")
+    _check_labels(labels, shape)
 
-    true_label = summarize_samples(tensor[np.arange(labels.size), labels], config.grid)
-    calibration = calibrate(true_label, cfg["alpha"], config)
+    # Only each point's true-label samples are kept from its block.
+    true_label = np.empty((shape[0], shape[2]))
+    for points, block in blocks:
+        true_label[points] = block[np.arange(len(block)), labels[points]]
+    calibration = calibrate(summarize_samples(true_label, config.grid), cfg["alpha"], config)
     thresholds = calibration.thresholds
     formats.write_calibration_artifact(
         out / "calibration.json", calibration.table, thresholds, cfg
@@ -195,10 +207,10 @@ def cmd_predict(args) -> int:
             f"artifact thresholds {thresholds} do not match its points, which give {derived}"
         )
     out = _out_dir(args)
-    tensor = formats.read_score_tensor(args.scores)
+    shape, blocks = formats.read_score_blocks(args.scores)
     labels = formats.read_labels_csv(args.labels) if args.labels else None
 
-    if tensor.shape[0] == 0:
+    if shape[0] == 0:
         formats.write_sets_csv(out / "sets.csv", {})
         formats.write_metrics_json(
             out / "metrics.json",
@@ -208,18 +220,21 @@ def cmd_predict(args) -> int:
         _write_resolved(out, cfg)
         print("no test points; wrote empty outputs")
         return 0
-    if labels is not None and labels.size != tensor.shape[0]:
-        raise InputError("labels and scores disagree on the number of points")
-    if labels is not None and (labels.min() < 0 or labels.max() >= tensor.shape[1]):
-        raise InputError("labels must index classes of the score tensor")
-    if np.any(tensor < 0.0) or np.any(tensor > 1.0):
-        raise InputError("scores must lie in [0, 1]")
+    if labels is not None:
+        _check_labels(labels, shape)
 
-    named = predict(
-        summarize_samples(tensor, table.distributions.grid),
-        Calibration(table, thresholds),
-        config,
+    # Each block is summarized into its rows of one batch; a row's summary
+    # has the same bits whatever block it comes in.
+    grid = table.distributions.grid
+    mean, variance = np.empty(shape[:2]), np.empty(shape[:2])
+    cdf = np.empty(shape[:2] + (grid.inner_edges.size,))
+    for points, block in blocks:
+        part = summarize_samples(block, grid)
+        mean[points], variance[points], cdf[points] = part.mean, part.variance, part.cdf
+    summaries = ScoreBatch(
+        n_samples=shape[2], mean=mean, variance=variance, grid=grid, cdf=cdf
     )
+    named = predict(summaries, Calibration(table, thresholds), config)
 
     formats.write_sets_csv(out / "sets.csv", named)
     methods = {}
@@ -242,7 +257,7 @@ def cmd_predict(args) -> int:
          "thresholds": thresholds},
     )
     _write_resolved(out, cfg)
-    print(f"predicted {tensor.shape[0]} points with methods: " + ", ".join(sorted(named)))
+    print(f"predicted {shape[0]} points with methods: " + ", ".join(sorted(named)))
     return 0
 
 

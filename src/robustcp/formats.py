@@ -30,6 +30,7 @@ __all__ = [
     "atomic_write_text",
     "atomic_write_bytes",
     "write_score_tensor",
+    "read_score_blocks",
     "read_score_tensor",
     "write_labels_csv",
     "read_labels_csv",
@@ -58,22 +59,38 @@ ARTIFACT_FORMAT = "robustcp-calibration"
 ARTIFACT_VERSION = 1
 WITNESS_FORMAT = "robustcp-poisoning"
 WITNESS_VERSION = 1
-# float32 values read per block when widening a packed tensor.
+# float32 values read per block of a packed tensor, rounded down to whole
+# points (at least one).
 _READ_BLOCK_VALUES = 1 << 20
+# Calibration points formatted per piece of a written artifact.
+_WRITE_BLOCK_POINTS = 256
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a temp file in the same directory."""
+def _atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` in order to ``path`` via a temp file in the same directory.
+
+    The file gets the mode ``open()`` gives a new file, ``0o666`` less
+    the umask; ``mkstemp`` alone would leave it owner-only.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file in the same directory."""
+    _atomic_write(path, (data,))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -172,28 +189,46 @@ def _tensor_to_binary(tensor: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(tensor, dtype="<f4").tobytes()
 
 
-def _tensor_from_binary(path: Path) -> np.ndarray:
-    head_size = len(TENSOR_MAGIC) + struct.calcsize("<HIII")
+_HEAD_SIZE = len(TENSOR_MAGIC) + struct.calcsize("<HIII")
+
+
+def _binary_shape(path: Path) -> tuple[int, int, int]:
+    """The dims of a packed tensor whose header, version and payload size check out."""
     with open(path, "rb") as handle:
-        head = handle.read(head_size)
-        if len(head) < head_size or head[:4] != TENSOR_MAGIC:
+        head = handle.read(_HEAD_SIZE)
+        if len(head) < _HEAD_SIZE or head[:4] != TENSOR_MAGIC:
             raise InputError(f"{path}: not a packed score tensor")
         version, n_points, n_classes, n_samples = struct.unpack("<HIII", head[4:])
         if version != TENSOR_VERSION:
             raise InputError(f"{path}: unsupported tensor version {version}")
         size = n_points * n_classes * n_samples
-        if os.fstat(handle.fileno()).st_size - head_size != 4 * size:
+        if os.fstat(handle.fileno()).st_size - _HEAD_SIZE != 4 * size:
             raise InputError(f"{path}: payload size does not match the declared dims")
-        # Widen to float64 one block at a time, so the float32 payload is
-        # never held whole beside its float64 copy.
-        tensor = np.empty(size)
-        block = np.empty(min(size, _READ_BLOCK_VALUES), dtype="<f4")
-        for start in range(0, size, block.size):
-            part = block[: size - start]
-            if handle.readinto(part) != part.nbytes:
+    return n_points, n_classes, n_samples
+
+
+def _binary_blocks(path: Path, shape: tuple[int, int, int]):
+    """The payload of a packed tensor in blocks of whole points, widened to float64."""
+    n_points, n_classes, n_samples = shape
+    per = max(1, _READ_BLOCK_VALUES // max(1, n_classes * n_samples))
+    buffer = np.empty(min(n_points, per) * n_classes * n_samples, dtype="<f4")
+    with open(path, "rb") as handle:
+        handle.seek(_HEAD_SIZE)
+        for start in range(0, n_points, per):
+            part = slice(start, min(start + per, n_points))
+            values = buffer[: (part.stop - start) * n_classes * n_samples]
+            if handle.readinto(values) != values.nbytes:
                 raise InputError(f"{path}: payload ended early")
-            tensor[start : start + part.size] = part
-    return tensor.reshape(n_points, n_classes, n_samples)
+            # Widening float32 to float64 is exact, so the float32 check is the float64 one.
+            _check_scores(path, values)
+            yield part, values.reshape(-1, n_classes, n_samples).astype(float)
+
+
+def _check_scores(path: Path, values: np.ndarray) -> None:
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        if not np.isfinite(values).all():
+            raise InputError(f"{path}: scores must be finite")
+        raise InputError(f"{path}: scores must lie in [0, 1]")
 
 
 def write_score_tensor(path: str | Path, tensor: np.ndarray) -> None:
@@ -206,8 +241,7 @@ def write_score_tensor(path: str | Path, tensor: np.ndarray) -> None:
     tensor = np.asarray(tensor, dtype=float)
     if tensor.ndim != 3:
         raise InputError("score tensor must have shape (points, classes, samples)")
-    if not np.isfinite(tensor).all():
-        raise InputError("score tensor must be finite")
+    _check_scores(path, tensor)
     if path.suffix == ".csv":
         atomic_write_text(path, _tensor_to_csv(tensor))
     elif path.suffix == ".bin":
@@ -216,18 +250,38 @@ def write_score_tensor(path: str | Path, tensor: np.ndarray) -> None:
         raise InputError(f"{path}: unknown score tensor extension (use .csv or .bin)")
 
 
-def read_score_tensor(path: str | Path) -> np.ndarray:
+def read_score_blocks(path: str | Path):
+    """The shape of a score tensor, and its scores as blocks of whole points.
+
+    Returns ``(shape, blocks)``.  ``blocks`` yields ``(points, block)``
+    pairs in point order: ``points`` is a slice of the point axis and
+    ``block`` the float64 ``(points, classes, samples)`` scores there,
+    each checked finite and in [0, 1].  A ``.bin`` block holds
+    ``_READ_BLOCK_VALUES`` scores rounded down to whole points, and at
+    least one point; the header, version and payload size are checked
+    before this returns, and each block when it is read, so no payload
+    is read until the blocks are.  A ``.csv`` tensor is parsed and
+    checked here, and is one block.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"{path}: no such file")
     if path.suffix == ".csv":
         tensor = _tensor_from_csv(path)
-    elif path.suffix == ".bin":
-        tensor = _tensor_from_binary(path)
-    else:
-        raise InputError(f"{path}: unknown score tensor extension (use .csv or .bin)")
-    if not np.isfinite(tensor).all():
-        raise InputError(f"{path}: scores must be finite")
+        _check_scores(path, tensor)
+        return tensor.shape, iter([(slice(0, len(tensor)), tensor)])
+    if path.suffix == ".bin":
+        shape = _binary_shape(path)
+        return shape, _binary_blocks(path, shape)
+    raise InputError(f"{path}: unknown score tensor extension (use .csv or .bin)")
+
+
+def read_score_tensor(path: str | Path) -> np.ndarray:
+    """A whole score tensor: the blocks of :func:`read_score_blocks`, joined."""
+    shape, blocks = read_score_blocks(path)
+    tensor = np.empty(shape)
+    for points, block in blocks:
+        tensor[points] = block
     return tensor
 
 
@@ -418,35 +472,42 @@ def _json_floats(values) -> list:
     return texts[inverse].reshape(values.shape).tolist()
 
 
-def _artifact_points(table) -> str:
-    """The artifact's ``points`` array, laid out exactly as ``json.dumps(indent=2)`` would.
+def _artifact_points(table):
+    """The artifact's ``points`` array as ``json.dumps(indent=2)`` lays it out, in pieces.
 
     Written from the table's columns rather than through one dict per
-    point; each point's keys are in sorted order.
+    point, ``_WRITE_BLOCK_POINTS`` points per piece; each point's keys
+    are in sorted order.
     """
     dists = table.distributions
     if len(dists) == 0:
-        return "[]"
-    columns = [
-        ['"cdf": [\n        ' + ",\n        ".join(row) + "\n      ]"
-         for row in _json_floats(dists.cdf)],
-    ]
-    if table.corrected_lower_bounds is not None:
-        columns.append(
-            [f'"corrected_lower_bound": {v}'
-             for v in _json_floats(table.corrected_lower_bounds)]
+        yield "[]"
+        return
+    yield "[\n"
+    for start in range(0, len(dists), _WRITE_BLOCK_POINTS):
+        part = slice(start, start + _WRITE_BLOCK_POINTS)
+        columns = [
+            ['"cdf": [\n        ' + ",\n        ".join(row) + "\n      ]"
+             for row in _json_floats(dists.cdf[part])],
+        ]
+        if table.corrected_lower_bounds is not None:
+            columns.append(
+                [f'"corrected_lower_bound": {v}'
+                 for v in _json_floats(table.corrected_lower_bounds[part])]
+            )
+        ids = table.point_ids[part].tolist()
+        columns += [
+            [f'"id": {int(v)}' for v in ids],
+            [f'"lower_bound": {v}' for v in _json_floats(table.lower_bounds[part])],
+            [f'"mean": {v}' for v in _json_floats(dists.mean[part])],
+            [f'"n_samples": {dists.n_samples}'] * len(ids),
+            [f'"variance": {v}' for v in _json_floats(dists.variance[part])],
+        ]
+        points = (
+            "    {\n      " + ",\n      ".join(fields) + "\n    }" for fields in zip(*columns)
         )
-    columns += [
-        [f'"id": {int(v)}' for v in table.point_ids.tolist()],
-        [f'"lower_bound": {v}' for v in _json_floats(table.lower_bounds)],
-        [f'"mean": {v}' for v in _json_floats(dists.mean)],
-        [f'"n_samples": {dists.n_samples}'] * len(dists),
-        [f'"variance": {v}' for v in _json_floats(dists.variance)],
-    ]
-    points = (
-        "    {\n      " + ",\n      ".join(fields) + "\n    }" for fields in zip(*columns)
-    )
-    return "[\n" + ",\n".join(points) + "\n  ]"
+        yield (",\n" if start else "") + ",\n".join(points)
+    yield "\n  ]"
 
 
 def write_calibration_artifact(
@@ -458,18 +519,25 @@ def write_calibration_artifact(
     """Serialize a calibration table plus its thresholds and config echo.
 
     The bytes are those of ``json.dumps(payload, sort_keys=True,
-    indent=2)`` on the per-point dicts, written from the table's arrays.
+    indent=2)`` on the per-point dicts, written from the table's arrays
+    a block of points at a time, so the whole text is never held.
     """
     members = {
-        "config": _json_nested(dict(config)),
-        "format": _json_nested(ARTIFACT_FORMAT),
-        "grid_edges": _json_nested([float(e) for e in table.distributions.grid.edges]),
+        "config": [_json_nested(dict(config))],
+        "format": [_json_nested(ARTIFACT_FORMAT)],
+        "grid_edges": [_json_nested([float(e) for e in table.distributions.grid.edges])],
         "points": _artifact_points(table),
-        "thresholds": _json_nested({k: float(v) for k, v in thresholds.items()}),
-        "version": _json_nested(ARTIFACT_VERSION),
+        "thresholds": [_json_nested({k: float(v) for k, v in thresholds.items()})],
+        "version": [_json_nested(ARTIFACT_VERSION)],
     }
-    lines = [f'  "{key}": {text}' for key, text in sorted(members.items())]
-    atomic_write_text(path, "{\n" + ",\n".join(lines) + "\n}\n")
+
+    def pieces():
+        for i, key in enumerate(sorted(members)):
+            yield ("{\n" if i == 0 else ",\n") + f'  "{key}": '
+            yield from members[key]
+        yield "\n}\n"
+
+    _atomic_write(path, (piece.encode("utf8") for piece in pieces()))
 
 
 def read_calibration_artifact(path: str | Path):

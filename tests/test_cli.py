@@ -54,7 +54,7 @@ def test_score_tensor_binary_read_in_blocks(tmp_path, tensor, monkeypatch):
     """A payload longer than one read block, with a partial last block, reads back whole."""
     path = tmp_path / "t.bin"
     formats.write_score_tensor(path, tensor)
-    monkeypatch.setattr(formats, "_READ_BLOCK_VALUES", 7)  # 360 values: 51 blocks + 3
+    monkeypatch.setattr(formats, "_READ_BLOCK_VALUES", 7)  # under one 60-value point: 6 blocks
     got = formats.read_score_tensor(path)
     np.testing.assert_array_equal(got, tensor.astype(np.float32).astype(float))
 
@@ -75,6 +75,16 @@ def test_score_tensor_binary_rejects_malformed_files(tmp_path, tensor):
         (tmp_path / "bad.bin").write_bytes(data)
         with pytest.raises(InputError):
             formats.read_score_tensor(tmp_path / "bad.bin")
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+def test_score_tensor_writer_takes_only_what_the_reader_takes(tmp_path, tensor, suffix):
+    for value in (1.5, -0.25, np.nan, np.inf):
+        bad = tensor.copy()
+        bad[-1, -1, -1] = value
+        with pytest.raises(InputError):
+            formats.write_score_tensor(tmp_path / f"t{suffix}", bad)
+        assert not (tmp_path / f"t{suffix}").exists()
 
 
 def test_score_tensor_binary_layout(tmp_path, tensor):
@@ -392,6 +402,41 @@ def test_artifact_writer_matches_json_dumps(tmp_path, eta):
     assert "-0.0" in text
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.02])
+def test_artifact_writer_in_point_blocks(tmp_path, monkeypatch, eta):
+    """The artifact is written a block of points at a time, with the same
+    bytes at any block size and without ever holding its whole text."""
+    import tracemalloc
+
+    from robustcp.bounds import L2Ball
+    from robustcp.evasion import EvasionConfig, calibrate as calibrate_table
+    from robustcp.smoothing import BinGrid, GaussianNoise, summarize_samples
+
+    rng = substream(50, "artifact-blocks")
+    samples = np.clip(rng.normal(rng.uniform(0, 1, (1000, 1)), 0.2, (1000, 40)), 0, 1)
+    config = EvasionConfig(
+        scheme=GaussianNoise(0.25), model=L2Ball(0.125), grid=BinGrid.uniform(51), eta=eta
+    )
+    calibration = calibrate_table(summarize_samples(samples, config.grid), 0.1, config)
+    echo = {"alpha": 0.1, "eta": eta}
+    want = _reference_artifact_text(calibration.table, calibration.thresholds, echo)
+    for block_points in (1, 7, 16, 1000, 5000):
+        monkeypatch.setattr(formats, "_WRITE_BLOCK_POINTS", block_points)
+        path = tmp_path / f"a{block_points}.json"
+        if block_points == 16:
+            tracemalloc.start()
+        try:
+            formats.write_calibration_artifact(
+                path, calibration.table, calibration.thresholds, echo
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == want, block_points
+        if block_points == 16:
+            assert peak < len(want) / 4, (peak, len(want))
+
+
 def test_predict_rejects_malformed_artifact_points(workspace):
     """Any one bad point in an artifact is malformed input (exit 2)."""
     artifact = calibrate(workspace)
@@ -581,6 +626,161 @@ def test_corrected_predict_spends_through_one_ledger_per_point(workspace, monkey
     assert spends.count("calibration side") == n_points
     sets = formats.read_sets_csv(workspace / "pred-eta" / "sets.csv")
     assert set(sets) == {"vanilla", "robust", "corrected"}
+
+
+# --------------------------------------------------- block reads and writes --
+
+
+def _block_inputs(tmp_path, n_points=23, n_classes=3, n_samples=40):
+    """A float32-exact tensor as .bin and .csv, labels, and a calibrated artifact."""
+    rng = substream(48, "cli-blocks")
+    labels = rng.integers(0, n_classes, n_points)
+    centre = rng.uniform(0.05, 0.5, (n_points, n_classes))
+    centre[range(n_points), labels] += 0.4
+    noise = rng.normal(0.0, 0.15, (n_points, n_classes, n_samples))
+    tensor = (centre[:, :, None] + noise).clip(0.0, 1.0).astype(np.float32).astype(float)
+    for suffix in (".bin", ".csv"):
+        formats.write_score_tensor(tmp_path / f"scores{suffix}", tensor)
+    formats.write_labels_csv(tmp_path / "labels.csv", labels)
+    return tensor
+
+
+def _calibrate_predict(tmp_path, scores, out):
+    flags = ("--set", "sigma=0.25", "--set", "radius=0.125")
+    labels = str(tmp_path / "labels.csv")
+    codes = (
+        run_cli("calibrate", "--scores", str(scores), "--labels", labels,
+                "--out", str(out), *flags),
+        run_cli("predict", "--artifact", str(out / "calibration.json"),
+                "--scores", str(scores), "--labels", labels,
+                "--out", str(out / "predict"), *flags),
+    )
+    return codes, [
+        (out / name).read_bytes()
+        for name in ("calibration.json", "predict/sets.csv", "predict/metrics.json")
+    ]
+
+
+def test_block_reads_change_no_bits(tmp_path, monkeypatch):
+    """Blocks smaller than a point, not dividing the points, or larger than
+    the tensor: the outputs are those of the one-block CSV read."""
+    tensor = _block_inputs(tmp_path)  # 23 points of 3 x 40 = 120 scores
+    codes, want = _calibrate_predict(tmp_path, tmp_path / "scores.csv", tmp_path / "csv")
+    assert codes == (0, 0)
+    blob = (tmp_path / "scores.bin").read_bytes()
+    whole = np.frombuffer(blob, dtype="<f4", offset=18).reshape(tensor.shape).astype(float)
+    np.testing.assert_array_equal(whole, tensor)
+    for block_values in (50, 4 * 120, 10**6):
+        monkeypatch.setattr(formats, "_READ_BLOCK_VALUES", block_values)
+        for suffix in (".bin", ".csv"):
+            got = formats.read_score_tensor(tmp_path / f"scores{suffix}")
+            np.testing.assert_array_equal(got, whole)
+            out = tmp_path / f"run-{block_values}{suffix}"
+            codes, outputs = _calibrate_predict(tmp_path, tmp_path / f"scores{suffix}", out)
+            assert codes == (0, 0)
+            assert outputs == want, (block_values, suffix)
+
+
+def _edit_last_block(blob: bytes, offset_from_end: int, value: float) -> bytes:
+    data = bytearray(blob)
+    at = len(data) - 4 * offset_from_end
+    data[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+    return bytes(data)
+
+
+@pytest.mark.parametrize("case", ["nan in the last point", "1.5 in the last block",
+                                  "truncated by 4 bytes"])
+def test_late_block_failures_leave_no_outputs(tmp_path, monkeypatch, capsys, case):
+    _block_inputs(tmp_path)
+    codes, _ = _calibrate_predict(tmp_path, tmp_path / "scores.bin", tmp_path / "ok")
+    assert codes == (0, 0)
+    monkeypatch.setattr(formats, "_READ_BLOCK_VALUES", 4 * 120)
+    blob = (tmp_path / "scores.bin").read_bytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes({
+        "nan in the last point": lambda: _edit_last_block(blob, 7, float("nan")),
+        "1.5 in the last block": lambda: _edit_last_block(blob, 200, 1.5),
+        "truncated by 4 bytes": lambda: blob[:-4],
+    }[case]())
+    labels = str(tmp_path / "labels.csv")
+    flags = ("--set", "sigma=0.25", "--set", "radius=0.125")
+    capsys.readouterr()
+    assert run_cli("calibrate", "--scores", str(bad), "--labels", labels,
+                   "--out", str(tmp_path / "cal"), *flags) == 2
+    assert run_cli("predict", "--artifact", str(tmp_path / "ok" / "calibration.json"),
+                   "--scores", str(bad), "--labels", labels,
+                   "--out", str(tmp_path / "pred"), *flags) == 2
+    for out in ("cal", "pred"):
+        assert list((tmp_path / out).iterdir()) == []
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and errors[0] == errors[1], errors
+
+
+def test_header_size_and_label_errors_come_before_the_payload(tmp_path, capsys):
+    """A payload that is bad from its first score is never read when the
+    header, the size or the labels are wrong already."""
+    _block_inputs(tmp_path)
+    blob = bytearray((tmp_path / "scores.bin").read_bytes())
+    blob[18:22] = np.array([np.nan], dtype="<f4").tobytes()
+    bad_version = bytes(blob[:4]) + (2).to_bytes(2, "little") + bytes(blob[6:])
+    cases = {
+        "version": (bad_version, "labels.csv"),
+        "payload size": (bytes(blob) + b"\0\0\0\0", "labels.csv"),
+        "number of points": (bytes(blob), "short-labels.csv"),
+        "finite": (bytes(blob), "labels.csv"),
+    }
+    formats.write_labels_csv(tmp_path / "short-labels.csv", [0, 1])
+    for want, (data, labels) in cases.items():
+        (tmp_path / "bad.bin").write_bytes(data)
+        code = run_cli("calibrate", "--scores", str(tmp_path / "bad.bin"),
+                       "--labels", str(tmp_path / labels), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert want in capsys.readouterr().err, want
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_take_the_mode_open_would_give(tmp_path, umask, mode):
+    _block_inputs(tmp_path)
+    previous = os.umask(umask)
+    try:
+        codes, _ = _calibrate_predict(tmp_path, tmp_path / "scores.bin", tmp_path / "out")
+    finally:
+        os.umask(previous)
+    assert codes == (0, 0)
+    for name in ("calibration.json", "resolved-config.cfg", "predict/sets.csv",
+                 "predict/metrics.json", "predict/resolved-config.cfg"):
+        assert (tmp_path / "out" / name).stat().st_mode & 0o777 == mode, name
+
+
+def test_calibrate_and_predict_never_hold_the_whole_tensor(tmp_path, monkeypatch):
+    """numpy reports its buffers to tracemalloc: with small read blocks the
+    traced peak stays below half of the tensor as float64."""
+    import tracemalloc
+
+    n_points, n_classes, n_samples = 100, 10, 1000
+    rng = substream(49, "cli-memory")
+    tensor = rng.uniform(0.0, 1.0, (n_points, n_classes, n_samples))
+    formats.write_score_tensor(tmp_path / "scores.bin", tensor)
+    formats.write_labels_csv(tmp_path / "labels.csv", rng.integers(0, n_classes, n_points))
+    del tensor
+    monkeypatch.setattr(formats, "_READ_BLOCK_VALUES", 1 << 16)
+    scores, labels = str(tmp_path / "scores.bin"), str(tmp_path / "labels.csv")
+    commands = {
+        "calibrate": ["calibrate", "--scores", scores, "--labels", labels,
+                      "--out", str(tmp_path / "cal")],
+        "predict": ["predict", "--artifact", str(tmp_path / "cal" / "calibration.json"),
+                    "--scores", scores, "--labels", labels, "--out", str(tmp_path / "pred")],
+    }
+    limit = n_points * n_classes * n_samples * 8 / 2
+    for name, argv in commands.items():
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < limit, f"{name}: traced peak {peak} bytes, limit {limit:.0f}"
 
 
 def test_certify_poisoning_feature_with_oracle(workspace):

@@ -24,6 +24,10 @@ and ``ROBUSTCP_WORKERS=1``, which runs a fixed set of commands through
 * the same for test-time pipelines at the schema defaults: Gaussian at
   radius 0 with the mean and with the CDF route, and bit flips with no
   flips;
+* the same for Gaussian test-time settings on 4400x4x60 ``.bin`` tensors:
+  1,056,000 scores, more than one 2^20-value read block, so the reader
+  and the summaries go block by block and end on a partial block, and
+  more calibration points than one piece of the artifact writer;
 * ``certify-poisoning`` for feature and label poisoning.
 
 It then runs each of the tree's own demos (``SRC/../demos/*.py``) in a
@@ -77,7 +81,8 @@ SIMULATIONS = {
 }
 
 # Pipeline name -> (`--set` values shared by calibrate and predict, tensor
-# file suffix: ".bin" and ".csv" hold the same tensors, "-edges.csv" others).
+# file suffix: ".bin" and ".csv" hold the same tensors, "-edges.csv" and
+# "-large.bin" others).
 PIPELINES = {
     "gaussian-test-time": (
         ["scheme=gaussian", "sigma=0.25", "radius=0.125", "mode=test-time"], ".bin",
@@ -107,6 +112,9 @@ PIPELINES = {
     "gaussian-radius-0-mean": (["scheme=gaussian", "bound_kind=mean"], ".bin"),
     "gaussian-radius-0-cdf": (["scheme=gaussian", "bound_kind=cdf"], ".bin"),
     "sparse-zero-flips": (["scheme=sparse"], ".bin"),
+    "gaussian-multi-block": (
+        ["scheme=gaussian", "sigma=0.25", "radius=0.125", "mode=test-time"], "-large.bin",
+    ),
 }
 
 
@@ -172,6 +180,11 @@ def write_outputs(out: Path) -> None:
         tensor, labels = _edge_tensor(edge_rng, n_points, 4, 60)
         formats.write_score_tensor(inputs / f"{split}-edges.csv", tensor)
         formats.write_labels_csv(inputs / f"{split}-edges-labels.csv", labels)
+    large_rng = np.random.default_rng(20242)
+    for split in ("cal", "test"):
+        tensor, labels = _score_tensor(large_rng, 4400, 4, 60)
+        formats.write_score_tensor(inputs / f"{split}-large.bin", tensor)
+        formats.write_labels_csv(inputs / f"{split}-large-labels.csv", labels)
     for name, (settings, suffix) in PIPELINES.items():
         sets = [f"--set={item}" for item in settings]
         labels = suffix.rsplit(".", 1)[0] + "-labels.csv"
