@@ -161,11 +161,11 @@ def _out_dir(args) -> Path:
 # ----------------------------------------------------------------- commands --
 
 
-def _check_labels(labels: np.ndarray, shape: tuple[int, int, int]) -> None:
+def _check_labels(labels: np.ndarray, shape: tuple[int, ...]) -> None:
     if labels.size != shape[0]:
         raise InputError("scores and labels disagree on the number of points")
     if labels.min() < 0 or labels.max() >= shape[1]:
-        raise InputError("labels must index classes of the score tensor")
+        raise InputError("labels must index classes of the scores")
 
 
 def cmd_calibrate(args) -> int:
@@ -279,6 +279,7 @@ def cmd_certify_poisoning(args) -> int:
             raise InputError("label poisoning needs --labels")
         matrix = formats.read_score_matrix_csv(args.input)
         labels = formats.read_labels_csv(args.labels)
+        _check_labels(labels, matrix.shape)
         n = matrix.shape[0]
         small = n <= 12 and matrix.shape[1] <= 6
         oracle_limit = None if small else "at most 12 points and 6 classes"

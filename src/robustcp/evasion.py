@@ -189,7 +189,7 @@ def predict(
     lies in the reversed ball), and in calibration-time mode smooth means
     at the calibration-time one.
     With ``config.eta`` > 0 (calibration-time only), "corrected" sets
-    spend through one ledger per point, the calibration side first.
+    spend through one ledger per call, the calibration side first.
     """
     thresholds = calibration.thresholds
     corrected = config.eta > 0.0
@@ -216,15 +216,14 @@ def predict(
         )
         # Each class's mean gets an empirical Bernstein radius at
         # eta / (2 n_classes), so the true class's smooth score clears
-        # the threshold whenever its bound would.
-        n_points, n_classes = distributions.shape
+        # the threshold whenever its bound would; every point spends so.
+        n_classes = distributions.shape[1]
         per_class = config.eta / (2.0 * n_classes)
-        for point_id in range(n_points):
-            ledger = BudgetLedger(eta=config.eta)
-            ledger.spend("calibration side", calibration_side)
-            for c in range(n_classes):
-                ledger.spend(f"test point {point_id} class {c} mean radius", per_class)
-            ledger.assert_within()
+        ledger = BudgetLedger(eta=config.eta)
+        ledger.spend("calibration side", calibration_side)
+        for c in range(n_classes):
+            ledger.spend(f"class {c} mean radius", per_class)
+        ledger.assert_within()
         inflated = means + bernstein_radius(
             distributions.n_samples, distributions.variance, per_class
         )

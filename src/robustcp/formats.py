@@ -12,13 +12,13 @@ Formats are documented field by field in ``docs/formats.md``.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import struct
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -133,6 +133,24 @@ def _read_table(path: Path, header: list[str], kinds: list[type]) -> list[np.nda
     return [np.ascontiguousarray(rows[name]) for name in header]
 
 
+def _write_table(path: str | Path, header: list[str], columns: Sequence) -> None:
+    """Write a CSV file of ``header`` and one row per entry of the equal-length ``columns``.
+
+    The twin of :func:`_read_table`.  A float column is written with
+    ``float.__repr__``, any other column as its Python values; rows go
+    through ``csv.writer``, which quotes a string cell as needed.
+    """
+    cells = [
+        map(float.__repr__, column.tolist()) if column.dtype.kind == "f" else column.tolist()
+        for column in map(np.asarray, columns)
+    ]
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*cells))
+    atomic_write_text(path, "".join(lines))
+
+
 def _count_lines(handle) -> int:
     """Lines left in a text file, read in blocks; a last line needs no newline."""
     count, last = 0, "\n"
@@ -156,18 +174,6 @@ def _bad_line(path: Path, lines, header: list[str], dtype: np.dtype) -> InputErr
 
 
 # ------------------------------------------------------------ score tensors --
-
-
-def _tensor_to_csv(tensor: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCORES_HEADER)
-    n_points, n_classes, n_samples = tensor.shape
-    for p in range(n_points):
-        for c in range(n_classes):
-            for s in range(n_samples):
-                writer.writerow([p, c, s, repr(float(tensor[p, c, s]))])
-    return buf.getvalue()
 
 
 def _tensor_from_csv(path: Path) -> np.ndarray:
@@ -243,7 +249,8 @@ def write_score_tensor(path: str | Path, tensor: np.ndarray) -> None:
         raise InputError("score tensor must have shape (points, classes, samples)")
     _check_scores(path, tensor)
     if path.suffix == ".csv":
-        atomic_write_text(path, _tensor_to_csv(tensor))
+        ids = np.indices(tensor.shape).reshape(3, -1)
+        _write_table(path, SCORES_HEADER, [*ids, tensor.ravel()])
     elif path.suffix == ".bin":
         atomic_write_bytes(path, _tensor_to_binary(tensor))
     else:
@@ -290,12 +297,7 @@ def read_score_tensor(path: str | Path) -> np.ndarray:
 
 def write_labels_csv(path: str | Path, labels: np.ndarray) -> None:
     labels = np.asarray(labels, dtype=int)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["point_id", "label"])
-    for p, y in enumerate(labels):
-        writer.writerow([p, int(y)])
-    atomic_write_text(path, buf.getvalue())
+    _write_table(path, ["point_id", "label"], [np.arange(len(labels)), labels])
 
 
 def read_labels_csv(path: str | Path) -> np.ndarray:
@@ -309,13 +311,8 @@ def read_labels_csv(path: str | Path) -> np.ndarray:
 def write_score_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
     """Per-class scores of each point (no Monte-Carlo sample axis)."""
     matrix = np.asarray(matrix, dtype=float)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["point_id", "class_id", "score"])
-    for p in range(matrix.shape[0]):
-        for c in range(matrix.shape[1]):
-            writer.writerow([p, c, repr(float(matrix[p, c]))])
-    atomic_write_text(path, buf.getvalue())
+    ids = np.indices(matrix.shape).reshape(2, -1)
+    _write_table(path, ["point_id", "class_id", "score"], [*ids, matrix.ravel()])
 
 
 def read_score_matrix_csv(path: str | Path) -> np.ndarray:
@@ -341,12 +338,8 @@ def write_feature_bounds_csv(
     lower_bounds = np.asarray(lower_bounds, dtype=float)
     if scores.shape != lower_bounds.shape or scores.ndim != 1:
         raise InputError("scores and lower_bounds must be equal-length vectors")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["point_id", "score", "lower_bound"])
-    for p in range(scores.size):
-        writer.writerow([p, repr(float(scores[p])), repr(float(lower_bounds[p]))])
-    atomic_write_text(path, buf.getvalue())
+    columns = [np.arange(scores.size), scores, lower_bounds]
+    _write_table(path, ["point_id", "score", "lower_bound"], columns)
 
 
 def read_feature_bounds_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -603,13 +596,11 @@ def write_sets_csv(path: str | Path, named_masks: Mapping[str, np.ndarray]) -> N
     with empty sets produce no rows; readers recover them from the
     accompanying labels file.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["point_id", "method", "class_id"])
-    for method in sorted(named_masks):
-        for p, c in zip(*np.nonzero(named_masks[method])):
-            writer.writerow([int(p), method, int(c)])
-    atomic_write_text(path, buf.getvalue())
+    methods = sorted(named_masks)
+    members = [np.argwhere(named_masks[method]) for method in methods]
+    points, classes = np.concatenate([np.empty((0, 2), dtype=int), *members]).T
+    names = np.repeat(methods, [len(m) for m in members])
+    _write_table(path, ["point_id", "method", "class_id"], [points, names, classes])
 
 
 def read_sets_csv(path: str | Path) -> dict[str, dict[int, frozenset[int]]]:

@@ -6,7 +6,9 @@ flipped labels).  Validity is restored by calibrating on the worst case:
 the smallest value the calibration quantile can take over every
 admissible alteration.  Because only the order statistic matters, that
 combinatorial problem collapses to an exact one-dimensional rank search
-over candidate values; no integer programming is involved.
+over candidate values; no integer programming is involved.  There is one
+search: the attacks' largest forced quantile is the same search run on
+negated scores at the mirrored rank.
 
 Brute-force enumerators over tiny instances serve as independent
 oracles for the rank search.
@@ -71,67 +73,42 @@ def _validate_instance(scores: np.ndarray, moved: np.ndarray, budget: int) -> No
         raise ValueError("budget must be nonnegative")
 
 
-def _min_rank_search(
-    scores: np.ndarray, lower: np.ndarray, budget: int, alpha: float
+def _rank_search(
+    scores: np.ndarray, moved: np.ndarray, budget: int, alpha: float, up: bool
 ) -> ConservativeThreshold:
-    """Smallest reachable k-th smallest score when up to ``budget`` points may drop.
+    """Extreme reachable k-th smallest score when up to ``budget`` points move to ``moved``.
 
-    A value v is reachable iff the points already at or below v, plus as
-    many droppable points (lower_i <= v < score_i) as the budget allows,
-    reach the rank.  Scanning the candidate values {scores} U {lower}
-    in ascending order gives the exact optimum of the relaxed problem,
-    since dropping a touched point below its lower bound is not allowed
-    and never helps more than landing exactly on it.
+    Down (``up`` false), points drop to ``moved`` <= score and the result
+    is the smallest reachable value: v is reachable iff the points at or
+    below v, plus as many droppable points (moved_i <= v < score_i) as
+    the budget allows, reach the rank, so scanning the candidates
+    {scores} U {moved} in ascending order finds it exactly.  Up, points
+    rise to ``moved`` >= score, and the largest reachable k-th smallest
+    is minus the smallest reachable (n + 1 - k)-th smallest of the
+    negated scores and bounds: the same scan, mirrored.
     """
     n = scores.size
     k_order = _order_index(alpha, n)
     if k_order == 0:
-        return ConservativeThreshold(
-            threshold=ALL_CLASSES_THRESHOLD, rank=0, witness=PoisonWitness((), ())
-        )
+        return ConservativeThreshold(ALL_CLASSES_THRESHOLD, 0, PoisonWitness((), ()))
+    sign = -1.0 if up else 1.0
+    scores, lower = sign * scores, sign * moved
+    rank = n + 1 - k_order if up else k_order
     candidates = np.unique(np.concatenate([scores, lower]))
     at_or_below = np.searchsorted(np.sort(scores), candidates, side="right")
     # lower <= scores, so every point counted in at_or_below also has its
     # lower bound at or below v; the droppable count is the difference.
     droppable = np.searchsorted(np.sort(lower), candidates, side="right") - at_or_below
-    feasible = at_or_below + np.minimum(budget, droppable) >= k_order
-    v = float(candidates[np.argmax(feasible)])
+    feasible = at_or_below + np.minimum(budget, droppable) >= rank
+    v = candidates[np.argmax(feasible)]
 
-    needed = int(max(0, k_order - np.sum(scores <= v)))
+    needed = int(max(0, rank - np.sum(scores <= v)))
     eligible = np.nonzero((lower <= v) & (scores > v))[0]
     # Highest lower bounds first, so the rank statistic lands exactly on v.
     order = sorted(eligible, key=lambda i: (-lower[i], i))
     chosen = tuple(int(i) for i in order[:needed])
-    witness = PoisonWitness(
-        indices=chosen, values=tuple(float(lower[i]) for i in chosen)
-    )
-    return ConservativeThreshold(threshold=v, rank=k_order, witness=witness)
-
-
-def _max_rank_search(
-    scores: np.ndarray, upper: np.ndarray, budget: int, alpha: float
-) -> ConservativeThreshold:
-    """Largest reachable k-th smallest score when up to ``budget`` points may rise."""
-    n = scores.size
-    k_order = _order_index(alpha, n)
-    if k_order == 0:
-        return ConservativeThreshold(
-            threshold=ALL_CLASSES_THRESHOLD, rank=0, witness=PoisonWitness((), ())
-        )
-    candidates = np.unique(np.concatenate([scores, upper]))
-    strictly_below = np.searchsorted(np.sort(scores), candidates, side="left")
-    liftable = strictly_below - np.searchsorted(np.sort(upper), candidates, side="left")
-    feasible = strictly_below - np.minimum(budget, liftable) <= k_order - 1
-    v = float(candidates[feasible][-1])
-
-    needed = int(max(0, np.sum(scores < v) - (k_order - 1)))
-    eligible = np.nonzero((scores < v) & (upper >= v))[0]
-    order = sorted(eligible, key=lambda i: (upper[i], i))
-    chosen = tuple(int(i) for i in order[:needed])
-    witness = PoisonWitness(
-        indices=chosen, values=tuple(float(upper[i]) for i in chosen)
-    )
-    return ConservativeThreshold(threshold=v, rank=k_order, witness=witness)
+    witness = PoisonWitness(indices=chosen, values=tuple(float(moved[i]) for i in chosen))
+    return ConservativeThreshold(threshold=float(sign * v), rank=k_order, witness=witness)
 
 
 def feature_poison_threshold(
@@ -156,7 +133,7 @@ def feature_poison_threshold(
     _validate_instance(scores, lower, budget)
     if np.any(lower > scores + 1e-12):
         raise ValueError("lower bounds must not exceed the observed scores")
-    return _min_rank_search(scores, np.minimum(lower, scores), budget, alpha)
+    return _rank_search(scores, np.minimum(lower, scores), budget, alpha, False)
 
 
 def worst_case_feature_quantile(
@@ -168,7 +145,7 @@ def worst_case_feature_quantile(
     _validate_instance(scores, upper, budget)
     if np.any(upper < scores - 1e-12):
         raise ValueError("upper bounds must not fall below the observed scores")
-    return _max_rank_search(scores, np.maximum(upper, scores), budget, alpha)
+    return _rank_search(scores, np.maximum(upper, scores), budget, alpha, True)
 
 
 def _label_matrix(score_matrix: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,6 +158,23 @@ def _label_matrix(score_matrix: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     return score_matrix, labels
 
 
+def _label_search(
+    score_matrix: np.ndarray, labels: np.ndarray, budget: int, alpha: float, up: bool
+) -> ConservativeThreshold:
+    """The rank search with each flipped point moved to its row's extreme class score.
+
+    The witness records, per altered point, the class that achieves it.
+    """
+    score_matrix, labels = _label_matrix(score_matrix, labels)
+    observed = score_matrix[np.arange(labels.size), labels]
+    extreme = score_matrix.argmax(axis=1) if up else score_matrix.argmin(axis=1)
+    moved = score_matrix[np.arange(labels.size), extreme]
+    result = _rank_search(observed, moved, budget, alpha, up)
+    flipped = tuple(int(extreme[i]) for i in result.witness.indices)
+    witness = PoisonWitness(result.witness.indices, result.witness.values, labels=flipped)
+    return ConservativeThreshold(result.threshold, result.rank, witness)
+
+
 def label_poison_threshold(
     score_matrix: np.ndarray, labels: np.ndarray, budget: int, alpha: float
 ) -> ConservativeThreshold:
@@ -190,30 +184,14 @@ def label_poison_threshold(
     case drops it to the row minimum; the witness records which class
     achieves the drop for each altered point.
     """
-    score_matrix, labels = _label_matrix(score_matrix, labels)
-    observed = score_matrix[np.arange(labels.size), labels]
-    row_min = score_matrix.min(axis=1)
-    result = _min_rank_search(observed, row_min, budget, alpha)
-    flipped = tuple(int(np.argmin(score_matrix[i])) for i in result.witness.indices)
-    witness = PoisonWitness(
-        indices=result.witness.indices, values=result.witness.values, labels=flipped
-    )
-    return ConservativeThreshold(result.threshold, result.rank, witness)
+    return _label_search(score_matrix, labels, budget, alpha, False)
 
 
 def worst_case_label_quantile(
     score_matrix: np.ndarray, labels: np.ndarray, budget: int, alpha: float
 ) -> ConservativeThreshold:
     """Attack counterpart: the largest quantile a label flipper can force."""
-    score_matrix, labels = _label_matrix(score_matrix, labels)
-    observed = score_matrix[np.arange(labels.size), labels]
-    row_max = score_matrix.max(axis=1)
-    result = _max_rank_search(observed, row_max, budget, alpha)
-    flipped = tuple(int(np.argmax(score_matrix[i])) for i in result.witness.indices)
-    witness = PoisonWitness(
-        indices=result.witness.indices, values=result.witness.values, labels=flipped
-    )
-    return ConservativeThreshold(result.threshold, result.rank, witness)
+    return _label_search(score_matrix, labels, budget, alpha, True)
 
 
 def replay_feature_witness(
@@ -221,8 +199,7 @@ def replay_feature_witness(
 ) -> float:
     """Quantile of the scores after applying a witness assignment."""
     modified = np.asarray(scores, dtype=float).copy()
-    for i, v in zip(witness.indices, witness.values):
-        modified[i] = v
+    modified[list(witness.indices)] = witness.values
     return conformal_quantile(modified, alpha)
 
 
@@ -234,8 +211,7 @@ def replay_label_witness(
     flipped = labels.copy()
     if witness.labels is None:
         raise ValueError("a label-flip witness must record the substituted labels")
-    for i, c in zip(witness.indices, witness.labels):
-        flipped[i] = c
+    flipped[list(witness.indices)] = witness.labels
     return conformal_quantile(score_matrix[np.arange(labels.size), flipped], alpha)
 
 
@@ -320,6 +296,6 @@ def corrected_feature_poison_threshold(
         corrected_bound(distributions, reversed_ball, scheme, "lower", bound_kind, per_point)
         - eps_mc
     )
-    result = _min_rank_search(observed, np.minimum(lower, observed), budget, alpha - eta)
+    result = _rank_search(observed, np.minimum(lower, observed), budget, alpha - eta, False)
     ledger.assert_within()
     return result, ledger

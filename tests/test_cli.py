@@ -6,6 +6,8 @@ exit codes (2 input, 3 invariant, 4 configuration).
 """
 
 import ast
+import csv
+import io
 import json
 import os
 import re
@@ -237,6 +239,64 @@ def test_sets_csv_round_trip(tmp_path):
         "0,robust,0", "0,robust,1", "0,robust,2", "2,robust,1", "2,robust,2",
         "0,vanilla,0", "0,vanilla,2", "2,vanilla,2",
     ]
+
+
+def _csv_rows(header, rows):
+    """CSV text written row by row with ``csv.writer``, floats as ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode()
+
+
+def test_csv_writers_match_a_row_by_row_writer(tmp_path):
+    rng = substream(50, "csv-writers")
+    tensor = rng.uniform(0, 1, (3, 2, 4))
+    tensor[0, 0, :3] = [0.0, 1.0, 0.1]
+    tensor[2, 1, 3] = 1 / 3
+    formats.write_score_tensor(tmp_path / "t.csv", tensor)
+    assert (tmp_path / "t.csv").read_bytes() == _csv_rows(
+        ["point_id", "class_id", "sample_id", "score"],
+        [(p, c, s, float(tensor[p, c, s]))
+         for p in range(3) for c in range(2) for s in range(4)],
+    )
+    labels = [2, 0, 1, 1]
+    formats.write_labels_csv(tmp_path / "l.csv", labels)
+    assert (tmp_path / "l.csv").read_bytes() == _csv_rows(
+        ["point_id", "label"], list(enumerate(labels))
+    )
+    matrix = np.round(rng.uniform(0, 1, (4, 3)), 3)
+    matrix[1, 2] = -0.0
+    formats.write_score_matrix_csv(tmp_path / "m.csv", matrix)
+    assert (tmp_path / "m.csv").read_bytes() == _csv_rows(
+        ["point_id", "class_id", "score"],
+        [(p, c, float(matrix[p, c])) for p in range(4) for c in range(3)],
+    )
+    scores = np.array([0.5, 1.0, 0.25, 0.0])
+    lower = np.array([0.25, -0.0, 1e-17, 0.0])
+    formats.write_feature_bounds_csv(tmp_path / "b.csv", scores, lower)
+    assert (tmp_path / "b.csv").read_bytes() == _csv_rows(
+        ["point_id", "score", "lower_bound"],
+        [(p, float(scores[p]), float(lower[p])) for p in range(4)],
+    )
+    masks = {
+        "vanilla": rng.random((5, 3)) < 0.5,
+        "robust, wide": rng.random((5, 3)) < 0.7,
+        'say "empty"': np.zeros((5, 3), dtype=bool),
+    }
+    formats.write_sets_csv(tmp_path / "s.csv", masks)
+    assert (tmp_path / "s.csv").read_bytes() == _csv_rows(
+        ["point_id", "method", "class_id"],
+        [(p, method, c) for method in sorted(masks)
+         for p in range(5) for c in range(3) if masks[method][p, c]],
+    )
+    assert '"robust, wide"' in (tmp_path / "s.csv").read_text()
+    formats.write_sets_csv(tmp_path / "none.csv", {})
+    assert (tmp_path / "none.csv").read_bytes() == _csv_rows(
+        ["point_id", "method", "class_id"], []
+    )
 
 
 def test_config_text_round_trip(tmp_path):
@@ -607,7 +667,7 @@ def test_predict_rechecks_artifact_thresholds(workspace):
     assert not (workspace / "tampered" / "sets.csv").exists()
 
 
-def test_corrected_predict_spends_through_one_ledger_per_point(workspace, monkeypatch):
+def test_corrected_predict_spends_through_one_ledger_per_call(workspace, monkeypatch):
     artifact = calibrate(
         workspace, out="calib-eta",
         extra=("--set", "eta=0.01", "--set", "mode=calibration-time"),
@@ -621,9 +681,8 @@ def test_corrected_predict_spends_through_one_ledger_per_point(workspace, monkey
 
     monkeypatch.setattr(BudgetLedger, "spend", counted)
     assert predict(workspace, artifact, "pred-eta", "--set", "mode=calibration-time") == 0
-    n_points, n_classes = 8, 3
-    assert len(spends) == n_points * (n_classes + 1)
-    assert spends.count("calibration side") == n_points
+    # One ledger for all 8 points: the calibration side, then the 3 classes.
+    assert spends == ["calibration side"] + [f"class {c} mean radius" for c in range(3)]
     sets = formats.read_sets_csv(workspace / "pred-eta" / "sets.csv")
     assert set(sets) == {"vanilla", "robust", "corrected"}
 
@@ -825,6 +884,27 @@ def test_certify_poisoning_label_kind(workspace):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "labels", [[0, 1, 2, 0, 1], [0, 1, 2, 7, 1, 0]], ids=["5-rows", "label-7"]
+)
+def test_certify_label_kind_refuses_labels_that_do_not_fit(workspace, labels, capsys):
+    """A labels file that does not fit the 6x3 matrix is malformed input, as in calibrate."""
+    formats.write_score_matrix_csv(
+        workspace / "m.csv", substream(49, "certify-labels").uniform(0, 1, (6, 3))
+    )
+    formats.write_labels_csv(workspace / "m-labels.csv", labels)
+    code = run_cli(
+        "certify-poisoning",
+        "--input", str(workspace / "m.csv"),
+        "--labels", str(workspace / "m-labels.csv"),
+        "--out", str(workspace / "cert-l"),
+        "--set", "poison_kind=label", "--set", "poison_budget=1",
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (workspace / "cert-l" / "witness.json").exists()
+
+
 def test_certify_oracle_refuses_large_instances(workspace):
     rng = substream(45, "certify-big")
     scores = rng.uniform(0, 1, 40)
@@ -946,13 +1026,13 @@ import dataclasses, sys
 from robustcp import poisoning
 from robustcp.cli import main
 
-solve = poisoning._min_rank_search
+solve = poisoning._rank_search
 
 def off_by_a_bit(*args):
     result = solve(*args)
     return dataclasses.replace(result, threshold=result.threshold + 0.01)
 
-poisoning._min_rank_search = off_by_a_bit
+poisoning._rank_search = off_by_a_bit
 sys.exit(main(sys.argv[1:]))
 """
 

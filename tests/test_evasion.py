@@ -233,14 +233,11 @@ def test_corrected_set_contains_mean_set(corrected_prediction):
     wide = sets["corrected"]
     assert wide.shape == (4, 3) and wide.dtype == bool
     assert np.all((test.mean >= threshold) <= wide)
-    # Per point: the calibration side, then one spend per class, each of
-    # eta / (2 * n_classes).
+    # Once for all four points: the calibration side, then one spend per
+    # class, each of eta / (2 * n_classes).
     per_class = cfg.eta / (2 * 3)
-    assert spends == [
-        entry
-        for i in range(4)
-        for entry in [("calibration side", calibration.ledger.spent)]
-        + [(f"test point {i} class {c} mean radius", per_class) for c in range(3)]
+    assert spends == [("calibration side", calibration.ledger.spent)] + [
+        (f"class {c} mean radius", per_class) for c in range(3)
     ]
 
 

@@ -1,8 +1,12 @@
 """Conservative thresholds against calibration-set poisoning.
 
 The rank-search solvers claim exact worst cases; brute force over every
-budget-sized subset (and every label reassignment) is the oracle.
+budget-sized subset (and every label reassignment) is the oracle, for
+the defender's minimum and for the attacker's maximum alike.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +54,42 @@ def random_label_instance(rng):
     return matrix, labels, budget, alpha
 
 
+def brute_force_max_feature_quantile(scores, upper, budget, alpha):
+    """Largest quantile over every subset of up to ``budget`` points raised to ``upper``."""
+    n = scores.size
+    best = -math.inf
+    for size in range(min(budget, n) + 1):
+        for subset in itertools.combinations(range(n), size):
+            modified = scores.copy()
+            modified[list(subset)] = upper[list(subset)]
+            best = max(best, conformal_quantile(modified, alpha))
+    return best
+
+
+def brute_force_max_label_quantile(matrix, labels, budget, alpha):
+    """Largest quantile over every reassignment of up to ``budget`` labels."""
+    n, n_classes = matrix.shape
+    best = -math.inf
+    for size in range(min(budget, n) + 1):
+        for subset in itertools.combinations(range(n), size):
+            for assignment in itertools.product(range(n_classes), repeat=size):
+                flipped = labels.copy()
+                flipped[list(subset)] = assignment
+                best = max(best, conformal_quantile(matrix[np.arange(n), flipped], alpha))
+    return best
+
+
+def random_upper_instance(rng):
+    """Scores with ceilings, rounded to one or two decimals so that ties occur."""
+    n = int(rng.integers(3, 9))
+    decimals = int(rng.integers(1, 3))
+    scores = np.round(rng.uniform(0, 1, n), decimals)
+    upper = np.round(np.clip(scores + rng.uniform(0, 0.5, n), None, 1), decimals)
+    budget = int(rng.integers(0, n + 2))
+    alpha = float(rng.uniform(0.05, 0.95))
+    return scores, np.maximum(upper, scores), budget, alpha
+
+
 def test_feature_threshold_matches_brute_force():
     rng = substream(21, "feature-oracle")
     for _ in range(300):
@@ -66,6 +106,28 @@ def test_label_threshold_matches_brute_force():
         got = label_poison_threshold(matrix, labels, budget, alpha)
         want = brute_force_label_threshold(matrix, labels, budget, alpha)
         assert got.threshold == want
+
+
+def test_worst_case_feature_quantile_matches_brute_force():
+    rng = substream(29, "feature-max-oracle")
+    for _ in range(300):
+        scores, upper, budget, alpha = random_upper_instance(rng)
+        got = worst_case_feature_quantile(scores, upper, budget, alpha)
+        assert got.threshold == brute_force_max_feature_quantile(scores, upper, budget, alpha)
+        assert replay_feature_witness(scores, got.witness, alpha) == got.threshold
+        assert len(got.witness.indices) <= budget
+        assert got.witness.values == tuple(upper[list(got.witness.indices)])
+
+
+def test_worst_case_label_quantile_matches_brute_force():
+    rng = substream(30, "label-max-oracle")
+    for _ in range(300):
+        matrix, labels, budget, alpha = random_label_instance(rng)
+        matrix = np.round(matrix, int(rng.integers(1, 3)))
+        got = worst_case_label_quantile(matrix, labels, budget, alpha)
+        assert got.threshold == brute_force_max_label_quantile(matrix, labels, budget, alpha)
+        assert replay_label_witness(matrix, labels, got.witness, alpha) == got.threshold
+        assert len(got.witness.indices) <= budget
 
 
 def test_zero_budget_is_plain_quantile():

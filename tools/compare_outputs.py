@@ -13,7 +13,10 @@ and ``ROBUSTCP_WORKERS=1``, which runs a fixed set of commands through
 * ``simulate`` for every experiment kind at ``n_trials=2, n_cal=20,
   n_test=6, n_samples=400, attack_samples=32``, with TPS and APS scores,
   Gaussian and bit-flip tasks, and asymmetric flips (``1:2``,
-  ``p0 != p1``);
+  ``p0 != p1``); the poisoning kinds also at both ends of the rank
+  search, the rank-0 sentinel (``alpha=0.04``) and budget 19 of 20
+  (every budget stays at most ``n_cal``, so no clamp warning prints a
+  tree's own path);
 * ``calibrate`` then ``predict`` on seeded 200x4x60 score tensors, for
   Gaussian test-time, sparse asymmetric test-time, sparse mean-route
   calibration-time and corrected settings, one of them read from CSV;
@@ -68,6 +71,11 @@ SIMULATIONS = {
     "evasion-binary-aps": ["experiment=evasion", "score_kind=aps", "flips=1:2", *BINARY_TASK],
     "label-poison": ["experiment=label-poison", "budgets=0,1,2"],
     "label-poison-aps": ["experiment=label-poison", "score_kind=aps", "budgets=0,2"],
+    # Both ends of the mirrored rank search: floor(0.04 * 21) = 0 is the
+    # sentinel rank, and a budget of 19 of 20 points is near-total control.
+    "label-poison-sentinel": ["experiment=label-poison", "alpha=0.04"],
+    "label-poison-near-total": ["experiment=label-poison", "budgets=0,2,19"],
+    "feature-poison-near-total": ["experiment=feature-poison", "budgets=0,2,19"],
     "feature-poison-gaussian": ["experiment=feature-poison", "budgets=0,1,2"],
     "feature-poison-binary-aps": [
         "experiment=feature-poison", "score_kind=aps", "flips=1:2", "budgets=0,1,2",
