@@ -1,11 +1,12 @@
 """Worst-case bounds on smooth scores over a threat model.
 
-Given the summary of a smooth score measured at one point (a 0-d
-:class:`~robustcp.smoothing.ScoreBatch`), :func:`bound_for_clean`
-bounds the smooth score after the input moves anywhere inside a
-perturbation ball; :func:`bound_batch` bounds every entry of a larger
-batch.  Each noise family has one *push*, which moves a probability to
-its worst reachable value over the ball:
+Given the summaries of smooth scores measured at some points (a
+:class:`~robustcp.smoothing.ScoreBatch` of any shape),
+:func:`bound_batch` bounds every entry's smooth score after its input
+moves anywhere inside a perturbation ball, in one array pass over the
+batch; :func:`bound_for_clean` is its single-summary case.  Each noise
+family has one *push*, which moves probabilities elementwise to their
+worst reachable values over the ball:
 
 * Gaussian noise with L2 balls: the closed form
   ``Phi(Phi^{-1}(p) +/- radius / sigma)`` (:func:`gaussian_transfer`).
@@ -38,12 +39,9 @@ __all__ = [
     "gaussian_transfer",
     "build_region_table",
     "sparse_transfer",
+    "bound_batch",
     "bound_for_clean",
 ]
-# ``bound_batch`` stays out of ``__all__``: the benchmark's spans wrap
-# every name listed here and count only dispatcher calls whose parent
-# span lies outside this module, so a wrapped ``bound_batch`` would hide
-# every ``bound_for_clean`` call it makes.
 
 
 @dataclass(frozen=True)
@@ -85,12 +83,6 @@ ThreatModel = L2Ball | BinaryBall
 
 
 # ---------------------------------------------------------------- Gaussian --
-
-
-def _check_prob(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
-    return float(p)
 
 
 def _check_probs(p) -> np.ndarray:
@@ -293,29 +285,31 @@ def sparse_transfer(p, table: RegionTable, increase: bool):
 # ------------------------------------------------------------- dispatchers --
 
 
-def bound_for_clean(
-    dist: ScoreBatch,
+def bound_batch(
+    batch: ScoreBatch,
     model: ThreatModel,
     scheme: SmoothingScheme,
     direction: str,
     kind: str,
-) -> float:
-    """Bound the smooth score over the ball around the measured (clean) point.
+) -> np.ndarray:
+    """Bound the smooth score of every entry over the ball around its measured point.
 
     Each family has one push, which moves a probability to its extreme
     over the ball (:func:`gaussian_transfer`, :func:`sparse_transfer`).
-    The mean route pushes the smooth mean the way of the bound.  The CDF
+    The mean route pushes the smooth means the way of the bound.  The CDF
     route pushes the binned CDF at every interior edge the other way
     and integrates the result against the grid by partial summation; at
     a zero radius it is the classic stochastic-dominance bound of a
-    binned CDF.
+    binned CDF.  The whole batch is pushed and summed at once into one
+    bound per entry, of the batch's shape (a numpy scalar for a 0-d
+    batch); each has the bits of the same computation on its entry alone.
 
     Parameters
     ----------
-    dist : ScoreBatch
-        Smooth-score summary (0-d) measured at the point the ball is centred on.
+    batch : ScoreBatch
+        Smooth-score summaries measured at the points the ball is centred on.
     model : L2Ball or BinaryBall
-        Ball around the measured point.  When that point may already be
+        Ball around each measured point.  When that point may already be
         the adversary's perturbation, pass ``model.reversed()``: the
         clean point lies in the reversed ball around it.
     scheme : GaussianNoise or SparseFlipNoise
@@ -330,16 +324,16 @@ def bound_for_clean(
         raise ValueError("kind must be 'mean' or 'cdf'")
     upper = direction == "upper"
     if kind == "mean":
-        values, increase = _check_prob(dist.mean), upper
+        values, increase = _check_probs(batch.mean), upper
     else:
         # A lower CDF puts the mass higher up, so the CDF moves against the bound.
-        values, increase = dist.cdf, not upper
+        values, increase = batch.cdf, not upper
     if isinstance(model, L2Ball) and isinstance(scheme, GaussianNoise):
         if kind == "mean" and model.radius == 0.0:
             # The identity, as in gaussian_transfer.  The CDF route takes no
             # such shortcut: its zero-radius bits are those of the round trip
             # through ndtri, which tests/test_bound_bits.py pins.
-            return values
+            return values[()]
         shift = model.radius / scheme.sigma
         pushed = _gaussian_push(values, shift if increase else -shift)
     elif isinstance(model, BinaryBall) and isinstance(scheme, SparseFlipNoise):
@@ -353,29 +347,25 @@ def bound_for_clean(
             f"smoothing scheme {type(scheme).__name__}"
         )
     if kind == "mean":
-        return float(pushed)
+        return pushed[()]
     # Partial summation: each bin's mass sits at its right edge for an
-    # upper bound and at its left edge for a lower one.
-    edges = dist.grid.edges
+    # upper bound and at its left edge for a lower one.  ``pushed`` is a
+    # fresh array, so the widths multiply into it in place.
+    edges = batch.grid.edges
     if upper:
-        return float(edges[-1] - np.sum(pushed * (edges[2:] - edges[1:-1])))
-    return float(edges[-2] - np.sum(pushed * (edges[1:-1] - edges[:-2])))
+        top, widths = edges[-1], edges[2:] - edges[1:-1]
+    else:
+        top, widths = edges[-2], edges[1:-1] - edges[:-2]
+    pushed *= widths
+    return (top - np.sum(pushed, axis=-1))[()]
 
 
-def bound_batch(
-    batch: ScoreBatch,
+def bound_for_clean(
+    dist: ScoreBatch,
     model: ThreatModel,
     scheme: SmoothingScheme,
     direction: str,
     kind: str,
-) -> np.ndarray:
-    """:func:`bound_for_clean` of every entry, as an array of the batch's shape.
-
-    Entries are bounded one call each, in row-major order, through this
-    module's ``bound_for_clean`` name as it stands at call time; a 0-d
-    batch gives a numpy scalar.
-    """
-    return np.array(
-        [bound_for_clean(d, model, scheme, direction, kind) for d in batch.rows()],
-        dtype=float,
-    ).reshape(batch.shape)[()]
+) -> float:
+    """:func:`bound_batch` of a single summary (a 0-d batch), as a float."""
+    return float(bound_batch(dist, model, scheme, direction, kind))

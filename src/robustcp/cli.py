@@ -161,6 +161,11 @@ def _out_dir(args) -> Path:
 # ----------------------------------------------------------------- commands --
 
 
+def _check_samples(path: str, shape: tuple[int, int, int]) -> None:
+    if shape[2] < 2:
+        raise InputError(f"{path}: need at least 2 samples per (point, class) entry")
+
+
 def _check_labels(labels: np.ndarray, shape: tuple[int, ...]) -> None:
     if labels.size != shape[0]:
         raise InputError("scores and labels disagree on the number of points")
@@ -177,6 +182,7 @@ def cmd_calibrate(args) -> int:
     labels = formats.read_labels_csv(args.labels)
     if shape[0] == 0:
         raise InputError("calibration requires at least one point")
+    _check_samples(args.scores, shape)
     _check_labels(labels, shape)
 
     # Only each point's true-label samples are kept from its block.
@@ -220,6 +226,7 @@ def cmd_predict(args) -> int:
         _write_resolved(out, cfg)
         print("no test points; wrote empty outputs")
         return 0
+    _check_samples(args.scores, shape)
     if labels is not None:
         _check_labels(labels, shape)
 

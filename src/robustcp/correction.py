@@ -106,7 +106,7 @@ def corrected_bound(
     batch is widened at once, each entry at level ``eta``, and then
     bounded by :func:`~robustcp.bounds.bound_batch`: the result has the
     batch's shape (a numpy scalar for a 0-d batch).  As in
-    ``bound_for_clean``, ``model`` is the ball around the measured point.
+    ``bound_batch``, ``model`` is the ball around the measured point.
     """
     _check_eta(eta)
     if kind == "mean":

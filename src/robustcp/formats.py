@@ -351,6 +351,8 @@ def read_feature_bounds_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"{path}: no rows")
     if not np.array_equal(ids, np.arange(ids.size)):
         raise InputError(f"{path}: point ids must be contiguous from 0")
+    if np.any(lower > scores):
+        raise InputError(f"{path}: a lower bound exceeds its point's score")
     return scores, lower
 
 

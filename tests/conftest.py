@@ -6,10 +6,19 @@ the run so the pass/fail status of every criterion is visible in plain
 ``pytest`` output, including criteria that failed mid-computation.
 Runtime gates are only readable beside the machine, so the scoreboard
 names the core count and the Python version.
+
+BLAS gets one thread, as in ``bench/run.py``, before anything imports
+numpy: a second BLAS thread buys nothing for these small products and,
+under load from other processes, slows the bit-flip oracle's matmul
+many times over, so the suite's wall time would follow the host's load.
+The bits do not depend on the thread count.
 """
 
 import os
 import platform
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 _SCOREBOARD: dict[int, tuple[str, str]] = {}
 

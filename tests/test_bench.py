@@ -2,10 +2,13 @@
 
 ``bench/`` is outside this suite's test paths, so this runs its entry
 point in subprocesses: traced on every workload, where spans wrap every
-public function and every oracle factory of ``robustcp.tasks`` and the
-traced run re-derives a sample of the bounds in high precision, and
-untraced on the CLI workload.  Each run checks its own outputs.
-The benchmark's own bound-reference test runs the same way.
+public function and every oracle factory of ``robustcp.tasks``, and
+untraced on the CLI workload.  Each run checks its own outputs.  The
+traced run's bound probe samples ``bound_for_clean`` calls, which the
+library no longer makes, so it re-derives no bounds;
+``tests/test_bound_batch.py`` re-derives sampled entries of every bound
+route with the benchmark's references instead.  The benchmark's own
+bound-reference test runs the same way.
 """
 
 import json

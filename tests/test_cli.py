@@ -905,6 +905,51 @@ def test_certify_label_kind_refuses_labels_that_do_not_fit(workspace, labels, ca
     assert not (workspace / "cert-l" / "witness.json").exists()
 
 
+def _one_sample_tensor(ws):
+    formats.write_score_tensor(ws / "one.bin", substream(50, "one-sample").uniform(0, 1, (4, 3, 1)))
+    formats.write_labels_csv(ws / "one-labels.csv", [0, 1, 2, 0])
+
+
+def _feature_bound_above_score(ws):
+    (ws / "b.csv").write_text("point_id,score,lower_bound\n0,0.5,0.6\n1,0.4,0.1\n2,0.9,0.2\n")
+
+
+# Input files with a defect that only shows once they are read: each
+# case writes its inputs, then names the command that reads them.
+_DEFECTIVE_INPUTS = {
+    "feature-lower-above-score": (
+        _feature_bound_above_score,
+        ["certify-poisoning", "--input", "{ws}/b.csv", "--out", "{ws}/out",
+         "--set", "poison_kind=feature", "--set", "poison_budget=1"],
+    ),
+    "calibrate-one-sample": (
+        _one_sample_tensor,
+        ["calibrate", "--scores", "{ws}/one.bin", "--labels", "{ws}/one-labels.csv",
+         "--out", "{ws}/out", "--set", "sigma=0.25", "--set", "radius=0.125"],
+    ),
+    "predict-one-sample": (
+        _one_sample_tensor,
+        ["predict", "--artifact", "{ws}/calib/calibration.json", "--scores", "{ws}/one.bin",
+         "--labels", "{ws}/one-labels.csv", "--out", "{ws}/out",
+         "--set", "sigma=0.25", "--set", "radius=0.125"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEFECTIVE_INPUTS))
+def test_defective_input_files_exit_2(workspace, case, capsys):
+    """A defect of an input file is malformed input (exit 2), not an
+    invariant violation (exit 3), and no output file is written."""
+    write_inputs, argv = _DEFECTIVE_INPUTS[case]
+    calibrate(workspace)
+    write_inputs(workspace)
+    capsys.readouterr()
+    code = run_cli(*(arg.format(ws=workspace) for arg in argv))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any((workspace / "out").glob("*"))
+
+
 def test_certify_oracle_refuses_large_instances(workspace):
     rng = substream(45, "certify-big")
     scores = rng.uniform(0, 1, 40)

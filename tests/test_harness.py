@@ -14,7 +14,7 @@ from robustcp.attacks import (
     poison_features_attack,
     poison_labels_attack,
 )
-from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean
+from robustcp.bounds import BinaryBall, L2Ball, bound_batch
 from robustcp.errors import ConfigurationError
 from robustcp.evasion import EvasionConfig, calibrate_smooth
 from robustcp.experiments import (
@@ -136,29 +136,41 @@ def test_objective_scores_identical_candidates_identically(scheme, x):
     assert values[0] != values[1]
 
 
+def _count_bounded_entries(monkeypatch) -> Counter:
+    """Entries bounded per ``(model, direction, kind)``, counted by patching
+    ``bound_batch`` wherever the library looks it up."""
+    import robustcp.attacks as attacks
+    import robustcp.correction as correction
+    import robustcp.evasion as evasion
+
+    entries = Counter()
+
+    def counted(batch, model, scheme, direction, kind):
+        entries[(model, direction, kind)] += np.size(batch.mean)
+        return bound_batch(batch, model, scheme, direction, kind)
+
+    for module in (evasion, attacks, correction):
+        monkeypatch.setattr(module, "bound_batch", counted)
+    return entries
+
+
 def test_evasion_trial_bounds_each_calibration_point_once_per_route(monkeypatch):
     """20 calibration points and one radius: 20 lower bounds for the mean
     route (also the calibration table's) and 20 for the cdf route.  The
     only other bounds are the upper bounds of the 4 test points' 3 classes
     for each route."""
-    import robustcp.bounds as bounds
-
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[3:5])
-        return bound_for_clean(*args, **kwargs)
-
-    monkeypatch.setattr(bounds, "bound_for_clean", counted)
+    entries = _count_bounded_entries(monkeypatch)
     config = ExperimentConfig(
         kind="evasion", task=TaskSpec(n_cal=20, n_test=4), sigma=0.25, radii=(0.125,),
         n_samples=100, attack_samples=16, n_trials=1, seed=5,
     )
     evasion_trial(config, 0)
-    assert sorted(kind for direction, kind in calls if direction == "lower") == (
-        ["cdf"] * 20 + ["mean"] * 20
-    )
-    assert len(calls) == 40 + 2 * 4 * 3
+    lower = Counter()
+    for (model, direction, kind), n in entries.items():
+        if direction == "lower":
+            lower[kind] += n
+    assert lower == {"cdf": 20, "mean": 20}
+    assert sum(entries.values()) == 40 + 2 * 4 * 3
 
 
 def test_poison_labels_attack_is_replayable():
@@ -268,22 +280,14 @@ def test_feature_poison_trial_bounds_only_the_reversed_ball(monkeypatch):
     bounds: 20 points x 3 tables.  The only other bounds are the
     attacker's mean-route score ceilings over the forward ball, 20 points
     for each budget k > 0."""
-    import robustcp.bounds as bounds
-
-    calls = []
-
-    def counted(dist, model, scheme, direction, kind):
-        calls.append((model, direction, kind))
-        return bound_for_clean(dist, model, scheme, direction, kind)
-
-    monkeypatch.setattr(bounds, "bound_for_clean", counted)
+    entries = _count_bounded_entries(monkeypatch)
     config = ExperimentConfig(
         kind="feature-poison", task=TaskSpec(kind="binary-linear", dim=16, n_cal=20, n_test=6),
         p0=0.1, p1=0.2, flips=((1, 2),), budgets=(0, 1, 2), n_samples=400,
         attack_samples=32, n_trials=1, seed=8,
     )
     thresholds = feature_poison_trial(config, 0).thresholds
-    assert Counter(calls) == {
+    assert entries == {
         (BinaryBall(additions=2, deletions=1), "lower", "cdf"): 60,
         (BinaryBall(additions=1, deletions=2), "upper", "mean"): 40,
     }
