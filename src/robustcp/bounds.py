@@ -51,7 +51,7 @@ class L2Ball:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:
             raise ValueError("radius must be nonnegative")
 
     def reversed(self) -> L2Ball:

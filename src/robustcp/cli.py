@@ -1,4 +1,4 @@
-"""Command-line surface: calibrate, predict, certify-poisoning, simulate, oracle-check.
+"""Command-line surface: calibrate, predict, certify-poisoning, simulate.
 
 The CLI reads score tensors produced by any ML stack, so smoothing has
 already happened upstream; configuration arrives as a flat ``key =
@@ -18,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    BinaryBall,
-    L2Ball,
-    build_region_table,
-    gaussian_transfer,
-    sparse_transfer,
-)
+from .bounds import BinaryBall, L2Ball
 from .errors import ConfigurationError, InputError
 from .evasion import Calibration, EvasionConfig, calibrate, predict
 from .experiments import ExperimentConfig, TaskSpec, run_experiment
@@ -37,13 +31,12 @@ from .poisoning import (
     replay_feature_witness,
     replay_label_witness,
 )
-from .scores import conformal_quantile, evaluate_sets
+from .scores import evaluate_sets
 from .smoothing import (
     BinGrid,
     GaussianNoise,
     ScoreBatch,
     SparseFlipNoise,
-    substream,
     summarize_samples,
 )
 
@@ -130,21 +123,31 @@ def _validate_common(cfg: dict) -> None:
 
 
 def _evasion_config(cfg: dict) -> EvasionConfig:
-    """Cross-validated smoothing scheme and threat model pair, with bound settings."""
-    if cfg["scheme"] == "gaussian":
-        if cfg["additions"] or cfg["deletions"]:
-            raise ConfigurationError("gaussian smoothing pairs with an L2 ball, not flips")
-        scheme, model = GaussianNoise(sigma=cfg["sigma"]), L2Ball(radius=cfg["radius"])
-    elif cfg["scheme"] == "sparse":
-        if cfg["radius"]:
-            raise ConfigurationError("sparse smoothing pairs with flip budgets, not an L2 radius")
-        scheme = SparseFlipNoise(p0=cfg["p0"], p1=cfg["p1"])
-        model = BinaryBall(additions=cfg["additions"], deletions=cfg["deletions"])
-    else:
-        raise ConfigurationError(f"unknown scheme {cfg['scheme']!r}")
+    """Cross-validated smoothing scheme and threat model pair, with bound settings.
+
+    A value the scheme, ball or grid refuses (``sigma=0``, ``radius=-1``,
+    ``grid_edges=1``, ...) is a configuration error.
+    """
+    try:
+        if cfg["scheme"] == "gaussian":
+            if cfg["additions"] or cfg["deletions"]:
+                raise ConfigurationError("gaussian smoothing pairs with an L2 ball, not flips")
+            scheme, model = GaussianNoise(sigma=cfg["sigma"]), L2Ball(radius=cfg["radius"])
+        elif cfg["scheme"] == "sparse":
+            if cfg["radius"]:
+                raise ConfigurationError(
+                    "sparse smoothing pairs with flip budgets, not an L2 radius"
+                )
+            scheme = SparseFlipNoise(p0=cfg["p0"], p1=cfg["p1"])
+            model = BinaryBall(additions=cfg["additions"], deletions=cfg["deletions"])
+        else:
+            raise ConfigurationError(f"unknown scheme {cfg['scheme']!r}")
+        grid = BinGrid.uniform(cfg["grid_edges"])
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
     return EvasionConfig(
         scheme=scheme, model=model, mode=cfg["mode"], bound_kind=cfg["bound_kind"],
-        grid=BinGrid.uniform(cfg["grid_edges"]), eta=cfg["eta"],
+        grid=grid, eta=cfg["eta"],
     )
 
 
@@ -300,7 +303,7 @@ def cmd_certify_poisoning(args) -> int:
     found = {"witness replay": replayed}
     if args.check_oracle:
         if oracle_limit is not None:
-            raise ConfigurationError(f"oracle check supports {oracle_limit}")
+            raise ConfigurationError(f"--check-oracle supports {oracle_limit}")
         found["brute-force oracle"] = oracle()
     wrong = [
         f"{name} gives {value!r}" for name, value in found.items() if value != result.threshold
@@ -397,108 +400,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _oracle_checks():
-    """Deterministic self-checks of the certified machinery.
-
-    Each check recomputes a quantity along an independent route; yields
-    (name, passed) pairs.
-    """
-    from scipy import stats
-
-    rng = substream(20240, "oracle-check")
-
-    # Gaussian closed forms against the generic normal distribution.
-    p, radius, sigma = 0.5, 0.25, 0.25
-    direct = gaussian_transfer(p, radius, sigma, increase=True)
-    via_stats = float(stats.norm.cdf(stats.norm.ppf(p) + radius / sigma))
-    yield "gaussian mean upper vs scipy.stats route", abs(direct - via_stats) < 1e-12
-    lower = gaussian_transfer(p, radius, sigma, increase=False)
-    yield "gaussian bounds bracket the input", lower <= p <= direct
-
-    # Sparse region table against direct enumeration of noise outcomes on
-    # the perturbed coordinates (a region collects the outcomes agreeing
-    # with the adversarial point on the same number of them).
-    ok = True
-    r_add, r_del = 1, 2
-    for p0, p1 in ((0.2, 0.2), (0.01, 0.6)):
-        table = build_region_table(r_add, r_del, p0, p1)
-        width = r_add + r_del
-        clean_by_ones = np.zeros(width + 1)
-        adv_by_ones = np.zeros(width + 1)
-        for bits in range(2 ** width):
-            z = [(bits >> j) & 1 for j in range(width)]
-            pr_clean = pr_adv = 1.0
-            for j, value in enumerate(z):
-                if j < r_add:  # clean 0, adversarial 1
-                    pr_clean *= p0 if value else 1.0 - p0
-                    pr_adv *= 1.0 - p1 if value else p1
-                else:  # clean 1, adversarial 0
-                    pr_clean *= 1.0 - p1 if value else p1
-                    pr_adv *= p0 if value else 1.0 - p0
-            agree_adv = sum(z[:r_add]) + sum(1 - v for v in z[r_add:])
-            clean_by_ones[agree_adv] += pr_clean
-            adv_by_ones[agree_adv] += pr_adv
-        ok = ok and table.clean_mass.size == width + 1
-        ok = ok and np.allclose(table.clean_mass, clean_by_ones, atol=1e-12, rtol=0)
-        ok = ok and np.allclose(table.adv_mass, adv_by_ones, atol=1e-12, rtol=0)
-    yield "sparse region masses vs enumeration", ok
-
-    # Sparse mean transfer sandwiched and monotone.
-    table = build_region_table(2, 2, 0.15, 0.15)
-    ok = True
-    for p in (0.05, 0.3, 0.8, 0.95):
-        lo = sparse_transfer(p, table, increase=False)
-        hi = sparse_transfer(p, table, increase=True)
-        ok = ok and lo <= p <= hi
-    yield "sparse mean bounds bracket the input", ok
-
-    # Rank-search solvers against the brute-force oracle.
-    ok = True
-    for _ in range(25):
-        n = int(rng.integers(3, 9))
-        scores = rng.random(n)
-        lower = scores * rng.random(n)
-        k = int(rng.integers(0, 3))
-        fast = feature_poison_threshold(scores, lower, k, 0.25).threshold
-        slow = brute_force_feature_threshold(scores, lower, k, 0.25)
-        ok = ok and fast == slow
-    yield "feature poisoning vs brute force", ok
-
-    ok = True
-    for _ in range(25):
-        n = int(rng.integers(3, 9))
-        n_classes = int(rng.integers(2, 5))
-        matrix = rng.random((n, n_classes))
-        labels = rng.integers(0, n_classes, size=n)
-        k = int(rng.integers(0, 3))
-        fast = label_poison_threshold(matrix, labels, k, 0.25).threshold
-        slow = brute_force_label_threshold(matrix, labels, k, 0.25)
-        ok = ok and fast == slow
-    yield "label poisoning vs brute force", ok
-
-    # Quantile round trip.
-    from .scores import inverse_quantile
-
-    ok = True
-    for _ in range(25):
-        scores = rng.random(int(rng.integers(5, 40)))
-        alpha = float(rng.uniform(0.05, 0.5))
-        q = conformal_quantile(scores, alpha)
-        ok = ok and inverse_quantile(q, scores) <= alpha
-    yield "threshold level within alpha", ok
-
-
-def cmd_oracle_check(args) -> int:
-    failed = 0
-    for name, passed in _oracle_checks():
-        print(f"{'ok  ' if passed else 'FAIL'} {name}")
-        failed += 0 if passed else 1
-    if failed:
-        print(f"{failed} oracle check(s) failed", file=sys.stderr)
-        return 3
-    return 0
-
-
 # ------------------------------------------------------------------ parsing --
 
 
@@ -549,10 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="results directory")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("oracle-check", help="self-check solvers against slow oracles")
-    _add_common(p)
-    p.set_defaults(func=cmd_oracle_check)
     return parser
 
 

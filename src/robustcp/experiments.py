@@ -37,7 +37,7 @@ from .evasion import (
     predict,
     vanilla_worst_case_coverage,
 )
-from .formats import atomic_write_text
+from .formats import _write_table, atomic_write_text
 from .poisoning import (
     corrected_feature_poison_threshold,
     feature_poison_threshold,
@@ -155,6 +155,14 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown score kind {self.score_kind!r}")
         if self.n_trials < 1:
             raise ConfigurationError("need at least one trial")
+        if self.kind in ("evasion", "feature-poison", "corrected"):
+            # Refuse a scheme, ball or grid value before any trial runs.
+            try:
+                scheme_for(self)
+                models_for(self)
+                BinGrid.uniform(self.grid_edges)
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from exc
 
 
 def scheme_for(config: ExperimentConfig):
@@ -543,17 +551,11 @@ _AGGREGATE_COLUMNS = [
 ]
 
 
-def _render_csv(columns: list[str], rows: list[dict]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            value = row.get(col, "")
-            if isinstance(value, float):
-                value = repr(value)
-            cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _write_rows(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """One CSV row per dict; object columns keep ints as ints, a missing key is empty."""
+    _write_table(
+        path, columns, [np.array([row.get(c, "") for row in rows], dtype=object) for c in columns]
+    )
 
 
 def _plot_rows(aggregate: list[dict], coordinate: str, metric: str) -> list[dict]:
@@ -593,7 +595,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentS
     atomic_write_text(out / "trials.jsonl", "\n".join(lines) + "\n")
 
     aggregate = aggregate_rows(results)
-    atomic_write_text(out / "aggregate.csv", _render_csv(_AGGREGATE_COLUMNS, aggregate))
+    _write_rows(out / "aggregate.csv", _AGGREGATE_COLUMNS, aggregate)
 
     plots = {
         "coverage_vs_radius.csv": ("radius", "coverage"),
@@ -604,6 +606,5 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentS
     }
     for filename, (coordinate, metric) in plots.items():
         rows = _plot_rows(aggregate, coordinate, metric)
-        text = _render_csv([coordinate, "method", metric], rows)
-        atomic_write_text(plot_dir / filename, text)
+        _write_rows(plot_dir / filename, [coordinate, "method", metric], rows)
     return ExperimentSummary(results=results, failures=failures, aggregate=aggregate)

@@ -308,12 +308,6 @@ class ScoreBatch:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def rows(self):
-        """Every entry as a 0-d batch, in row-major order."""
-        cdf = self.cdf.reshape(-1, self.cdf.shape[-1])
-        for mean, variance, row in zip(self.mean.ravel(), self.variance.ravel(), cdf):
-            yield _trusted(self.n_samples, mean, variance, self.grid, row)
-
 
 # ``bench/test_smoke.py`` builds a single summary under this name; the
 # alias goes once the benchmark stops importing it.

@@ -23,6 +23,7 @@ from mpmath import mp
 from scipy.optimize import linprog
 
 from conftest import _SCOREBOARD, record_criterion
+from test_poisoning import brute_force_feature_threshold, brute_force_label_threshold
 from robustcp.bounds import (
     BinaryBall,
     L2Ball,
@@ -45,12 +46,7 @@ from robustcp.formats import (
     write_labels_csv,
     write_score_tensor,
 )
-from robustcp.poisoning import (
-    brute_force_feature_threshold,
-    brute_force_label_threshold,
-    feature_poison_threshold,
-    label_poison_threshold,
-)
+from robustcp.poisoning import feature_poison_threshold, label_poison_threshold
 from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,

@@ -2,11 +2,13 @@
 
 The rank-search solvers claim exact worst cases; brute force over every
 budget-sized subset (and every label reassignment) is the oracle, for
-the defender's minimum and for the attacker's maximum alike.
+the defender's minimum and for the attacker's maximum alike.  The
+oracles here take the plain conformal quantile of every altered
+calibration set, so they share no code with the rank search.
 """
 
+import functools
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -14,8 +16,6 @@ import pytest
 from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean
 from robustcp.correction import corrected_bound, hoeffding_radius
 from robustcp.poisoning import (
-    brute_force_feature_threshold,
-    brute_force_label_threshold,
     corrected_feature_poison_threshold,
     feature_poison_threshold,
     label_poison_threshold,
@@ -54,29 +54,44 @@ def random_label_instance(rng):
     return matrix, labels, budget, alpha
 
 
-def brute_force_max_feature_quantile(scores, upper, budget, alpha):
-    """Largest quantile over every subset of up to ``budget`` points raised to ``upper``."""
-    n = scores.size
-    best = -math.inf
+def _subsets(n, budget):
+    """Every subset of at most ``budget`` of ``n`` indices, as an index list."""
     for size in range(min(budget, n) + 1):
         for subset in itertools.combinations(range(n), size):
-            modified = scores.copy()
-            modified[list(subset)] = upper[list(subset)]
-            best = max(best, conformal_quantile(modified, alpha))
-    return best
+            yield list(subset)
 
 
-def brute_force_max_label_quantile(matrix, labels, budget, alpha):
-    """Largest quantile over every reassignment of up to ``budget`` labels."""
+def brute_force_feature_quantile(extreme, scores, moved, budget, alpha):
+    """``extreme`` (min or max) of the quantile over every subset of up to
+    ``budget`` points whose scores move to ``moved``."""
+
+    def quantile(subset):
+        modified = scores.copy()
+        modified[subset] = moved[subset]
+        return conformal_quantile(modified, alpha)
+
+    return extreme(quantile(subset) for subset in _subsets(scores.size, budget))
+
+
+def brute_force_label_quantile(extreme, matrix, labels, budget, alpha):
+    """``extreme`` (min or max) of the quantile over every reassignment of up
+    to ``budget`` labels."""
     n, n_classes = matrix.shape
-    best = -math.inf
-    for size in range(min(budget, n) + 1):
-        for subset in itertools.combinations(range(n), size):
-            for assignment in itertools.product(range(n_classes), repeat=size):
-                flipped = labels.copy()
-                flipped[list(subset)] = assignment
-                best = max(best, conformal_quantile(matrix[np.arange(n), flipped], alpha))
-    return best
+
+    def quantiles(subset):
+        for assignment in itertools.product(range(n_classes), repeat=len(subset)):
+            flipped = labels.copy()
+            flipped[subset] = assignment
+            yield conformal_quantile(matrix[np.arange(n), flipped], alpha)
+
+    return extreme(q for subset in _subsets(n, budget) for q in quantiles(subset))
+
+
+# The defender's exact thresholds and the attacker's worst-case quantiles.
+brute_force_feature_threshold = functools.partial(brute_force_feature_quantile, min)
+brute_force_label_threshold = functools.partial(brute_force_label_quantile, min)
+brute_force_max_feature_quantile = functools.partial(brute_force_feature_quantile, max)
+brute_force_max_label_quantile = functools.partial(brute_force_label_quantile, max)
 
 
 def random_upper_instance(rng):

@@ -79,7 +79,6 @@ _SRC_ADDRESSES = {
     "cal-data": lambda i: [("cal-data",)],
     "test-data": lambda i: [("test-data",)],
     "plain": lambda i: [("plain", "cal"), ("plain", "test")],
-    "oracle-check": lambda i: [("oracle-check",)],
     "trial": lambda i: [("trial", i)],
     "cal": lambda i: [("cal", i)],
     "test": lambda i: [("test", i)],
@@ -344,8 +343,10 @@ def test_score_batch_indexing_and_stacking():
     assert isinstance(point, ScoreBatch) and point.shape == (3,)
     a, b, c = point  # unpacking yields the class rows
     assert isinstance(a, ScoreBatch) and a.shape == () and b.mean == batch.mean[1, 1]
-    assert [d.mean for d in batch.rows()] == batch.mean.ravel().tolist()
-    assert all(type(d.mean) is np.float64 and d.shape == () for d in batch.rows())
+    entries = [batch[i][j] for i in range(4) for j in range(3)]  # row-major
+    assert [d.mean for d in entries] == batch.mean.ravel().tolist()
+    assert all(type(d.mean) is np.float64 and d.shape == () for d in entries)
+    assert [d.mean for p in batch for d in p] == [d.mean for d in entries]
     again = ScoreBatch.stack(list(batch))
     for name in ("mean", "variance", "cdf"):
         np.testing.assert_array_equal(getattr(again, name), getattr(batch, name))
