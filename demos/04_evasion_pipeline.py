@@ -5,7 +5,7 @@ true-label score at every calibration point; at test time each point is
 first attacked inside the L2 ball, then scored three ways: plain smooth
 means (what an undefended pipeline would use), and prediction sets built
 from certified upper bounds via the mean-only route and the binned-CDF
-route.  The calibration table also yields beta, a floor on the coverage
+route.  The calibration also yields beta, a floor on the coverage
 of the undefended sets under ANY attack in the ball.
 
 Run with: python demos/04_evasion_pipeline.py
@@ -15,17 +15,16 @@ import numpy as np
 from dataclasses import replace
 
 from robustcp.attacks import evade_l2
-from robustcp.bounds import L2Ball
+from robustcp.bounds import L2Ball, bound_batch
 from robustcp.evasion import (
     EvasionConfig,
     calibrate_smooth,
     class_distributions,
-    lower_bounds_for,
     predict,
     vanilla_worst_case_coverage,
 )
 from robustcp.scores import evaluate_sets
-from robustcp.smoothing import BinGrid, GaussianNoise, ScoreBatch, substream
+from robustcp.smoothing import BinGrid, GaussianNoise, substream
 from robustcp.tasks import make_gaussian_mixture, oracle_for
 
 ALPHA, SIGMA, RADIUS, SEED = 0.1, 0.5, 0.25, 5
@@ -41,26 +40,26 @@ config = EvasionConfig(
     bound_kind="cdf", n_samples=2000, grid=BinGrid.uniform(51),
 )
 calibration = calibrate_smooth(oracle, x_cal, y_cal, ALPHA, config, seed=SEED)
-table, threshold = calibration.table, calibration.thresholds["vanilla"]
+threshold = calibration.thresholds["vanilla"]
 print(f"smoothed calibration on {len(y_cal)} points: threshold {threshold:.4f}")
 
 # Certified floor on undefended coverage: if every calibration score can
 # drop to its certified lower bound, how far can the quantile fall?
 for kind in ("mean", "cdf"):
-    cfg = replace(config, bound_kind=kind)
-    beta = vanilla_worst_case_coverage(threshold, lower_bounds_for(table, cfg))
+    lower = bound_batch(calibration.distributions, config.model, scheme, "lower", kind)
+    beta = vanilla_worst_case_coverage(threshold, lower)
     print(f"  worst-case coverage floor at r={RADIUS} ({kind} route): beta = {beta:.4f}")
 
 # Attack each test point, then build all three kinds of set on the SAME
 # Monte-Carlo draws so differences come from the bounds alone.
-per_point = []
-for i in range(len(y_test)):
-    attacked = evade_l2(
+attacked = [
+    evade_l2(
         oracle, x_test[i], int(y_test[i]), RADIUS, scheme,
         substream(SEED, "attack", i), n_samples=128,
     )
-    per_point.append(class_distributions(oracle, attacked, config, SEED, i))
-per_point = ScoreBatch.stack(per_point)  # one (points, classes) batch
+    for i in range(len(y_test))
+]
+per_point = class_distributions(oracle, attacked, config, SEED)  # (points, classes)
 by_cdf = predict(per_point, calibration, config)
 by_mean = predict(per_point, calibration, replace(config, bound_kind="mean"))
 vanilla_sets, mean_sets, cdf_sets = by_cdf["vanilla"], by_mean["robust"], by_cdf["robust"]

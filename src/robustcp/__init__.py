@@ -28,7 +28,6 @@ from .correction import (
 from .errors import ConfigurationError, InputError
 from .evasion import (
     Calibration,
-    CalibrationTable,
     EvasionConfig,
     calibrate,
     calibrate_smooth,
@@ -77,7 +76,6 @@ __all__ = [
     "BinaryBall",
     "BudgetLedger",
     "Calibration",
-    "CalibrationTable",
     "ConfigurationError",
     "ConservativeThreshold",
     "CoverageBeta",

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .bounds import BinaryBall, L2Ball, ThreatModel, bound_batch
-from .evasion import CalibrationTable, EvasionConfig
+from .evasion import Calibration, EvasionConfig
 from .poisoning import PoisonWitness, worst_case_feature_quantile, worst_case_label_quantile
 from .smoothing import GaussianNoise, ScoreOracle, SparseFlipNoise, sample_noise, substream
 
@@ -197,7 +197,7 @@ def poison_features_attack(
     oracle: ScoreOracle,
     inputs: np.ndarray,
     labels: np.ndarray,
-    table: CalibrationTable,
+    calibration: Calibration,
     budget: int,
     alpha: float,
     config: EvasionConfig,
@@ -210,14 +210,14 @@ def poison_features_attack(
     certified score ceiling, then individually perturbed with the
     evasion search run in maximize mode.
     """
-    budget = _clamped_budget(budget, len(table))
-    ceilings = bound_batch(table.distributions, config.model, config.scheme, "upper", "mean")
-    result = worst_case_feature_quantile(table.smooth_means, ceilings, budget, alpha)
+    budget = _clamped_budget(budget, len(calibration))
+    ceilings = bound_batch(calibration.distributions, config.model, config.scheme, "upper", "mean")
+    result = worst_case_feature_quantile(calibration.smooth_means, ceilings, budget, alpha)
     poisoned = np.array(inputs, copy=True)
     if isinstance(config.model, L2Ball):
         poisoned = poisoned.astype(float)
     for i in result.witness.indices:
-        rng = substream(seed, "poison-attack", int(table.point_ids[i]))
+        rng = substream(seed, "poison-attack", int(calibration.point_ids[i]))
         poisoned[i] = evade(
             oracle, inputs[i], int(labels[i]), config.model, config.scheme, rng,
             n_samples, maximize=True,

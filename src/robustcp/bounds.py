@@ -260,13 +260,19 @@ def _greedy_transfer(budgets, plan: _GreedyPlan):
     mass per unit of adversarial mass first when maximizing), with one
     fractional region on the boundary.  Regions with zero clean mass are
     free: all-in when maximizing, untouched when minimizing.  Budgets
-    must lie in [0, 1] (unchecked); the result has their shape.
+    must lie in [0, 1] (unchecked); the result has their shape.  The
+    arithmetic runs in place on the clipped budgets, so at most one
+    gather lives beside them and the index.
     """
     b = np.clip(budgets, 0.0, plan.cum_clean[-1])
-    j = np.searchsorted(plan.cum_clean, b, side="right") - 1
-    return plan.base + (
-        plan.cum_adv[j] + (b - plan.cum_clean[j]) / plan.clean[j] * plan.adv[j]
-    )
+    j = np.searchsorted(plan.cum_clean, b, side="right")
+    j -= 1
+    b -= plan.cum_clean[j]
+    b /= plan.clean[j]
+    b *= plan.adv[j]
+    b += plan.cum_adv[j]
+    b += plan.base
+    return b
 
 
 def sparse_transfer(p, table: RegionTable, increase: bool):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import BinaryBall, L2Ball
 from .errors import ConfigurationError, InputError
-from .evasion import Calibration, EvasionConfig, calibrate, predict
+from .evasion import EvasionConfig, calibrate, predict
 from .experiments import ExperimentConfig, TaskSpec, run_experiment
 from . import formats
 from .poisoning import (
@@ -193,24 +193,22 @@ def cmd_calibrate(args) -> int:
     for points, block in blocks:
         true_label[points] = block[np.arange(len(block)), labels[points]]
     calibration = calibrate(summarize_samples(true_label, config.grid), cfg["alpha"], config)
-    thresholds = calibration.thresholds
-    formats.write_calibration_artifact(
-        out / "calibration.json", calibration.table, thresholds, cfg
-    )
+    formats.write_calibration_artifact(out / "calibration.json", calibration, cfg)
     _write_resolved(out, cfg)
     print(f"calibrated {labels.size} points; thresholds: " + ", ".join(
-        f"{k}={v:.6g}" for k, v in sorted(thresholds.items())
+        f"{k}={v:.6g}" for k, v in sorted(calibration.thresholds.items())
     ))
     return 0
 
 
 def cmd_predict(args) -> int:
-    table, thresholds, artifact_config = formats.read_calibration_artifact(args.artifact)
+    calibration, artifact_config = formats.read_calibration_artifact(args.artifact)
+    thresholds = calibration.thresholds
     cfg = _load_config(args, artifact_config)
     _validate_common(cfg)
     config = _evasion_config(cfg)
     # The stored thresholds must be the quantiles of the stored columns.
-    derived = table.thresholds(cfg["alpha"], cfg["eta"])
+    derived = calibration.quantiles(cfg["alpha"], cfg["eta"])
     if derived != thresholds:
         raise ValueError(
             f"artifact thresholds {thresholds} do not match its points, which give {derived}"
@@ -235,7 +233,7 @@ def cmd_predict(args) -> int:
 
     # Each block is summarized into its rows of one batch; a row's summary
     # has the same bits whatever block it comes in.
-    grid = table.distributions.grid
+    grid = calibration.distributions.grid
     mean, variance = np.empty(shape[:2]), np.empty(shape[:2])
     cdf = np.empty(shape[:2] + (grid.inner_edges.size,))
     for points, block in blocks:
@@ -244,7 +242,7 @@ def cmd_predict(args) -> int:
     summaries = ScoreBatch(
         n_samples=shape[2], mean=mean, variance=variance, grid=grid, cdf=cdf
     )
-    named = predict(summaries, Calibration(table, thresholds), config)
+    named = predict(summaries, calibration, config)
 
     formats.write_sets_csv(out / "sets.csv", named)
     methods = {}

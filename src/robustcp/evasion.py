@@ -45,13 +45,11 @@ from .smoothing import (
 
 __all__ = [
     "EvasionConfig",
-    "CalibrationTable",
     "Calibration",
     "calibrate",
     "predict",
     "calibrate_smooth",
     "class_distributions",
-    "lower_bounds_for",
     "vanilla_worst_case_coverage",
 ]
 
@@ -85,17 +83,21 @@ class EvasionConfig:
 
 
 @dataclass
-class CalibrationTable:
-    """Per-calibration-point smooth-score summaries and certified bounds.
+class Calibration:
+    """Per-calibration-point summaries, their certified bounds, and the thresholds.
 
-    ``distributions`` is a ``(points,)`` batch; the bound columns are
-    aligned with it.
+    ``distributions`` is a ``(points,)`` batch; the id and bound columns
+    are aligned with it.  ``corrected_lower_bounds`` is None without
+    correction, and ``ledger`` is None without correction or when loaded
+    from an artifact.
     """
 
     point_ids: np.ndarray
-    lower_bounds: np.ndarray
     distributions: ScoreBatch
+    lower_bounds: np.ndarray
     corrected_lower_bounds: np.ndarray | None = None
+    thresholds: dict[str, float] = field(default_factory=dict)
+    ledger: BudgetLedger | None = None
 
     def __len__(self) -> int:
         return len(self.distributions)
@@ -104,14 +106,14 @@ class CalibrationTable:
     def smooth_means(self) -> np.ndarray:
         return self.distributions.mean
 
-    def thresholds(self, alpha: float, eta: float) -> dict[str, float]:
+    def quantiles(self, alpha: float, eta: float) -> dict[str, float]:
         """Thresholds by method: the conformal quantiles of the stored columns.
 
         "vanilla" takes the smooth means and "calibration-time" the lower
-        bounds at level alpha; "corrected", present when the table holds
-        corrected lower bounds, takes those at level alpha - eta.  Each
-        is an element of its column, so a stored threshold can be
-        checked against the table exactly.
+        bounds at level alpha; "corrected", present when corrected lower
+        bounds are stored, takes those at level alpha - eta.  Each is an
+        element of its column, so a stored threshold can be checked
+        against the columns exactly.
         """
         named = {
             "vanilla": conformal_quantile(self.smooth_means, alpha),
@@ -120,18 +122,6 @@ class CalibrationTable:
         if self.corrected_lower_bounds is not None:
             named["corrected"] = conformal_quantile(self.corrected_lower_bounds, alpha - eta)
         return named
-
-
-@dataclass
-class Calibration:
-    """A calibration table, its thresholds by method, and the budget it spent.
-
-    ``ledger`` is None without correction, or when loaded from an artifact.
-    """
-
-    table: CalibrationTable
-    thresholds: dict[str, float]
-    ledger: BudgetLedger | None = None
 
 
 def calibrate(
@@ -152,27 +142,24 @@ def calibrate(
     """
     n = len(distributions)
     point_ids = np.arange(n) if point_ids is None else np.asarray(point_ids, dtype=int)
-    table = CalibrationTable(
-        point_ids=point_ids,
-        lower_bounds=bound_batch(
-            distributions, config.model, config.scheme, "lower", config.bound_kind
-        ),
-        distributions=distributions,
+    calibration = Calibration(
+        point_ids, distributions,
+        bound_batch(distributions, config.model, config.scheme, "lower", config.bound_kind),
     )
     eta = config.eta
-    ledger = None
     if eta > 0.0:
         if not alpha > eta:
             raise ConfigurationError("alpha must exceed the correction budget eta")
-        ledger = BudgetLedger(eta=eta)
+        ledger = calibration.ledger = BudgetLedger(eta=eta)
         per_point = eta / (2.0 * n)
         for point_id in point_ids.tolist():
             ledger.spend(f"calibration cdf band {point_id}", per_point)
-        table.corrected_lower_bounds = corrected_bound(
+        calibration.corrected_lower_bounds = corrected_bound(
             distributions, config.model, config.scheme, "lower", config.bound_kind, per_point
         )
         ledger.assert_within()
-    return Calibration(table, table.thresholds(alpha, eta), ledger)
+    calibration.thresholds = calibration.quantiles(alpha, eta)
+    return calibration
 
 
 def predict(
@@ -246,13 +233,15 @@ def calibrate_smooth(
     """Estimate true-label smooth scores on clean calibration data, then :func:`calibrate`.
 
     Randomness is keyed by (seed, point id), never by array position, so
-    permuting the calibration set permutes the table.
+    permuting the calibration set permutes the calibration.
     """
     inputs = np.asarray(inputs)
     labels = np.asarray(labels, dtype=int)
     if inputs.shape[0] != labels.size:
         raise ValueError("inputs and labels must have equal length")
     point_ids = np.arange(labels.size) if point_ids is None else np.asarray(point_ids, dtype=int)
+    if point_ids.shape != labels.shape:
+        raise ValueError("need one point id per input")
     dists = []
     for x, label, point_id in zip(inputs, labels, point_ids):
         rng = substream(seed, "cal", int(point_id))
@@ -263,36 +252,28 @@ def calibrate_smooth(
 
 def class_distributions(
     oracle: ScoreOracle,
-    x: np.ndarray,
+    inputs: np.ndarray,
     config: EvasionConfig,
     seed: int,
-    point_id: int,
+    point_ids: np.ndarray | None = None,
 ) -> ScoreBatch:
-    """Estimate a ``(classes,)`` batch of smooth-score distributions at a test input.
+    """Estimate a ``(points, classes)`` batch of smooth-score distributions at test inputs.
 
-    All classes come from one noise batch and one oracle call.  Splitting
+    Each point's classes come from one noise batch and one oracle call,
+    keyed by (seed, point id) as in :func:`calibrate_smooth`.  Splitting
     estimation from bounding lets callers reuse the same Monte-Carlo
     draws across several threat radii or bound kinds.
     """
-    return estimate_distribution(
-        oracle, x, config.scheme, config.n_samples, config.grid,
-        substream(seed, "test", int(point_id)),
-    )
-
-
-def lower_bounds_for(table: CalibrationTable, config: EvasionConfig) -> np.ndarray:
-    """Certified lower bounds of a calibration table under another config.
-
-    Recomputes from the stored distributions, so one calibration pass can
-    serve several radii or bound kinds.  The bounds are taken over
-    ``config.model`` around each stored point; for points the adversary
-    may already have moved (poisoned calibration points), pass a config
-    whose model is ``model.reversed()``, the ball that holds the clean
-    point.
-    """
-    return bound_batch(
-        table.distributions, config.model, config.scheme, "lower", config.bound_kind
-    )
+    point_ids = np.arange(len(inputs)) if point_ids is None else np.asarray(point_ids, dtype=int)
+    if point_ids.shape != (len(inputs),):
+        raise ValueError("need one point id per input")
+    return ScoreBatch.stack([
+        estimate_distribution(
+            oracle, x, config.scheme, config.n_samples, config.grid,
+            substream(seed, "test", int(point_id)),
+        )
+        for x, point_id in zip(inputs, point_ids)
+    ])
 
 
 def vanilla_worst_case_coverage(threshold: float, lower_bounds: np.ndarray) -> float:
@@ -301,7 +282,8 @@ def vanilla_worst_case_coverage(threshold: float, lower_bounds: np.ndarray) -> f
     Evaluates where the clean threshold would land among the certified
     lower bounds of the calibration points: if every test score can be
     pushed down to its bound, coverage cannot fall below 1 minus that
-    grid level.  :func:`lower_bounds_for` gives the bounds of a table
-    under any radius or bound kind.
+    grid level.  ``bound_batch(calibration.distributions, model, scheme,
+    "lower", kind)`` gives the bounds of a calibration under any radius
+    or bound kind.
     """
     return 1.0 - inverse_quantile(threshold, lower_bounds)

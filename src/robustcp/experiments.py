@@ -27,13 +27,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .attacks import evade, poison_features_attack, poison_labels_attack
-from .bounds import BinaryBall, L2Ball, ThreatModel
+from .bounds import BinaryBall, L2Ball, ThreatModel, bound_batch
 from .errors import ConfigurationError
 from .evasion import (
     EvasionConfig,
     calibrate_smooth,
     class_distributions,
-    lower_bounds_for,
     predict,
     vanilla_worst_case_coverage,
 )
@@ -44,7 +43,7 @@ from .poisoning import (
     label_poison_threshold,
 )
 from .scores import conformal_quantile, evaluate_sets
-from .smoothing import BinGrid, GaussianNoise, ScoreBatch, SparseFlipNoise, subseed, substream
+from .smoothing import BinGrid, GaussianNoise, SparseFlipNoise, subseed, substream
 from .tasks import make_binary_task, make_gaussian_mixture, oracle_for
 
 __all__ = [
@@ -156,11 +155,11 @@ class ExperimentConfig:
         if self.n_trials < 1:
             raise ConfigurationError("need at least one trial")
         if self.kind in ("evasion", "feature-poison", "corrected"):
-            # Refuse a scheme, ball or grid value before any trial runs.
+            # Refuse a scheme, ball, grid or sample count before any trial runs.
             try:
-                scheme_for(self)
-                models_for(self)
-                BinGrid.uniform(self.grid_edges)
+                if not models_for(self):
+                    raise ConfigurationError("need at least one threat model (radii or flips)")
+                _evasion_config(self)
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from exc
 
@@ -199,13 +198,6 @@ def _evasion_config(config: ExperimentConfig, **fields) -> EvasionConfig:
     return EvasionConfig(
         scheme=scheme_for(config), model=models_for(config)[0],
         n_samples=config.n_samples, grid=BinGrid.uniform(config.grid_edges), **fields,
-    )
-
-
-def _test_distributions(oracle, points, cfg, ts) -> ScoreBatch:
-    """``(points, classes)`` batch of the test points' class distributions."""
-    return ScoreBatch.stack(
-        [class_distributions(oracle, x, cfg, ts, i) for i, x in enumerate(points)]
     )
 
 
@@ -289,12 +281,12 @@ def evasion_trial(config: ExperimentConfig, index: int) -> TrialResult:
     oracle = oracle_for(task, config.score_kind)
     base = _evasion_config(config, mode="test-time", bound_kind="mean")
     calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, base, seed=ts)
-    table, threshold = calibration.table, calibration.thresholds["vanilla"]
+    threshold = calibration.thresholds["vanilla"]
     rows = []
     thresholds = {"clean": threshold}
 
     # Calibration-time mode needs no bounds; only its vanilla sets are used.
-    clean = _test_distributions(oracle, x_test, base, ts)
+    clean = class_distributions(oracle, x_test, base, ts)
     clean_sets = predict(clean, calibration, replace(base, mode="calibration-time"))
     rows.append(
         {"radius": 0.0, "method": "vanilla", **_metrics(clean_sets["vanilla"], y_test)}
@@ -309,12 +301,14 @@ def evasion_trial(config: ExperimentConfig, index: int) -> TrialResult:
             )
             for i in range(len(y_test))
         ]
-        per_test = _test_distributions(oracle, attacked, base, ts)
+        per_test = class_distributions(oracle, attacked, base, ts)
         for kind in ("mean", "cdf"):
             cfg = replace(base, model=model, bound_kind=kind)
             sets = predict(per_test, calibration, cfg)
-            # calibrate_smooth already bounded the table under the base config.
-            lower = table.lower_bounds if cfg == base else lower_bounds_for(table, cfg)
+            # calibrate_smooth already bounded the calibration under the base config.
+            lower = calibration.lower_bounds if cfg == base else bound_batch(
+                calibration.distributions, model, cfg.scheme, "lower", kind
+            )
             if kind == "mean":
                 rows.append(
                     {"radius": r, "method": "vanilla", **_metrics(sets["vanilla"], y_test)}
@@ -377,11 +371,11 @@ def feature_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
     task, (x_cal, y_cal), (x_test, y_test) = generate_task(config.task, ts)
     oracle = oracle_for(task, config.score_kind)
     cfg = _evasion_config(config, mode="calibration-time", bound_kind=config.bound_kind)
-    # The defender's tables hold lower bounds over the reversed ball, the
+    # The defender's calibrations hold lower bounds over the reversed ball, the
     # ball around a received point that holds its clean point.
     defender = replace(cfg, model=cfg.model.reversed())
     calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, defender, seed=ts)
-    per_test = _test_distributions(oracle, x_test, cfg, ts)
+    per_test = class_distributions(oracle, x_test, cfg, ts)
     test_means = per_test.mean
     rows = []
     thresholds = {}
@@ -390,16 +384,15 @@ def feature_poison_trial(config: ExperimentConfig, index: int) -> TrialResult:
             calibration_k = calibration
         else:
             received, _ = poison_features_attack(
-                oracle, x_cal, y_cal, calibration.table, k, config.alpha, cfg,
+                oracle, x_cal, y_cal, calibration, k, config.alpha, cfg,
                 seed=subseed(ts, "attack", k), n_samples=config.attack_samples,
             )
             calibration_k = calibrate_smooth(
                 oracle, received, y_cal, config.alpha, defender,
                 seed=subseed(ts, "defender", k),
             )
-        table_k = calibration_k.table
         conservative = feature_poison_threshold(
-            table_k.smooth_means, table_k.lower_bounds, k, config.alpha
+            calibration_k.smooth_means, calibration_k.lower_bounds, k, config.alpha
         )
         vanilla = calibration_k.thresholds["vanilla"]
         rows.append(
@@ -433,8 +426,7 @@ def corrected_trial(config: ExperimentConfig, index: int) -> TrialResult:
         config, mode="calibration-time", bound_kind=config.bound_kind, eta=config.eta
     )
     calibration = calibrate_smooth(oracle, x_cal, y_cal, config.alpha, cfg, seed=ts)
-    table = calibration.table
-    per_test = _test_distributions(oracle, x_test, cfg, ts)
+    per_test = class_distributions(oracle, x_test, cfg, ts)
     test_means = per_test.mean
     sets = predict(per_test, calibration, cfg)
     rows = [
@@ -447,16 +439,18 @@ def corrected_trial(config: ExperimentConfig, index: int) -> TrialResult:
     }
 
     lower_plain = np.minimum(
-        lower_bounds_for(table, replace(cfg, model=cfg.model.reversed())),
-        table.smooth_means,
+        bound_batch(
+            calibration.distributions, cfg.model.reversed(), cfg.scheme, "lower", cfg.bound_kind
+        ),
+        calibration.smooth_means,
     )
     for k in config.budgets:
         conservative, poison_ledger = corrected_feature_poison_threshold(
-            table.distributions, cfg.model, cfg.scheme, k, config.alpha, config.eta,
+            calibration.distributions, cfg.model, cfg.scheme, k, config.alpha, config.eta,
             bound_kind=config.bound_kind,
         )
         poison_ledger.assert_within()
-        plain = feature_poison_threshold(table.smooth_means, lower_plain, k, config.alpha)
+        plain = feature_poison_threshold(calibration.smooth_means, lower_plain, k, config.alpha)
         rows.append(
             {
                 "budget": k, "method": "corrected-threshold",

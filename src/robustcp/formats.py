@@ -467,14 +467,14 @@ def _json_floats(values) -> list:
     return texts[inverse].reshape(values.shape).tolist()
 
 
-def _artifact_points(table):
+def _artifact_points(calibration):
     """The artifact's ``points`` array as ``json.dumps(indent=2)`` lays it out, in pieces.
 
-    Written from the table's columns rather than through one dict per
+    Written from the calibration's columns rather than through one dict per
     point, ``_WRITE_BLOCK_POINTS`` points per piece; each point's keys
     are in sorted order.
     """
-    dists = table.distributions
+    dists = calibration.distributions
     if len(dists) == 0:
         yield "[]"
         return
@@ -485,15 +485,15 @@ def _artifact_points(table):
             ['"cdf": [\n        ' + ",\n        ".join(row) + "\n      ]"
              for row in _json_floats(dists.cdf[part])],
         ]
-        if table.corrected_lower_bounds is not None:
+        if calibration.corrected_lower_bounds is not None:
             columns.append(
                 [f'"corrected_lower_bound": {v}'
-                 for v in _json_floats(table.corrected_lower_bounds[part])]
+                 for v in _json_floats(calibration.corrected_lower_bounds[part])]
             )
-        ids = table.point_ids[part].tolist()
+        ids = calibration.point_ids[part].tolist()
         columns += [
             [f'"id": {int(v)}' for v in ids],
-            [f'"lower_bound": {v}' for v in _json_floats(table.lower_bounds[part])],
+            [f'"lower_bound": {v}' for v in _json_floats(calibration.lower_bounds[part])],
             [f'"mean": {v}' for v in _json_floats(dists.mean[part])],
             [f'"n_samples": {dists.n_samples}'] * len(ids),
             [f'"variance": {v}' for v in _json_floats(dists.variance[part])],
@@ -506,23 +506,20 @@ def _artifact_points(table):
 
 
 def write_calibration_artifact(
-    path: str | Path,
-    table,
-    thresholds: Mapping[str, float],
-    config: Mapping[str, object],
+    path: str | Path, calibration, config: Mapping[str, object]
 ) -> None:
-    """Serialize a calibration table plus its thresholds and config echo.
+    """Serialize a calibration's points and thresholds plus a config echo.
 
     The bytes are those of ``json.dumps(payload, sort_keys=True,
-    indent=2)`` on the per-point dicts, written from the table's arrays
+    indent=2)`` on the per-point dicts, written from the calibration's arrays
     a block of points at a time, so the whole text is never held.
     """
     members = {
         "config": [_json_nested(dict(config))],
         "format": [_json_nested(ARTIFACT_FORMAT)],
-        "grid_edges": [_json_nested([float(e) for e in table.distributions.grid.edges])],
-        "points": _artifact_points(table),
-        "thresholds": [_json_nested({k: float(v) for k, v in thresholds.items()})],
+        "grid_edges": [_json_nested([float(e) for e in calibration.distributions.grid.edges])],
+        "points": _artifact_points(calibration),
+        "thresholds": [_json_nested({k: float(v) for k, v in calibration.thresholds.items()})],
         "version": [_json_nested(ARTIFACT_VERSION)],
     }
 
@@ -536,12 +533,13 @@ def write_calibration_artifact(
 
 
 def read_calibration_artifact(path: str | Path):
-    """Load an artifact back into a table, thresholds, and config echo.
+    """Load an artifact back into a :class:`~robustcp.evasion.Calibration` and config echo.
 
     The points become one :class:`~robustcp.smoothing.ScoreBatch`,
-    validated once; every point must have the same ``n_samples``.
+    validated once; every point must have the same ``n_samples``.  The
+    calibration carries no ledger.
     """
-    from .evasion import CalibrationTable
+    from .evasion import Calibration
 
     path = Path(path)
     if not path.exists():
@@ -575,17 +573,17 @@ def read_calibration_artifact(path: str | Path):
             grid=grid,
             cdf=np.array([entry["cdf"] for entry in points], dtype=float),
         )
-        table = CalibrationTable(
+        calibration = Calibration(
             point_ids=np.array([int(entry["id"]) for entry in points], dtype=int),
-            lower_bounds=np.array([float(entry["lower_bound"]) for entry in points]),
             distributions=distributions,
+            lower_bounds=np.array([float(entry["lower_bound"]) for entry in points]),
             corrected_lower_bounds=np.array(corrected) if corrected else None,
+            thresholds={k: float(v) for k, v in payload["thresholds"].items()},
         )
-        thresholds = {k: float(v) for k, v in payload["thresholds"].items()}
         config = payload.get("config", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed artifact ({exc})") from exc
-    return table, thresholds, config
+    return calibration, config
 
 
 # ----------------------------------------------------------- sets & metrics --

@@ -252,9 +252,8 @@ class ScoreBatch:
 
     A single summary is a 0-d batch, whose ``mean`` and ``variance`` are
     numpy scalars.  The whole batch is validated once, on construction.
-    ``len``, indexing and iteration follow the leading axis, and
-    :meth:`rows` walks every entry; the entries they yield are smaller
-    batches that are not validated again.
+    ``len``, indexing and iteration follow the leading axis; the entries
+    they yield are smaller batches that are not validated again.
     """
 
     n_samples: int

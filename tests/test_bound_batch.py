@@ -167,3 +167,23 @@ def test_bound_batch_entries_match_independent_references(route):
     # Six entries per direction, kind and bound: three from each batch.
     assert len(samples) == 24 * (2 if route in CORRECTED else 1)
     assert oracles.check_bound_samples(samples) == {}
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+def test_sparse_cdf_bound_peak_memory(direction):
+    """The bit-flip CDF route keeps few batch-sized arrays alive at once:
+    its peak allocation stays under 3.5 times the batch's CDF."""
+    import tracemalloc
+
+    rng = substream(3, "sparse-peak")
+    batch = summarize_samples(rng.uniform(0, 1, (1000, 10, 20)), BinGrid.uniform(51))
+    model, scheme = BinaryBall(additions=2, deletions=1), SparseFlipNoise(p0=0.1, p1=0.2)
+    # Build and cache the region table and greedy plan outside the trace.
+    bound_batch(batch[:1], model, scheme, direction, "cdf")
+    tracemalloc.start()
+    try:
+        bound_batch(batch, model, scheme, direction, "cdf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * batch.cdf.nbytes, (peak, batch.cdf.nbytes)

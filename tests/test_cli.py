@@ -375,42 +375,85 @@ def calibrate(ws, out="calib", extra=()):
     return ws / out / "calibration.json"
 
 
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _assert_same_calibration(got, want):
+    """Every column, the sample count, the grid and the thresholds, bit for bit."""
+    np.testing.assert_array_equal(got.point_ids, want.point_ids)
+    assert got.point_ids.dtype.kind == want.point_ids.dtype.kind == "i"
+    assert got.distributions.n_samples == want.distributions.n_samples
+    _assert_same_bits(got.distributions.grid.edges, want.distributions.grid.edges)
+    for name in ("mean", "variance", "cdf"):
+        _assert_same_bits(getattr(got.distributions, name), getattr(want.distributions, name))
+    _assert_same_bits(got.lower_bounds, want.lower_bounds)
+    if want.corrected_lower_bounds is None:
+        assert got.corrected_lower_bounds is None
+    else:
+        _assert_same_bits(got.corrected_lower_bounds, want.corrected_lower_bounds)
+    names = sorted(want.thresholds)
+    assert sorted(got.thresholds) == names
+    _assert_same_bits([got.thresholds[k] for k in names], [want.thresholds[k] for k in names])
+
+
 def test_calibrate_writes_artifact_that_round_trips(workspace):
-    artifact = calibrate(workspace)
-    table, thresholds, config = formats.read_calibration_artifact(artifact)
-    assert table.point_ids.shape == (25,)
-    assert "vanilla" in thresholds and "calibration-time" in thresholds
-    assert thresholds["calibration-time"] <= thresholds["vanilla"]
-    # Writing the same table again produces identical bytes.
-    formats.write_calibration_artifact(
-        workspace / "again.json", table, thresholds, config
-    )
-    reread = formats.read_calibration_artifact(workspace / "again.json")
-    np.testing.assert_array_equal(reread[0].smooth_means, table.smooth_means)
-    np.testing.assert_array_equal(reread[0].lower_bounds, table.lower_bounds)
-    assert reread[1] == thresholds
+    from robustcp.cli import _evasion_config
+    from robustcp.evasion import calibrate as calibrate_points
+    from robustcp.smoothing import summarize_samples
+
+    tensor = formats.read_score_tensor(workspace / "cal.csv")
+    labels = formats.read_labels_csv(workspace / "cal-labels.csv")
+    for eta in (0.0, 0.02):
+        extra = ["--set", f"eta={eta}", "--set", "mode=calibration-time"] if eta else []
+        artifact = calibrate(workspace, out=f"calib-{eta}", extra=extra)
+        calibration, config = formats.read_calibration_artifact(artifact)
+        assert calibration.point_ids.shape == (25,)
+        assert calibration.ledger is None
+        thresholds = calibration.thresholds
+        assert thresholds["calibration-time"] <= thresholds["vanilla"]
+        assert ("corrected" in thresholds) == (eta > 0.0)
+        # The artifact holds what calibrating the same tensor in memory gives.
+        evasion_config = _evasion_config(config)
+        want = calibrate_points(
+            summarize_samples(tensor[np.arange(labels.size), labels], evasion_config.grid),
+            config["alpha"], evasion_config,
+        )
+        _assert_same_calibration(calibration, want)
+        # Written again with a -inf threshold, it reads back whole, and
+        # writing what was read gives the same bytes.
+        calibration.thresholds = {**thresholds, "none": -np.inf}
+        again, third = workspace / f"again-{eta}.json", workspace / f"third-{eta}.json"
+        formats.write_calibration_artifact(again, calibration, config)
+        reread, reread_config = formats.read_calibration_artifact(again)
+        assert reread_config == config
+        _assert_same_calibration(reread, calibration)
+        formats.write_calibration_artifact(third, reread, config)
+        assert third.read_bytes() == again.read_bytes()
 
 
-def _reference_artifact_text(table, thresholds, config) -> str:
+def _reference_artifact_text(calibration, config) -> str:
     """The artifact as one dict per point through ``json.dumps(indent=2)``."""
     points = []
-    for i, dist in enumerate(table.distributions):
+    for i, dist in enumerate(calibration.distributions):
         entry = {
-            "id": int(table.point_ids[i]),
+            "id": int(calibration.point_ids[i]),
             "n_samples": int(dist.n_samples),
             "mean": float(dist.mean),
             "variance": float(dist.variance),
             "cdf": [float(v) for v in dist.cdf],
-            "lower_bound": float(table.lower_bounds[i]),
+            "lower_bound": float(calibration.lower_bounds[i]),
         }
-        if table.corrected_lower_bounds is not None:
-            entry["corrected_lower_bound"] = float(table.corrected_lower_bounds[i])
+        if calibration.corrected_lower_bounds is not None:
+            entry["corrected_lower_bound"] = float(calibration.corrected_lower_bounds[i])
         points.append(entry)
     payload = {
         "format": "robustcp-calibration",
         "version": 1,
-        "grid_edges": [float(e) for e in table.distributions.grid.edges],
-        "thresholds": {k: float(v) for k, v in thresholds.items()},
+        "grid_edges": [float(e) for e in calibration.distributions.grid.edges],
+        "thresholds": {k: float(v) for k, v in calibration.thresholds.items()},
         "config": dict(config),
         "points": points,
     }
@@ -420,7 +463,7 @@ def _reference_artifact_text(table, thresholds, config) -> str:
 @pytest.mark.parametrize("eta", [0.0, 0.02])
 def test_artifact_writer_matches_json_dumps(tmp_path, eta):
     from robustcp.bounds import L2Ball
-    from robustcp.evasion import CalibrationTable, EvasionConfig, calibrate as calibrate_table
+    from robustcp.evasion import Calibration, EvasionConfig, calibrate as calibrate_points
     from robustcp.smoothing import BinGrid, GaussianNoise, ScoreBatch, summarize_samples
 
     rng = substream(47, "artifact-writer")
@@ -428,18 +471,15 @@ def test_artifact_writer_matches_json_dumps(tmp_path, eta):
     config = EvasionConfig(
         scheme=GaussianNoise(0.25), model=L2Ball(0.125), grid=BinGrid.uniform(21), eta=eta
     )
-    calibration = calibrate_table(summarize_samples(samples, config.grid), 0.1, config)
-    table = calibration.table
-    table.point_ids = table.point_ids * 7 - 3
-    assert (table.corrected_lower_bounds is not None) == (eta > 0.0)
+    calibration = calibrate_points(summarize_samples(samples, config.grid), 0.1, config)
+    calibration.point_ids = calibration.point_ids * 7 - 3
+    assert (calibration.corrected_lower_bounds is not None) == (eta > 0.0)
     # Non-finite thresholds, and config values that nest or hold newlines.
-    thresholds = {**calibration.thresholds, "none": -np.inf}
+    thresholds = calibration.thresholds = {**calibration.thresholds, "none": -np.inf}
     echo = {"alpha": 0.1, "note": "two\nlines", "nested": {"b": [1, 2.5], "a": "x"}}
-    formats.write_calibration_artifact(tmp_path / "a.json", table, thresholds, echo)
-    assert (tmp_path / "a.json").read_text() == _reference_artifact_text(
-        table, thresholds, echo
-    )
-    # A hand-built table whose columns repeat values and hold -0.0 beside
+    formats.write_calibration_artifact(tmp_path / "a.json", calibration, echo)
+    assert (tmp_path / "a.json").read_text() == _reference_artifact_text(calibration, echo)
+    # A hand-built calibration whose columns repeat values and hold -0.0 beside
     # 0.0: a writer that formats each distinct value once must key on the
     # bits, since -0.0 == 0.0.
     cdf = np.array([
@@ -447,18 +487,19 @@ def test_artifact_writer_matches_json_dumps(tmp_path, eta):
         [0.0, -0.0, -0.0, 0.25, 1.0],
         [0.0, 0.25, 0.25, 1.0, 1.0],
     ])
-    table = CalibrationTable(
+    calibration = Calibration(
         point_ids=np.array([4, 0, 4]),
-        lower_bounds=np.array([0.125, -0.0, 0.125]),
         distributions=ScoreBatch(
             n_samples=4, mean=np.array([0.5, 0.0, -0.0]),
             variance=np.array([0.0, 0.0, 0.0625]), grid=BinGrid.uniform(7), cdf=cdf,
         ),
+        lower_bounds=np.array([0.125, -0.0, 0.125]),
         corrected_lower_bounds=np.array([0.0, 0.0, -0.0]) if eta > 0.0 else None,
+        thresholds=thresholds,
     )
-    formats.write_calibration_artifact(tmp_path / "b.json", table, thresholds, echo)
+    formats.write_calibration_artifact(tmp_path / "b.json", calibration, echo)
     text = (tmp_path / "b.json").read_text()
-    assert text == _reference_artifact_text(table, thresholds, echo)
+    assert text == _reference_artifact_text(calibration, echo)
     assert "-0.0" in text
 
 
@@ -469,7 +510,7 @@ def test_artifact_writer_in_point_blocks(tmp_path, monkeypatch, eta):
     import tracemalloc
 
     from robustcp.bounds import L2Ball
-    from robustcp.evasion import EvasionConfig, calibrate as calibrate_table
+    from robustcp.evasion import EvasionConfig, calibrate as calibrate_points
     from robustcp.smoothing import BinGrid, GaussianNoise, summarize_samples
 
     rng = substream(50, "artifact-blocks")
@@ -477,18 +518,16 @@ def test_artifact_writer_in_point_blocks(tmp_path, monkeypatch, eta):
     config = EvasionConfig(
         scheme=GaussianNoise(0.25), model=L2Ball(0.125), grid=BinGrid.uniform(51), eta=eta
     )
-    calibration = calibrate_table(summarize_samples(samples, config.grid), 0.1, config)
+    calibration = calibrate_points(summarize_samples(samples, config.grid), 0.1, config)
     echo = {"alpha": 0.1, "eta": eta}
-    want = _reference_artifact_text(calibration.table, calibration.thresholds, echo)
+    want = _reference_artifact_text(calibration, echo)
     for block_points in (1, 7, 16, 1000, 5000):
         monkeypatch.setattr(formats, "_WRITE_BLOCK_POINTS", block_points)
         path = tmp_path / f"a{block_points}.json"
         if block_points == 16:
             tracemalloc.start()
         try:
-            formats.write_calibration_artifact(
-                path, calibration.table, calibration.thresholds, echo
-            )
+            formats.write_calibration_artifact(path, calibration, echo)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -542,7 +581,7 @@ def test_predict_rejects_artifact_without_one_sample_count(workspace):
 
 def test_calibrate_with_eta_adds_corrected_threshold(workspace):
     artifact = calibrate(workspace, out="calib-eta", extra=("--set", "eta=0.01"))
-    _, thresholds, _ = formats.read_calibration_artifact(artifact)
+    thresholds = formats.read_calibration_artifact(artifact)[0].thresholds
     assert thresholds["corrected"] <= thresholds["calibration-time"]
 
 
@@ -972,6 +1011,11 @@ _DEFECTIVE_CONFIGS = {
                                           "--set", "eta=0.01", "--set", "task=binary-linear",
                                           "--set", "flips=1:-1"],
     "simulate-evasion-grid-edges-2": [*_SIMULATE, "--set", "grid_edges=2"],
+    "simulate-corrected-n-samples-1": [*_SIMULATE, "--set", "experiment=corrected",
+                                       "--set", "eta=0.01", "--set", "n_samples=1"],
+    "simulate-evasion-radii-empty": [*_SIMULATE, "--set", "radii="],
+    "simulate-feature-poison-flips-empty": [*_SIMULATE, "--set", "experiment=feature-poison",
+                                            "--set", "task=binary-linear", "--set", "flips="],
 }
 
 

@@ -1,6 +1,7 @@
 """Every demo runs to completion against the package in ``src/``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +24,20 @@ def test_demo_exits_zero(demo):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs():
+    """README's library quick start runs as written and prints the
+    thresholds by method, then one point's robust set."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    thresholds, robust_set = result.stdout.splitlines()
+    assert thresholds.startswith("{'vanilla': ") and "'calibration-time': " in thresholds
+    assert re.fullmatch(r"\[[0-9 ]*\]", robust_set)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustcp import evasion
-from robustcp.bounds import BinaryBall, L2Ball, bound_for_clean
+from robustcp.bounds import BinaryBall, L2Ball, bound_batch, bound_for_clean
 from robustcp.correction import BudgetLedger, bernstein_radius, corrected_bound
 from robustcp.errors import ConfigurationError
 from robustcp.evasion import (
@@ -16,7 +16,6 @@ from robustcp.evasion import (
     calibrate,
     calibrate_smooth,
     class_distributions,
-    lower_bounds_for,
     predict,
     vanilla_worst_case_coverage,
 )
@@ -63,27 +62,26 @@ def test_calibrate_is_deterministic(gaussian_setup, calibrated):
     _, oracle, x, y, config = gaussian_setup
     again = calibrate_smooth(oracle, x, y, ALPHA, config, seed=17)
     assert again.thresholds == calibrated.thresholds
-    np.testing.assert_array_equal(again.table.smooth_means, calibrated.table.smooth_means)
-    np.testing.assert_array_equal(again.table.lower_bounds, calibrated.table.lower_bounds)
+    np.testing.assert_array_equal(again.smooth_means, calibrated.smooth_means)
+    np.testing.assert_array_equal(again.lower_bounds, calibrated.lower_bounds)
 
 
 def test_calibrate_seed_changes_estimates(gaussian_setup, calibrated):
     _, oracle, x, y, config = gaussian_setup
     other = calibrate_smooth(oracle, x, y, ALPHA, config, seed=18)
-    assert not np.array_equal(other.table.smooth_means, calibrated.table.smooth_means)
+    assert not np.array_equal(other.smooth_means, calibrated.smooth_means)
 
 
 def test_calibrate_is_exchangeable(gaussian_setup, calibrated):
-    """Streams are keyed by point id, so permuting rows permutes the table."""
+    """Streams are keyed by point id, so permuting rows permutes the calibration."""
     _, oracle, x, y, config = gaussian_setup
-    table = calibrated.table
     perm = substream(0, "perm").permutation(N_CAL)
     shuffled = calibrate_smooth(
         oracle, x[perm], y[perm], ALPHA, config, seed=17, point_ids=np.arange(N_CAL)[perm]
     )
     assert shuffled.thresholds == calibrated.thresholds
-    np.testing.assert_array_equal(shuffled.table.smooth_means, table.smooth_means[perm])
-    np.testing.assert_array_equal(shuffled.table.lower_bounds, table.lower_bounds[perm])
+    np.testing.assert_array_equal(shuffled.smooth_means, calibrated.smooth_means[perm])
+    np.testing.assert_array_equal(shuffled.lower_bounds, calibrated.lower_bounds[perm])
 
 
 def _same_distribution(a, b):
@@ -94,13 +92,15 @@ def _same_distribution(a, b):
 def test_class_distributions_share_one_oracle_call(gaussian_setup):
     """Class c is column c of one oracle call on the point's test stream."""
     _, oracle, x, _, config = gaussian_setup
-    dists = class_distributions(oracle, x[2], config, seed=23, point_id=2)
-    scores = score_samples(
-        oracle, x[2], config.scheme, config.n_samples, substream(23, "test", 2)
-    )
-    assert len(dists) == scores.shape[1] == 3
-    for c, d in enumerate(dists):
-        _same_distribution(d, summarize_samples(scores[:, c], config.grid))
+    dists = class_distributions(oracle, x[1:3], config, seed=23, point_ids=[7, 2])
+    assert dists.shape == (2, 3)
+    for i, point_id in ((1, 2), (0, 7)):
+        scores = score_samples(
+            oracle, x[i + 1], config.scheme, config.n_samples, substream(23, "test", point_id)
+        )
+        assert scores.shape[1] == 3
+        for c, d in enumerate(dists[i]):
+            _same_distribution(d, summarize_samples(scores[:, c], config.grid))
 
 
 def test_calibration_keeps_the_label_column(gaussian_setup, calibrated):
@@ -110,32 +110,37 @@ def test_calibration_keeps_the_label_column(gaussian_setup, calibrated):
             oracle, x[i], config.scheme, config.n_samples, substream(17, "cal", i)
         )
         _same_distribution(
-            calibrated.table.distributions[i],
+            calibrated.distributions[i],
             summarize_samples(scores[:, y[i]], config.grid),
         )
 
 
 def test_threshold_is_quantile_of_means(calibrated):
     threshold = calibrated.thresholds["vanilla"]
-    assert threshold == conformal_quantile(calibrated.table.smooth_means, ALPHA)
+    assert threshold == conformal_quantile(calibrated.smooth_means, ALPHA)
 
 
 def test_calibration_time_threshold_is_more_conservative(calibrated):
     guarded = calibrated.thresholds["calibration-time"]
-    assert guarded == conformal_quantile(calibrated.table.lower_bounds, ALPHA)
+    assert guarded == conformal_quantile(calibrated.lower_bounds, ALPHA)
     assert guarded <= calibrated.thresholds["vanilla"]
 
 
 def test_lower_bounds_recomputable_from_distributions(gaussian_setup, calibrated):
     _, _, _, _, config = gaussian_setup
-    table = calibrated.table
-    np.testing.assert_array_equal(lower_bounds_for(table, config), table.lower_bounds)
+
+    def lower_bounds(model):
+        return bound_batch(
+            calibrated.distributions, model, config.scheme, "lower", config.bound_kind
+        )
+
+    np.testing.assert_array_equal(lower_bounds(config.model), calibrated.lower_bounds)
     # The L2 ball is its own reversal, so the observed-point bounds are the same.
-    reversed_cfg = dataclasses.replace(config, model=config.model.reversed())
-    np.testing.assert_array_equal(lower_bounds_for(table, reversed_cfg), table.lower_bounds)
+    np.testing.assert_array_equal(
+        lower_bounds(config.model.reversed()), calibrated.lower_bounds
+    )
     # A larger ball certifies weaker (smaller) lower bounds.
-    wider = dataclasses.replace(config, model=L2Ball(radius=0.25))
-    assert np.all(lower_bounds_for(table, wider) <= table.lower_bounds + 1e-12)
+    assert np.all(lower_bounds(L2Ball(radius=0.25)) <= calibrated.lower_bounds + 1e-12)
 
 
 def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
@@ -144,9 +149,7 @@ def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
     a point's set does not depend on the batch it is predicted in."""
     _, oracle, x, _, config = gaussian_setup
     threshold = calibrated.thresholds["vanilla"]
-    dists = ScoreBatch.stack(
-        [class_distributions(oracle, x[i], config, seed=23, point_id=i) for i in range(4)]
-    )
+    dists = class_distributions(oracle, x[:4], config, seed=23)
     batch = predict(dists, calibrated, config)["robust"]
     assert batch.shape == (4, 3) and batch.dtype == bool
     for i in range(4):
@@ -155,16 +158,16 @@ def test_test_time_sets_match_distribution_route(gaussian_setup, calibrated):
             for d in dists[i]
         ])
         np.testing.assert_array_equal(batch[i], upper >= threshold)
-        alone = predict(ScoreBatch.stack([dists[i]]), calibrated, config)["robust"]
+        alone = predict(dists[i : i + 1], calibrated, config)["robust"]
         np.testing.assert_array_equal(alone[0], batch[i])
 
 
 def test_smooth_mean_set_is_plain_thresholding(gaussian_setup, calibrated):
     _, oracle, x, _, config = gaussian_setup
     threshold = calibrated.thresholds["vanilla"]
-    dists = class_distributions(oracle, x[0], config, seed=23, point_id=0)
-    got = predict(ScoreBatch.stack([dists]), calibrated, config)["vanilla"][0]
-    want = {c for c in range(3) if dists[c].mean >= threshold}
+    dists = class_distributions(oracle, x[:1], config, seed=23)
+    got = predict(dists, calibrated, config)["vanilla"][0]
+    want = {c for c in range(3) if dists.mean[0, c] >= threshold}
     assert set(np.flatnonzero(got)) == want
 
 
@@ -173,9 +176,7 @@ def test_set_nesting_vanilla_mean_cdf(gaussian_setup, calibrated):
     stays inside the mean route."""
     _, oracle, x, _, config = gaussian_setup
     mean_cfg = dataclasses.replace(config, bound_kind="mean")
-    dists = ScoreBatch.stack(
-        [class_distributions(oracle, x[i], config, seed=29, point_id=i) for i in range(8)]
-    )
+    dists = class_distributions(oracle, x[:8], config, seed=29)
     by_cdf = predict(dists, calibrated, config)
     by_mean = predict(dists, calibrated, mean_cfg)
     assert np.all(by_cdf["vanilla"] <= by_cdf["robust"])
@@ -183,11 +184,11 @@ def test_set_nesting_vanilla_mean_cdf(gaussian_setup, calibrated):
 
 
 def test_vanilla_worst_case_coverage_definition(calibrated):
-    table, threshold = calibrated.table, calibrated.thresholds["vanilla"]
-    beta = vanilla_worst_case_coverage(threshold, table.lower_bounds)
-    assert beta == 1.0 - inverse_quantile(threshold, table.lower_bounds)
+    threshold = calibrated.thresholds["vanilla"]
+    beta = vanilla_worst_case_coverage(threshold, calibrated.lower_bounds)
+    assert beta == 1.0 - inverse_quantile(threshold, calibrated.lower_bounds)
     # Without an attack the floor is the usual empirical level.
-    clean = vanilla_worst_case_coverage(threshold, table.smooth_means)
+    clean = vanilla_worst_case_coverage(threshold, calibrated.smooth_means)
     assert beta <= clean
 
 
@@ -195,10 +196,10 @@ def test_corrected_calibrate_dominates_plain(gaussian_setup, calibrated):
     _, oracle, x, y, config = gaussian_setup
     cfg = dataclasses.replace(config, mode="calibration-time", eta=0.05)
     corrected = calibrate_smooth(oracle, x, y, ALPHA, cfg, seed=17)
-    table, ledger = corrected.table, corrected.ledger
+    ledger = corrected.ledger
     assert len(ledger.entries) == N_CAL
     assert ledger.spent <= cfg.eta / 2 + 1e-12
-    assert np.all(table.corrected_lower_bounds <= table.lower_bounds + 1e-12)
+    assert np.all(corrected.corrected_lower_bounds <= corrected.lower_bounds + 1e-12)
     assert corrected.thresholds["corrected"] <= corrected.thresholds["calibration-time"]
     # The plain thresholds do not depend on eta.
     assert calibrated.ledger is None and "corrected" not in calibrated.thresholds
@@ -211,9 +212,7 @@ def corrected_prediction(gaussian_setup):
     _, oracle, x, y, config = gaussian_setup
     cfg = dataclasses.replace(config, mode="calibration-time", eta=0.02)
     calibration = calibrate_smooth(oracle, x, y, ALPHA, cfg, seed=17)
-    test = ScoreBatch.stack(
-        [class_distributions(oracle, x[i], cfg, seed=31, point_id=i) for i in range(4)]
-    )
+    test = class_distributions(oracle, x[:4], cfg, seed=31)
     spends = []
 
     class RecordingLedger(BudgetLedger):
@@ -257,15 +256,12 @@ def test_corrected_set_membership_rule(corrected_prediction):
 def test_predict_refuses_sets_that_do_not_nest(gaussian_setup, calibrated):
     """A calibration-time threshold above the vanilla one would drop vanilla classes."""
     _, oracle, x, _, config = gaussian_setup
-    dists = class_distributions(oracle, x[0], config, seed=23, point_id=0)
+    dists = class_distributions(oracle, x[:1], config, seed=23)
     inverted = dataclasses.replace(
         calibrated, thresholds={"vanilla": -np.inf, "calibration-time": np.inf}
     )
     with pytest.raises(AssertionError, match="not inside robust"):
-        predict(
-            ScoreBatch.stack([dists]), inverted,
-            dataclasses.replace(config, mode="calibration-time"),
-        )
+        predict(dists, inverted, dataclasses.replace(config, mode="calibration-time"))
 
 
 def test_binary_pipeline_end_to_end():
@@ -281,15 +277,14 @@ def test_binary_pipeline_end_to_end():
         n_samples=300,
     )
     calibration = calibrate_smooth(oracle, x, y, ALPHA, config, seed=3)
-    table = calibration.table
-    assert np.all(table.lower_bounds <= table.smooth_means + 1e-12)
+    assert np.all(calibration.lower_bounds <= calibration.smooth_means + 1e-12)
     expect = [
         bound_for_clean(d, config.model, config.scheme, "lower", "cdf")
-        for d in table.distributions
+        for d in calibration.distributions
     ]
-    np.testing.assert_allclose(table.lower_bounds, expect)
-    dists = class_distributions(oracle, x[0], config, seed=4, point_id=0)
-    sets = predict(ScoreBatch.stack([dists]), calibration, config)
+    np.testing.assert_allclose(calibration.lower_bounds, expect)
+    dists = class_distributions(oracle, x[:1], config, seed=4)
+    sets = predict(dists, calibration, config)
     assert sets["vanilla"].shape == sets["robust"].shape == (1, 3)
     assert np.all(sets["vanilla"] <= sets["robust"])
 
@@ -298,6 +293,11 @@ def test_length_mismatch_rejected(gaussian_setup):
     _, oracle, x, y, config = gaussian_setup
     with pytest.raises(ValueError):
         calibrate_smooth(oracle, x, y[:-1], ALPHA, config, seed=0)
+    # A point id list that does not match the inputs is refused, not zipped short.
+    with pytest.raises(ValueError, match="one point id per input"):
+        calibrate_smooth(oracle, x, y, ALPHA, config, seed=0, point_ids=[0, 1])
+    with pytest.raises(ValueError, match="one point id per input"):
+        class_distributions(oracle, x[:3], config, seed=0, point_ids=[0, 1])
 
 
 # ------------------------------------------------------ calibrate / predict --
@@ -348,22 +348,24 @@ def test_calibrate_and_predict_properties(
     calibration = calibrate(
         ScoreBatch.stack([_random_distribution(rng) for _ in range(n_cal)]), ALPHA, config
     )
-    table, thresholds = calibration.table, calibration.thresholds
+    thresholds = calibration.thresholds
 
-    lower = [bound_for_clean(d, model, scheme, "lower", bound_kind) for d in table.distributions]
-    np.testing.assert_array_equal(table.lower_bounds, lower)
-    assert thresholds["vanilla"] == conformal_quantile(table.smooth_means, ALPHA)
-    assert thresholds["calibration-time"] == conformal_quantile(table.lower_bounds, ALPHA)
+    lower = [
+        bound_for_clean(d, model, scheme, "lower", bound_kind) for d in calibration.distributions
+    ]
+    np.testing.assert_array_equal(calibration.lower_bounds, lower)
+    assert thresholds["vanilla"] == conformal_quantile(calibration.smooth_means, ALPHA)
+    assert thresholds["calibration-time"] == conformal_quantile(calibration.lower_bounds, ALPHA)
     assert thresholds["calibration-time"] <= thresholds["vanilla"]
     if eta > 0.0:
         widened = [
             corrected_bound(d, model, scheme, "lower", bound_kind, eta / (2 * n_cal))
-            for d in table.distributions
+            for d in calibration.distributions
         ]
-        np.testing.assert_array_equal(table.corrected_lower_bounds, widened)
+        np.testing.assert_array_equal(calibration.corrected_lower_bounds, widened)
         assert thresholds["corrected"] == conformal_quantile(widened, ALPHA - eta)
         assert thresholds["corrected"] <= thresholds["calibration-time"]
-        assert np.all(table.corrected_lower_bounds <= table.lower_bounds + 1e-12)
+        assert np.all(calibration.corrected_lower_bounds <= calibration.lower_bounds + 1e-12)
         assert len(calibration.ledger.entries) == n_cal
         assert calibration.ledger.spent == pytest.approx(eta / 2)
     else:

@@ -142,6 +142,7 @@ def _count_bounded_entries(monkeypatch) -> Counter:
     import robustcp.attacks as attacks
     import robustcp.correction as correction
     import robustcp.evasion as evasion
+    import robustcp.experiments as experiments
 
     entries = Counter()
 
@@ -149,14 +150,14 @@ def _count_bounded_entries(monkeypatch) -> Counter:
         entries[(model, direction, kind)] += np.size(batch.mean)
         return bound_batch(batch, model, scheme, direction, kind)
 
-    for module in (evasion, attacks, correction):
+    for module in (evasion, attacks, correction, experiments):
         monkeypatch.setattr(module, "bound_batch", counted)
     return entries
 
 
 def test_evasion_trial_bounds_each_calibration_point_once_per_route(monkeypatch):
     """20 calibration points and one radius: 20 lower bounds for the mean
-    route (also the calibration table's) and 20 for the cdf route.  The
+    route (also the calibration's own) and 20 for the cdf route.  The
     only other bounds are the upper bounds of the 4 test points' 3 classes
     for each route."""
     entries = _count_bounded_entries(monkeypatch)
@@ -208,9 +209,9 @@ def test_poison_features_attack_preserves_binary_dtype():
         bound_kind="mean",
         n_samples=200,
     )
-    table = calibrate_smooth(oracle, x, y, 0.2, config, seed=9).table
+    calibration = calibrate_smooth(oracle, x, y, 0.2, config, seed=9)
     poisoned, touched = poison_features_attack(
-        oracle, x, y, table, 2, 0.2, config, seed=10, n_samples=64
+        oracle, x, y, calibration, 2, 0.2, config, seed=10, n_samples=64
     )
     assert poisoned.dtype == x.dtype
     assert len(touched) <= 2
@@ -275,9 +276,9 @@ def test_label_poison_trial_thresholds():
 
 
 def test_feature_poison_trial_bounds_only_the_reversed_ball(monkeypatch):
-    """The defender calibrates its tables (the clean one and one per budget
-    k > 0) over the reversed ball, and the rank search reads their lower
-    bounds: 20 points x 3 tables.  The only other bounds are the
+    """The defender calibrates (once clean and once per budget k > 0) over
+    the reversed ball, and the rank search reads the lower bounds: 20
+    points x 3 calibrations.  The only other bounds are the
     attacker's mean-route score ceilings over the forward ball, 20 points
     for each budget k > 0."""
     entries = _count_bounded_entries(monkeypatch)
