@@ -459,11 +459,15 @@ def _json_floats(values) -> list:
 
     Each distinct bit pattern is formatted once and the strings are
     gathered back, so ``-0.0`` stays apart from ``0.0``; a CDF over m
-    draws holds at most m + 1 distinct values.
+    draws holds at most m + 1 distinct values.  All are formatted by
+    ``float.__repr__`` in one pass, then the few non-finite ones re-spelt.
     """
     values = np.ascontiguousarray(values, dtype=float)
     keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([_json_float(v) for v in keys.view(float).tolist()], dtype=object)
+    distinct = keys.view(float)
+    texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    for i in np.flatnonzero(~np.isfinite(distinct)):
+        texts[i] = _json_float(distinct[i])
     return texts[inverse].reshape(values.shape).tolist()
 
 

@@ -104,9 +104,10 @@ def _rank_search(
 
     needed = int(max(0, rank - np.sum(scores <= v)))
     eligible = np.nonzero((lower <= v) & (scores > v))[0]
-    # Highest lower bounds first, so the rank statistic lands exactly on v.
-    order = sorted(eligible, key=lambda i: (-lower[i], i))
-    chosen = tuple(int(i) for i in order[:needed])
+    # Highest lower bounds first, ties by index, so the rank statistic
+    # lands exactly on v.
+    order = eligible[np.lexsort((eligible, -lower[eligible]))]
+    chosen = tuple(order[:needed].tolist())
     witness = PoisonWitness(indices=chosen, values=tuple(float(moved[i]) for i in chosen))
     return ConservativeThreshold(threshold=float(sign * v), rank=k_order, witness=witness)
 

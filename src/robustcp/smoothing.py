@@ -335,17 +335,26 @@ def summarize_samples(samples: np.ndarray, grid: BinGrid) -> ScoreBatch:
     cdf = np.empty((rows.shape[0], edges.size))
     for start in range(0, rows.shape[0], _SUMMARY_CHUNK_ROWS):
         part = slice(start, start + _SUMMARY_CHUNK_ROWS)
-        # A C-ordered copy: reducing along a strided axis (a transposed
-        # view, say) would sum in another order and change the last bits.
-        chunk = np.array(rows[part], order="C")
-        if np.any(chunk < -1e-9) or np.any(chunk > 1.0 + 1e-9):
+        block = rows[part]
+        # A NaN fails neither comparison; ScoreBatch rejects its NaN mean.
+        if block.min() < -1e-9 or block.max() > 1.0 + 1e-9:
             raise ValueError("score oracle produced values outside [0, 1]")
-        np.clip(chunk, 0.0, 1.0, out=chunk)
-        mean[part] = chunk.mean(axis=1)
-        variance[part] = chunk.var(axis=1, ddof=1)
+        # One clipped, C-ordered copy: reducing along a strided axis (a
+        # transposed view, say) would sum in another order and change the
+        # last bits.
+        chunk = np.clip(block, 0.0, 1.0, out=np.empty(block.shape))
+        chunk_mean = chunk.mean(axis=1)
+        mean[part] = chunk_mean
+        # np.var(ddof=1)'s own steps from the mean just taken, so the bits
+        # match without its second mean pass.
+        dev = chunk - chunk_mean[:, None]
+        dev *= dev
+        variance[part] = dev.sum(axis=1) / (m - 1)
         chunk.sort(axis=1)
-        for i, row in enumerate(chunk, start):
-            cdf[i] = np.searchsorted(row, edges, side="right") / m
+        counts = np.empty((chunk.shape[0], edges.size), dtype=np.intp)
+        for row, out in zip(chunk, counts):
+            out[:] = row.searchsorted(edges, "right")
+        np.divide(counts, m, out=cdf[part])
     return ScoreBatch(
         n_samples=m,
         mean=mean.reshape(batch_shape),

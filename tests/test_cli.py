@@ -501,6 +501,16 @@ def test_artifact_writer_matches_json_dumps(tmp_path, eta):
     text = (tmp_path / "b.json").read_text()
     assert text == _reference_artifact_text(calibration, echo)
     assert "-0.0" in text
+    # Non-finite point columns take json.dumps's spellings, beside finite
+    # values and each other.
+    calibration.lower_bounds = np.array([-np.inf, np.inf, np.nan])
+    if eta > 0.0:
+        calibration.corrected_lower_bounds = np.array([np.nan, 0.125, -np.inf])
+    formats.write_calibration_artifact(tmp_path / "c.json", calibration, echo)
+    text = (tmp_path / "c.json").read_text()
+    assert text == _reference_artifact_text(calibration, echo)
+    for spelling in ('"lower_bound": -Infinity', '"lower_bound": Infinity', '"lower_bound": NaN'):
+        assert spelling in text
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.02])

@@ -204,6 +204,52 @@ def test_max_direction_dominates_min():
         assert down <= up
 
 
+def _sorted_witness(scores, moved, threshold, needed, up):
+    """The witness order by a Python sort: the points that can move past
+    the threshold, highest (down) or lowest (up) target first, ties by
+    index, the first ``needed`` of them."""
+    sign = -1.0 if up else 1.0
+    scores, lower, v = sign * scores, sign * moved, sign * threshold
+    eligible = [i for i in range(scores.size) if lower[i] <= v < scores[i]]
+    return tuple(sorted(eligible, key=lambda i: (-lower[i], i))[:needed]), len(eligible)
+
+
+def test_witness_tie_order_matches_a_python_sort():
+    # Equal targets, -0.0 beside 0.0, and -inf: the chosen points are the
+    # highest targets first, ties broken by the lower index.
+    scores = np.full(8, 0.9)
+    lower = np.array([0.0, -0.0, 0.3, -np.inf, 0.3, -0.0, 0.0, 0.3])
+    got = feature_poison_threshold(scores, lower, 6, 0.7)
+    assert got.threshold == 0.3
+    assert got.witness.indices == (2, 4, 7, 0, 1, 5)
+    got = feature_poison_threshold(scores, lower, 8, 0.9)
+    assert got.witness.indices == (2, 4, 7, 0, 1, 5, 6, 3)
+
+    rng = substream(29, "witness-ties")
+    pool = np.array([-np.inf, -0.0, 0.0, 0.25, 0.5])
+    fewer_than_eligible = 0
+    for _ in range(300):
+        n = int(rng.integers(4, 13))
+        budget = int(rng.integers(1, n + 1))
+        alpha = float(rng.uniform(0.05, 0.95))
+        up = bool(rng.integers(0, 2))
+        if up:
+            scores = rng.choice([-0.0, 0.0, 0.5], n)
+            moved = np.maximum(rng.choice(-pool, n), scores)
+            got = worst_case_feature_quantile(scores, moved, budget, alpha)
+        else:
+            scores = rng.choice([0.5, 0.75, 1.0], n)
+            moved = np.minimum(rng.choice(pool, n), scores)
+            got = feature_poison_threshold(scores, moved, budget, alpha)
+        if got.rank == 0:
+            continue
+        needed = len(got.witness.indices)
+        want, n_eligible = _sorted_witness(scores, moved, got.threshold, needed, up)
+        assert got.witness.indices == want
+        fewer_than_eligible += 0 < needed < n_eligible
+    assert fewer_than_eligible >= 50
+
+
 def test_low_rank_hits_sentinel():
     scores = np.linspace(0.1, 0.9, 5)
     got = feature_poison_threshold(scores, scores, 0, 0.1)

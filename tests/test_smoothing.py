@@ -315,6 +315,57 @@ def test_batch_summary_rejects_scores_outside_the_tolerance(bad):
         summarize_samples(rows[-1], grid)
 
 
+_RAGGED_GRID = BinGrid(np.array([0.0, 0.1, 0.3, 0.3, 0.3, 0.55, 0.7, 0.7, 1.0]))
+
+
+def _edge_case_rows(rng, n_rows, n_samples, edges):
+    """Scores on every interior edge and one ulp either side of it, 0.0,
+    -0.0 and 1.0, values within 1e-9 outside [0, 1], and plain uniforms."""
+    pool = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, -0.0, 1.0, -1e-9, -4e-10, np.nextafter(0.0, -1.0), 1.0 + 1e-9,
+         np.nextafter(1.0, 2.0)],
+        rng.uniform(0, 1, 8),
+    ])
+    return pool[rng.integers(0, pool.size, (n_rows, n_samples))]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("grid", [BinGrid.uniform(11), _RAGGED_GRID], ids=["uniform", "ragged"])
+@pytest.mark.parametrize("n_samples", [2, 7, 60])
+def test_summary_is_bit_exact_against_a_per_row_reference(n_samples, grid, layout):
+    """600 rows (two whole chunks and a partial one) give the bits of each
+    row summarized alone (mean, var(ddof=1), searchsorted counts over
+    the sorted row), and NaN or out-of-range scores are still refused."""
+    rng = substream(n_samples, "bit-exact", grid.edges.size, layout)
+    edges = grid.inner_edges
+    rows = _edge_case_rows(rng, 600, n_samples, edges)
+    assert 600 % _CHUNK and 600 > 2 * _CHUNK
+    if layout == "F":
+        rows = np.asfortranarray(rows)
+        assert not rows.flags.c_contiguous
+    batch = summarize_samples(rows, grid)
+    for i, row in enumerate(rows):
+        mean, variance, cdf = _reference_row(row, edges)
+        assert _bits(batch.mean[i]) == _bits(mean)
+        assert _bits(batch.variance[i]) == _bits(variance)
+        assert np.array_equal(_bits(batch.cdf[i]), _bits(cdf))
+    # Every edge, ulp neighbour and signed zero occurred.
+    assert np.isin(np.concatenate([edges, np.nextafter(edges, 2.0)]), rows).all()
+    assert np.signbit(rows[rows == 0.0]).any() and (~np.signbit(rows[rows == 0.0])).any()
+
+    # A NaN passes the range check and is refused by its NaN mean.
+    for bad, message in ((-2e-9, "outside"), (1.0 + 2e-9, "outside"), (np.nan, "mean")):
+        broken = rows.copy(order="K")
+        broken[-1, -1] = bad  # in the last, partial chunk
+        with pytest.raises(ValueError, match=message):
+            summarize_samples(broken, grid)
+
+
 def test_summarize_samples_one_row_is_a_0d_batch():
     """A 1-d row summarizes to a 0-d batch with numpy-scalar moments, the
     same entry it is inside a larger batch."""

@@ -31,7 +31,10 @@ and ``ROBUSTCP_WORKERS=1``, which runs a fixed set of commands through
   1,056,000 scores, more than one 2^20-value read block, so the reader
   and the summaries go block by block and end on a partial block, and
   more calibration points than one piece of the artifact writer;
-* ``certify-poisoning`` for feature and label poisoning.
+* ``certify-poisoning`` for feature and label poisoning, and for feature
+  poisoning on bounds tied at a few values, ``-0.0`` beside ``0.0``,
+  where more points could move than the budget allows, so the witness
+  records which tied points the search chose.
 
 It then runs each of the tree's own demos (``SRC/../demos/*.py``) in a
 fresh interpreter and records its exit code and standard output, so a
@@ -215,6 +218,15 @@ def write_outputs(out: Path) -> None:
     _run(main, "certify-feature", [
         "certify-poisoning", "--input", str(inputs / "bounds.csv"),
         "--out", str(out / "certify-feature"), "--set=poison_budget=3",
+    ], out)
+    tie_rng = np.random.default_rng(20243)
+    formats.write_feature_bounds_csv(
+        inputs / "bounds-ties.csv",
+        tie_rng.choice([0.6, 0.8, 1.0], 40), tie_rng.choice([-0.0, 0.0, 0.3], 40),
+    )
+    _run(main, "certify-feature-ties", [
+        "certify-poisoning", "--input", str(inputs / "bounds-ties.csv"),
+        "--out", str(out / "certify-feature-ties"), "--set=poison_budget=6",
     ], out)
     _run(main, "certify-label", [
         "certify-poisoning", "--input", str(inputs / "matrix.csv"),
