@@ -13,7 +13,9 @@ Run with: python demos/02_gaussian_certificates.py
 import numpy as np
 
 from robustcp.bounds import L2Ball, bound_for_clean, gaussian_transfer
-from robustcp.smoothing import BinGrid, GaussianNoise, estimate_distribution, substream
+from robustcp.smoothing import (
+    BinGrid, GaussianNoise, score_samples, substream, summarize_samples,
+)
 
 SIGMA = 0.25
 scheme = GaussianNoise(sigma=SIGMA)
@@ -27,7 +29,9 @@ def score_fn(points, rng):
 
 
 x = np.array([0.2, -0.1])
-(dist,) = estimate_distribution(score_fn, x, scheme, 20_000, grid, substream(0, "demo"))
+dist = summarize_samples(
+    score_samples(score_fn, x, scheme, 20_000, substream(0, "demo"))[:, 0], grid
+)
 print(f"smooth score at x: mean {dist.mean:.4f}, variance {dist.variance:.5f}, "
       f"{dist.n_samples} draws")
 
@@ -67,7 +71,9 @@ rng = substream(0, "probe")
 for k in range(40):
     direction = rng.normal(size=2)
     x_shift = x + r * direction / np.linalg.norm(direction)
-    (d,) = estimate_distribution(score_fn, x_shift, scheme, 20_000, grid, substream(0, "probe", k))
+    d = summarize_samples(
+        score_samples(score_fn, x_shift, scheme, 20_000, substream(0, "probe", k))[:, 0], grid
+    )
     worst_lo = min(worst_lo, d.mean)
     worst_up = max(worst_up, d.mean)
 print(f"\nat r = 0.5 sigma: certified [{lo:.4f}, {up:.4f}], "

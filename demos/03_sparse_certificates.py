@@ -20,7 +20,9 @@ from robustcp.bounds import (
     build_region_table,
     sparse_transfer,
 )
-from robustcp.smoothing import BinGrid, SparseFlipNoise, estimate_distribution, substream
+from robustcp.smoothing import (
+    BinGrid, SparseFlipNoise, score_samples, substream, summarize_samples,
+)
 
 ADDITIONS, DELETIONS = 2, 1
 P0, P1 = 0.2, 0.2
@@ -57,7 +59,9 @@ def score_fn(points, rng):
 
 
 x = (substream(3, "point").uniform(size=32) < 0.4).astype(np.int8)
-(dist,) = estimate_distribution(score_fn, x, scheme, 20_000, grid, substream(3, "mc"))
+dist = summarize_samples(
+    score_samples(score_fn, x, scheme, 20_000, substream(3, "mc"))[:, 0], grid
+)
 print(f"\nsmoothed score at a binary point: mean {dist.mean:.4f}")
 
 print("certified envelope as the flip ball grows (mean route vs cdf route)")

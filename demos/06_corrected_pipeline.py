@@ -21,7 +21,9 @@ from robustcp.correction import (
     hoeffding_radius,
 )
 from robustcp.evasion import EvasionConfig, calibrate_smooth
-from robustcp.smoothing import BinGrid, GaussianNoise, estimate_distribution, substream
+from robustcp.smoothing import (
+    BinGrid, GaussianNoise, score_samples, substream, summarize_samples,
+)
 from robustcp.tasks import make_gaussian_mixture, oracle_for
 
 ETA = 0.01
@@ -45,7 +47,9 @@ def score_fn(points, rng):
     return 1.0 / (1.0 + np.exp(-2.0 * points[:, :1]))  # one class column
 
 
-(dist,) = estimate_distribution(score_fn, np.zeros(2), scheme, 10_000, grid, substream(9, "mc"))
+dist = summarize_samples(
+    score_samples(score_fn, np.zeros(2), scheme, 10_000, substream(9, "mc"))[:, 0], grid
+)
 plain = bound_for_clean(dist, model, scheme, "lower", "cdf")
 corrected = corrected_bound(dist, model, scheme, "lower", "cdf", ETA)
 print(f"\nlower bound at r=0.125: uncorrected {plain:.4f}, corrected {corrected:.4f}")

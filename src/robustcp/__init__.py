@@ -60,11 +60,11 @@ from .smoothing import (
     GaussianNoise,
     ScoreBatch,
     SparseFlipNoise,
-    estimate_distribution,
     sample_gaussian,
     sample_sparse,
     subseed,
     substream,
+    summarize_blocks,
     summarize_samples,
 )
 
@@ -99,7 +99,6 @@ __all__ = [
     "corrected_feature_poison_threshold",
     "coverage_distribution",
     "dkw_radius",
-    "estimate_distribution",
     "evaluate_sets",
     "feature_poison_threshold",
     "gaussian_transfer",
@@ -114,6 +113,7 @@ __all__ = [
     "sparse_transfer",
     "subseed",
     "substream",
+    "summarize_blocks",
     "summarize_samples",
     "vanilla_worst_case_coverage",
     "worst_case_feature_quantile",

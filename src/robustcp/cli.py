@@ -32,13 +32,7 @@ from .poisoning import (
     replay_label_witness,
 )
 from .scores import evaluate_sets
-from .smoothing import (
-    BinGrid,
-    GaussianNoise,
-    ScoreBatch,
-    SparseFlipNoise,
-    summarize_samples,
-)
+from .smoothing import BinGrid, GaussianNoise, SparseFlipNoise, summarize_blocks
 
 __all__ = ["main", "CONFIG_SCHEMA"]
 
@@ -188,11 +182,7 @@ def cmd_calibrate(args) -> int:
     _check_samples(args.scores, shape)
     _check_labels(labels, shape)
 
-    # Only each point's true-label samples are kept from its block.
-    true_label = np.empty((shape[0], shape[2]))
-    for points, block in blocks:
-        true_label[points] = block[np.arange(len(block)), labels[points]]
-    calibration = calibrate(summarize_samples(true_label, config.grid), cfg["alpha"], config)
+    calibration = calibrate(summarize_blocks(blocks, config.grid, labels), cfg["alpha"], config)
     formats.write_calibration_artifact(out / "calibration.json", calibration, cfg)
     _write_resolved(out, cfg)
     print(f"calibrated {labels.size} points; thresholds: " + ", ".join(
@@ -231,17 +221,7 @@ def cmd_predict(args) -> int:
     if labels is not None:
         _check_labels(labels, shape)
 
-    # Each block is summarized into its rows of one batch; a row's summary
-    # has the same bits whatever block it comes in.
-    grid = calibration.distributions.grid
-    mean, variance = np.empty(shape[:2]), np.empty(shape[:2])
-    cdf = np.empty(shape[:2] + (grid.inner_edges.size,))
-    for points, block in blocks:
-        part = summarize_samples(block, grid)
-        mean[points], variance[points], cdf[points] = part.mean, part.variance, part.cdf
-    summaries = ScoreBatch(
-        n_samples=shape[2], mean=mean, variance=variance, grid=grid, cdf=cdf
-    )
+    summaries = summarize_blocks(blocks, calibration.distributions.grid)
     named = predict(summaries, calibration, config)
 
     formats.write_sets_csv(out / "sets.csv", named)
@@ -320,32 +300,17 @@ def cmd_certify_poisoning(args) -> int:
     return 0
 
 
-def _parse_floats(raw: str, key: str) -> tuple[float, ...]:
+def _flip_budget(part: str) -> tuple[int, int]:
+    pieces = part.split(":")
+    if len(pieces) != 2:
+        raise ValueError("entries look like additions:deletions")
+    return int(pieces[0]), int(pieces[1])
+
+
+def _parse_list(cfg: dict, key: str, parse) -> tuple:
+    """A comma-separated config value, item by item; a bad item is malformed input."""
     try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise InputError(f"config key {key!r}: {exc}") from exc
-
-
-def _parse_flips(raw: str) -> tuple[tuple[int, int], ...]:
-    flips = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise InputError("config key 'flips': entries look like additions:deletions")
-        try:
-            flips.append((int(pieces[0]), int(pieces[1])))
-        except ValueError as exc:
-            raise InputError(f"config key 'flips': {exc}") from exc
-    return tuple(flips)
-
-
-def _parse_ints(raw: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
+        return tuple(parse(part.strip()) for part in cfg[key].split(",") if part.strip())
     except ValueError as exc:
         raise InputError(f"config key {key!r}: {exc}") from exc
 
@@ -372,10 +337,10 @@ def cmd_simulate(args) -> int:
         sigma=cfg["sigma"],
         p0=cfg["p0"],
         p1=cfg["p1"],
-        radii=_parse_floats(cfg["radii"], "radii"),
-        flips=_parse_flips(cfg["flips"]),
-        budgets=_parse_ints(cfg["budgets"], "budgets"),
-        alphas=_parse_floats(cfg["alphas"], "alphas"),
+        radii=_parse_list(cfg, "radii", float),
+        flips=_parse_list(cfg, "flips", _flip_budget),
+        budgets=_parse_list(cfg, "budgets", int),
+        alphas=_parse_list(cfg, "alphas", float),
         bound_kind=cfg["bound_kind"],
         eta=cfg["eta"],
         n_samples=cfg["n_samples"],

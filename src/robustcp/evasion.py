@@ -15,10 +15,12 @@ Both variants accept a mean-only or a binned-CDF bound.  Corrected
 variants additionally account for Monte-Carlo estimation error and give
 finite-sample guarantees at a declared failure budget.
 
-After estimation everything runs through two functions: :func:`calibrate`
-turns a ``(points,)`` :class:`~robustcp.smoothing.ScoreBatch` of
-true-label calibration distributions into thresholds, and :func:`predict`
-turns a ``(points, classes)`` batch of test distributions into boolean
+Estimation is one Monte-Carlo block per point, summarized by
+:func:`~robustcp.smoothing.summarize_blocks`.  After estimation
+everything runs through two functions: :func:`calibrate` turns a
+``(points,)`` :class:`~robustcp.smoothing.ScoreBatch` of true-label
+calibration distributions into thresholds, and :func:`predict` turns a
+``(points, classes)`` batch of test distributions into boolean
 ``(points, classes)`` set masks.
 """
 
@@ -37,10 +39,9 @@ from .smoothing import (
     ScoreBatch,
     ScoreOracle,
     SmoothingScheme,
-    estimate_distribution,
     score_samples,
     substream,
-    summarize_samples,
+    summarize_blocks,
 )
 
 __all__ = [
@@ -221,6 +222,27 @@ def predict(
     return named
 
 
+def _sampled_blocks(oracle, inputs, config: EvasionConfig, seed: int, stream: str, point_ids):
+    """The point ids, and Monte-Carlo scores as one-point ``(points, block)`` pairs.
+
+    The Monte-Carlo twin of :func:`robustcp.formats.read_score_blocks`:
+    the ids are checked here, and point i's ``(1, classes, n_samples)``
+    block is drawn from ``substream(seed, stream, point_id)`` with one
+    noise batch and one oracle call when the blocks are read.
+    """
+    point_ids = np.arange(len(inputs)) if point_ids is None else np.asarray(point_ids, dtype=int)
+    if point_ids.shape != (len(inputs),):
+        raise ValueError("need one point id per input")
+
+    def blocks():
+        for i, (x, point_id) in enumerate(zip(inputs, point_ids.tolist())):
+            rng = substream(seed, stream, point_id)
+            scores = score_samples(oracle, x, config.scheme, config.n_samples, rng)
+            yield slice(i, i + 1), scores.T[None]
+
+    return point_ids, blocks()
+
+
 def calibrate_smooth(
     oracle: ScoreOracle,
     inputs: np.ndarray,
@@ -235,19 +257,11 @@ def calibrate_smooth(
     Randomness is keyed by (seed, point id), never by array position, so
     permuting the calibration set permutes the calibration.
     """
-    inputs = np.asarray(inputs)
     labels = np.asarray(labels, dtype=int)
-    if inputs.shape[0] != labels.size:
+    if len(inputs) != labels.size:
         raise ValueError("inputs and labels must have equal length")
-    point_ids = np.arange(labels.size) if point_ids is None else np.asarray(point_ids, dtype=int)
-    if point_ids.shape != labels.shape:
-        raise ValueError("need one point id per input")
-    dists = []
-    for x, label, point_id in zip(inputs, labels, point_ids):
-        rng = substream(seed, "cal", int(point_id))
-        scores = score_samples(oracle, x, config.scheme, config.n_samples, rng)
-        dists.append(summarize_samples(scores[:, label], config.grid))
-    return calibrate(ScoreBatch.stack(dists), alpha, config, point_ids)
+    point_ids, blocks = _sampled_blocks(oracle, inputs, config, seed, "cal", point_ids)
+    return calibrate(summarize_blocks(blocks, config.grid, labels), alpha, config, point_ids)
 
 
 def class_distributions(
@@ -264,16 +278,8 @@ def class_distributions(
     estimation from bounding lets callers reuse the same Monte-Carlo
     draws across several threat radii or bound kinds.
     """
-    point_ids = np.arange(len(inputs)) if point_ids is None else np.asarray(point_ids, dtype=int)
-    if point_ids.shape != (len(inputs),):
-        raise ValueError("need one point id per input")
-    return ScoreBatch.stack([
-        estimate_distribution(
-            oracle, x, config.scheme, config.n_samples, config.grid,
-            substream(seed, "test", int(point_id)),
-        )
-        for x, point_id in zip(inputs, point_ids)
-    ])
+    _, blocks = _sampled_blocks(oracle, inputs, config, seed, "test", point_ids)
+    return summarize_blocks(blocks, config.grid)
 
 
 def vanilla_worst_case_coverage(threshold: float, lower_bounds: np.ndarray) -> float:

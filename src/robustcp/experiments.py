@@ -92,6 +92,10 @@ class TaskSpec:
             raise ConfigurationError(f"unknown task kind {self.kind!r}")
         if self.n_cal < 10 or self.n_test < 1:
             raise ConfigurationError("need n_cal >= 10 and n_test >= 1")
+        try:  # the task makers hold the supported sizes and strengths
+            build_task(self)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
 
 def build_task(spec: TaskSpec):
@@ -154,12 +158,19 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown score kind {self.score_kind!r}")
         if self.n_trials < 1:
             raise ConfigurationError("need at least one trial")
+        if self.kind == "marginal" and not all(0.0 < a < 1.0 for a in self.alphas):
+            raise ConfigurationError("alphas must lie in (0, 1)")
+        poisoning = self.kind in ("label-poison", "feature-poison", "corrected")
+        if poisoning and any(k < 0 for k in self.budgets):
+            raise ConfigurationError("poisoning budgets must be nonnegative")
+        if self.kind in ("evasion", "feature-poison") and self.attack_samples < 1:
+            raise ConfigurationError("attack_samples must be at least 1")
         if self.kind in ("evasion", "feature-poison", "corrected"):
-            # Refuse a scheme, ball, grid or sample count before any trial runs.
+            # Refuse a scheme, ball, grid, bound kind or sample count before any trial runs.
             try:
                 if not models_for(self):
                     raise ConfigurationError("need at least one threat model (radii or flips)")
-                _evasion_config(self)
+                _evasion_config(self, bound_kind=self.bound_kind)
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from exc
 

@@ -69,8 +69,6 @@ def _validate_instance(scores: np.ndarray, moved: np.ndarray, budget: int) -> No
         raise ValueError("scores must be a nonempty 1-d array")
     if moved.shape != scores.shape:
         raise ValueError("per-point bounds must match scores in shape")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
 
 
 def _rank_search(
@@ -87,6 +85,8 @@ def _rank_search(
     is minus the smallest reachable (n + 1 - k)-th smallest of the
     negated scores and bounds: the same scan, mirrored.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     n = scores.size
     k_order = _order_index(alpha, n)
     if k_order == 0:

@@ -6,6 +6,9 @@ estimated by Monte Carlo and summarized as a :class:`ScoreBatch` (mean,
 variance, and the empirical CDF on a fixed bin grid), which is all the
 certification routines in :mod:`robustcp.bounds` consume.  A batch holds
 any number of summaries as arrays; a single summary is a 0-d batch.
+Every batch of many points is built by :func:`summarize_blocks`, from
+blocks of whole points: a score tensor's read blocks, or one
+Monte-Carlo draw of :func:`score_samples` per point.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -28,8 +31,8 @@ __all__ = [
     "sample_sparse",
     "sample_noise",
     "score_samples",
-    "estimate_distribution",
     "summarize_samples",
+    "summarize_blocks",
 ]
 
 # Rows of samples summarized per pass of :func:`summarize_samples`; bounds
@@ -221,7 +224,7 @@ def _check_summaries(n_samples, mean, variance, cdf, n_edges: int) -> None:
 
 
 def _trusted(n_samples, mean, variance, grid, cdf) -> "ScoreBatch":
-    """A :class:`ScoreBatch` from fields already validated as part of a larger batch."""
+    """A :class:`ScoreBatch` from fields already validated, in a larger batch or in pieces."""
     obj = object.__new__(ScoreBatch)
     for name, value in (
         ("n_samples", n_samples), ("mean", mean), ("variance", variance),
@@ -270,23 +273,6 @@ class ScoreBatch:
         object.__setattr__(self, "n_samples", int(self.n_samples))
         _check_summaries(
             self.n_samples, self.mean, self.variance, self.cdf, self.grid.inner_edges.size
-        )
-
-    @classmethod
-    def stack(cls, items: Sequence["ScoreBatch"]) -> "ScoreBatch":
-        """Stack equal-shape batches (or single summaries) along a new leading axis."""
-        items = list(items)
-        if not items:
-            raise ValueError("nothing to stack")
-        n_samples, grid = items[0].n_samples, items[0].grid
-        if any(d.n_samples != n_samples or d.grid != grid for d in items):
-            raise ValueError("stacked summaries must share n_samples and grid")
-        return cls(
-            n_samples=n_samples,
-            mean=np.array([d.mean for d in items], dtype=float),
-            variance=np.array([d.variance for d in items], dtype=float),
-            grid=grid,
-            cdf=np.array([d.cdf for d in items], dtype=float),
         )
 
     @property
@@ -364,6 +350,36 @@ def summarize_samples(samples: np.ndarray, grid: BinGrid) -> ScoreBatch:
     )
 
 
+def summarize_blocks(
+    blocks: Iterable[tuple[slice, np.ndarray]], grid: BinGrid, labels: np.ndarray | None = None
+) -> ScoreBatch:
+    """One batch from ``(points, block)`` pairs of ``(k, classes, samples)`` scores.
+
+    The pairs come in point order, as :func:`robustcp.formats.read_score_blocks`
+    yields them, and each block is summarized with :func:`summarize_samples`
+    as it arrives, so no source is ever held whole.  The result is a
+    ``(points, classes)`` batch, or with ``labels`` a ``(points,)`` batch
+    of each point's labelled row only.  Every entry has the bits of its
+    row summarized alone, however the points are split into blocks.
+    """
+    parts = []
+    for points, block in blocks:
+        if labels is not None:
+            block = block[np.arange(len(block)), labels[points]]
+        parts.append(summarize_samples(block, grid))
+    if not parts:
+        raise ValueError("no points to summarize")
+    m = parts[0].n_samples
+    if any(part.n_samples != m for part in parts):
+        raise ValueError("every block must have the same number of samples")
+    mean, variance, cdf = (
+        np.concatenate([getattr(part, name) for part in parts])
+        for name in ("mean", "variance", "cdf")
+    )
+    # summarize_samples validated every piece.
+    return _trusted(m, mean, variance, grid, cdf)
+
+
 def score_samples(
     score_fn: ScoreOracle,
     x: np.ndarray,
@@ -382,38 +398,3 @@ def score_samples(
     if scores.ndim != 2 or scores.shape[0] != n_samples:
         raise ValueError("score oracle must return one row of class scores per sample")
     return scores
-
-
-def estimate_distribution(
-    score_fn: ScoreOracle,
-    x: np.ndarray,
-    scheme: SmoothingScheme,
-    n_samples: int,
-    grid: BinGrid,
-    rng: np.random.Generator,
-) -> ScoreBatch:
-    """Monte-Carlo estimate of every class's smooth score distribution at ``x``.
-
-    Parameters
-    ----------
-    score_fn : callable
-        Batch oracle ``(points, rng) -> (m, n_classes)`` scores in [0, 1].
-    x : array of shape (d,)
-        Input the noise is centred on.
-    scheme : GaussianNoise or SparseFlipNoise
-        Noise distribution ``x`` is perturbed with.
-    n_samples : int
-        Monte-Carlo sample count (>= 2).
-    grid : BinGrid
-        Edges for the binned CDF.
-    rng : np.random.Generator
-        Source for both the noise and any randomness inside the oracle;
-        pass a :func:`substream` keyed by point for reproducible,
-        order-independent batches.
-
-    Returns a ``(n_classes,)`` batch, one distribution per class.  All
-    classes share the noise batch, so each marginal is exactly what a
-    separate batch would give while the classes are correlated with
-    each other.
-    """
-    return summarize_samples(score_samples(score_fn, x, scheme, n_samples, rng).T, grid)

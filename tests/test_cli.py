@@ -1026,6 +1026,15 @@ _DEFECTIVE_CONFIGS = {
     "simulate-evasion-radii-empty": [*_SIMULATE, "--set", "radii="],
     "simulate-feature-poison-flips-empty": [*_SIMULATE, "--set", "experiment=feature-poison",
                                             "--set", "task=binary-linear", "--set", "flips="],
+    "simulate-label-poison-budget-negative": [*_SIMULATE, "--set", "experiment=label-poison",
+                                              "--set", "budgets=-1,0"],
+    "simulate-marginal-alphas-1.5": [*_SIMULATE, "--set", "experiment=marginal",
+                                     "--set", "alphas=1.5"],
+    "simulate-n-classes-1": [*_SIMULATE, "--set", "n_classes=1"],
+    "simulate-binary-dim-100": [*_SIMULATE, "--set", "task=binary-linear", "--set", "dim=100"],
+    "simulate-binary-strength-0.7": [*_SIMULATE, "--set", "task=binary-linear",
+                                     "--set", "strength=0.7"],
+    "simulate-evasion-attack-samples-0": [*_SIMULATE, "--set", "attack_samples=0"],
 }
 
 

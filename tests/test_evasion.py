@@ -23,7 +23,6 @@ from robustcp.scores import conformal_quantile, inverse_quantile
 from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,
-    ScoreBatch,
     SparseFlipNoise,
     score_samples,
     substream,
@@ -315,10 +314,9 @@ _THREATS = {
 }
 
 
-def _random_distribution(rng):
+def _random_samples(rng):
     centre = rng.uniform(0.0, 1.0)
-    samples = np.clip(centre + rng.normal(0.0, rng.uniform(0.01, 0.3), 50), 0.0, 1.0)
-    return summarize_samples(samples, _GRID)
+    return np.clip(centre + rng.normal(0.0, rng.uniform(0.01, 0.3), 50), 0.0, 1.0)
 
 
 def _members(scores, threshold) -> list[bool]:
@@ -346,7 +344,8 @@ def test_calibrate_and_predict_properties(
         scheme=scheme, model=model, mode=mode, bound_kind=bound_kind, grid=_GRID, eta=eta
     )
     calibration = calibrate(
-        ScoreBatch.stack([_random_distribution(rng) for _ in range(n_cal)]), ALPHA, config
+        summarize_samples(np.array([_random_samples(rng) for _ in range(n_cal)]), _GRID),
+        ALPHA, config,
     )
     thresholds = calibration.thresholds
 
@@ -372,10 +371,9 @@ def test_calibrate_and_predict_properties(
         assert set(thresholds) == {"vanilla", "calibration-time"}
         assert calibration.ledger is None
 
-    test = ScoreBatch.stack([
-        ScoreBatch.stack([_random_distribution(rng) for _ in range(n_classes)])
-        for _ in range(n_test)
-    ])
+    test = summarize_samples(np.array([
+        [_random_samples(rng) for _ in range(n_classes)] for _ in range(n_test)
+    ]), _GRID)
     if eta > 0.0 and mode == "test-time":
         with pytest.raises(ConfigurationError):
             predict(test, calibration, config)

@@ -382,3 +382,24 @@ def test_config_validation():
         ExperimentConfig(kind="marginal", task=TaskSpec(), alpha=1.5)
     with pytest.raises(ConfigurationError):
         TaskSpec(n_cal=0)
+
+
+def test_config_refuses_what_every_trial_would_fail_on():
+    """Values each trial would refuse, or misuse, are configuration errors
+    before any trial runs; the task makers' ranges stay written once."""
+    for fields in (
+        {"kind": "feature-poison", "bound_kind": "bogus"},
+        {"kind": "marginal", "alphas": (0.1, 1.5)},
+        {"kind": "label-poison", "budgets": (-1, 0)},
+        {"kind": "corrected", "eta": 0.01, "budgets": (0, -2)},
+        {"kind": "evasion", "attack_samples": 0},
+    ):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**fields)
+    for fields in (
+        {"n_classes": 1},
+        {"kind": "binary-linear", "dim": 100},
+        {"kind": "binary-linear", "strength": 0.7},
+    ):
+        with pytest.raises(ConfigurationError):
+            TaskSpec(**fields)

@@ -28,7 +28,6 @@ from robustcp.scores import ALL_CLASSES_THRESHOLD, conformal_quantile
 from robustcp.smoothing import (
     BinGrid,
     GaussianNoise,
-    ScoreBatch,
     SparseFlipNoise,
     substream,
     summarize_samples,
@@ -266,13 +265,36 @@ def test_budget_larger_than_set_is_total_control():
     assert over.threshold == full.threshold == conformal_quantile(lower, 0.5)
 
 
+def test_every_search_refuses_a_negative_budget():
+    """A negative budget would loosen the certificate, so each public
+    search refuses it, also at the rank-0 sentinel (alpha = 0.04 of 20)."""
+    rng = substream(29, "negative-budget")
+    matrix = rng.dirichlet(np.ones(3), 20)
+    labels = rng.integers(0, 3, 20)
+    scores = matrix[np.arange(20), labels]
+    dists = summarize_samples(rng.uniform(0, 1, (20, 50)), BinGrid.uniform(11))
+    searches = {
+        "feature": lambda k, a: feature_poison_threshold(scores, scores / 2, k, a),
+        "worst feature": lambda k, a: worst_case_feature_quantile(scores, (1 + scores) / 2, k, a),
+        "label": lambda k, a: label_poison_threshold(matrix, labels, k, a),
+        "worst label": lambda k, a: worst_case_label_quantile(matrix, labels, k, a),
+        "corrected": lambda k, a: corrected_feature_poison_threshold(
+            dists, L2Ball(0.1), GaussianNoise(0.25), k, a, 0.01
+        ),
+    }
+    for search in searches.values():
+        for alpha in (0.1, 0.04):
+            search(0, alpha)
+            with pytest.raises(ValueError, match="budget"):
+                search(-1, alpha)
+
+
 def test_corrected_feature_threshold_dominated_and_budgeted():
     rng = substream(28, "corrected-poison")
     grid = BinGrid.uniform(51)
-    dists = ScoreBatch.stack([
-        summarize_samples(np.clip(rng.beta(4, 2, 300), 0, 1), grid)
-        for _ in range(12)
-    ])
+    dists = summarize_samples(
+        np.array([np.clip(rng.beta(4, 2, 300), 0, 1) for _ in range(12)]), grid
+    )
     eta = 0.02
     # Threat model, and the ball around a received point that holds its
     # clean point (the flip budgets swap).

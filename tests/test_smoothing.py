@@ -14,12 +14,13 @@ from robustcp.smoothing import (
     GaussianNoise,
     ScoreBatch,
     SparseFlipNoise,
-    estimate_distribution,
     sample_gaussian,
     sample_noise,
     sample_sparse,
+    score_samples,
     subseed,
     substream,
+    summarize_blocks,
     summarize_samples,
 )
 
@@ -92,7 +93,10 @@ def test_stream_addresses_used_in_src_are_distinct():
     src = Path(__file__).resolve().parents[1] / "src" / "robustcp"
     used = set()
     for path in src.glob("*.py"):
-        used.update(re.findall(r'sub(?:stream|seed)\([^,()]+,\s*"([^"]+)"', path.read_text()))
+        text = path.read_text()
+        used.update(re.findall(r'sub(?:stream|seed)\([^,()]+,\s*"([^"]+)"', text))
+        # The Monte-Carlo blocks take their stream key as an argument.
+        used.update(re.findall(r'_sampled_blocks\((?:[^,()"]+,\s*){4}"([^"]+)"', text))
     assert used and used <= set(_SRC_ADDRESSES), f"untabled keys {used - set(_SRC_ADDRESSES)}"
     seen = {}
     for seed in (0, 11, 2**32, subseed(11, "trial", 0), 2**63 - 1):
@@ -213,38 +217,11 @@ def test_score_distribution_variance_cap():
     assert ok.shape == () and ok.cdf.shape == (49,)
 
 
-def test_estimate_distribution_matches_manual_pipeline():
-    """The estimator is exactly sample -> score -> bin under a shared
-    stream, with one noise batch and one oracle call for every class."""
-    x = np.array([0.2, 0.8])
-    scheme = GaussianNoise(sigma=0.3)
-    grid = BinGrid.uniform(51)
-    calls = []
-
-    def score_fn(points, rng):
-        calls.append(points.shape)
-        return np.clip(points, 0.0, 1.0)
-
-    dists = estimate_distribution(score_fn, x, scheme, 500, grid, substream(3, "est"))
-    assert calls == [(500, 2)]
-    manual = np.clip(sample_gaussian(x, 0.3, 500, substream(3, "est")), 0.0, 1.0)
-    assert len(dists) == 2
-    for c, d in enumerate(dists):
-        expect = summarize_samples(manual[:, c], grid)
-        assert d.n_samples == expect.n_samples
-        assert d.mean == expect.mean
-        assert d.variance == expect.variance
-        np.testing.assert_array_equal(d.cdf, expect.cdf)
-
-
-def test_estimate_distribution_rejects_bad_oracle():
+def test_score_samples_rejects_bad_oracle():
     x = np.zeros(2)
-    grid = BinGrid.uniform(51)
     for bad in (np.zeros(3), np.zeros(5), np.zeros((4, 2))):
         with pytest.raises(ValueError):
-            estimate_distribution(
-                lambda pts, rng: bad, x, GaussianNoise(0.1), 5, grid, substream(0)
-            )
+            score_samples(lambda pts, rng: bad, x, GaussianNoise(0.1), 5, substream(0))
 
 
 # ------------------------------------------------------------ batch summary --
@@ -366,6 +343,50 @@ def test_summary_is_bit_exact_against_a_per_row_reference(n_samples, grid, layou
             summarize_samples(broken, grid)
 
 
+def _split(tensor, sizes):
+    """``(points, block)`` pairs of ``tensor`` cut into blocks of ``sizes`` points."""
+    ends = np.cumsum(sizes)
+    assert ends[-1] == len(tensor)
+    return iter([(slice(end - n, end), tensor[end - n:end]) for n, end in zip(sizes, ends)])
+
+
+@pytest.mark.parametrize(
+    "sizes", [[300], [1, 270, 1, 28], [1] * 300], ids=["one-block", "uneven", "one-point"]
+)
+def test_summarize_blocks_is_bit_exact_however_the_points_are_split(sizes):
+    """A block summary equals, bit for bit, the summary of the joined
+    tensor, or of its labelled rows, whatever the split: one block,
+    one-point blocks, and a block of more rows than one summary chunk."""
+    rng = substream(len(sizes), "blocks")
+    grid = _RAGGED_GRID
+    rows = _edge_case_rows(rng, 300 * 2, 7, grid.inner_edges)
+    tensor = rows.reshape(300, 2, 7)
+    labels = rng.integers(0, 2, 300)
+    assert 270 > _CHUNK
+    expected = (
+        (None, summarize_samples(tensor, grid)),
+        (labels, summarize_samples(tensor[np.arange(300), labels], grid)),
+    )
+    for given_labels, expect in expected:
+        got = summarize_blocks(_split(tensor, sizes), grid, given_labels)
+        assert got.shape == expect.shape and got.n_samples == 7 and got.grid == grid
+        for name in ("mean", "variance", "cdf"):
+            assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(expect, name)))
+
+
+def test_summarize_blocks_refuses_an_empty_source_and_unequal_samples():
+    grid = BinGrid.uniform(11)
+    with pytest.raises(ValueError, match="no points"):
+        summarize_blocks(iter([]), grid)
+    rng = substream(8, "unequal")
+    blocks = [
+        (slice(0, 2), rng.uniform(0, 1, (2, 3, 7))), (slice(2, 3), rng.uniform(0, 1, (1, 3, 6))),
+    ]
+    for labels in (None, np.zeros(3, dtype=int)):
+        with pytest.raises(ValueError, match="same number of samples"):
+            summarize_blocks(iter(blocks), grid, labels)
+
+
 def test_summarize_samples_one_row_is_a_0d_batch():
     """A 1-d row summarizes to a 0-d batch with numpy-scalar moments, the
     same entry it is inside a larger batch."""
@@ -385,7 +406,7 @@ def test_summarize_samples_one_row_is_a_0d_batch():
         len(row)
 
 
-def test_score_batch_indexing_and_stacking():
+def test_score_batch_indexing():
     grid = BinGrid.uniform(11)
     rng = substream(6, "batch")
     batch = summarize_samples(rng.uniform(0, 1, (4, 3, 25)), grid)
@@ -398,16 +419,6 @@ def test_score_batch_indexing_and_stacking():
     assert [d.mean for d in entries] == batch.mean.ravel().tolist()
     assert all(type(d.mean) is np.float64 and d.shape == () for d in entries)
     assert [d.mean for p in batch for d in p] == [d.mean for d in entries]
-    again = ScoreBatch.stack(list(batch))
-    for name in ("mean", "variance", "cdf"):
-        np.testing.assert_array_equal(getattr(again, name), getattr(batch, name))
-    rows = ScoreBatch.stack(list(point))
-    np.testing.assert_array_equal(rows.cdf, point.cdf)
-    other = summarize_samples(rng.uniform(0, 1, (3, 26)), grid)
-    with pytest.raises(ValueError):
-        ScoreBatch.stack([point, other])
-    with pytest.raises(ValueError):
-        ScoreBatch.stack([])
 
 
 def test_score_batch_validates_every_entry():

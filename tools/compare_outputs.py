@@ -31,6 +31,9 @@ and ``ROBUSTCP_WORKERS=1``, which runs a fixed set of commands through
   1,056,000 scores, more than one 2^20-value read block, so the reader
   and the summaries go block by block and end on a partial block, and
   more calibration points than one piece of the artifact writer;
+* the same on 3x2x300,000 ``.bin`` tensors at ``alpha=0.5``: each point
+  holds more than half a read block, so every block is one point, the
+  block shape the Monte-Carlo estimators hand the same summarizer;
 * ``certify-poisoning`` for feature and label poisoning, and for feature
   poisoning on bounds tied at a few values, ``-0.0`` beside ``0.0``,
   where more points could move than the budget allows, so the witness
@@ -92,8 +95,8 @@ SIMULATIONS = {
 }
 
 # Pipeline name -> (`--set` values shared by calibrate and predict, tensor
-# file suffix: ".bin" and ".csv" hold the same tensors, "-edges.csv" and
-# "-large.bin" others).
+# file suffix: ".bin" and ".csv" hold the same tensors, "-edges.csv",
+# "-large.bin" and "-wide.bin" others).
 PIPELINES = {
     "gaussian-test-time": (
         ["scheme=gaussian", "sigma=0.25", "radius=0.125", "mode=test-time"], ".bin",
@@ -125,6 +128,10 @@ PIPELINES = {
     "sparse-zero-flips": (["scheme=sparse"], ".bin"),
     "gaussian-multi-block": (
         ["scheme=gaussian", "sigma=0.25", "radius=0.125", "mode=test-time"], "-large.bin",
+    ),
+    "gaussian-one-point-blocks": (
+        ["scheme=gaussian", "sigma=0.25", "radius=0.125", "mode=test-time", "alpha=0.5"],
+        "-wide.bin",
     ),
 }
 
@@ -196,6 +203,11 @@ def write_outputs(out: Path) -> None:
         tensor, labels = _score_tensor(large_rng, 4400, 4, 60)
         formats.write_score_tensor(inputs / f"{split}-large.bin", tensor)
         formats.write_labels_csv(inputs / f"{split}-large-labels.csv", labels)
+    wide_rng = np.random.default_rng(20244)
+    for split in ("cal", "test"):
+        tensor, labels = _score_tensor(wide_rng, 3, 2, 300_000)
+        formats.write_score_tensor(inputs / f"{split}-wide.bin", tensor)
+        formats.write_labels_csv(inputs / f"{split}-wide-labels.csv", labels)
     for name, (settings, suffix) in PIPELINES.items():
         sets = [f"--set={item}" for item in settings]
         labels = suffix.rsplit(".", 1)[0] + "-labels.csv"
