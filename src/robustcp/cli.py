@@ -199,6 +199,10 @@ def cmd_predict(args) -> int:
     config = _evasion_config(cfg)
     # The stored thresholds must be the quantiles of the stored columns.
     derived = calibration.quantiles(cfg["alpha"], cfg["eta"])
+    if derived.keys() != thresholds.keys():
+        raise InputError(
+            f"{args.artifact}: thresholds name {sorted(thresholds)}, not {sorted(derived)}"
+        )
     if derived != thresholds:
         raise ValueError(
             f"artifact thresholds {thresholds} do not match its points, which give {derived}"

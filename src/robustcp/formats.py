@@ -570,6 +570,9 @@ def read_calibration_artifact(path: str | Path):
         ]
         if corrected and len(corrected) != len(points):
             raise InputError(f"{path}: corrected bounds on only some points")
+        thresholds = payload["thresholds"]
+        if not isinstance(thresholds, dict):
+            raise InputError(f"{path}: thresholds must be an object")
         distributions = ScoreBatch(
             n_samples=n_samples.pop(),
             mean=np.array([float(entry["mean"]) for entry in points]),
@@ -582,7 +585,7 @@ def read_calibration_artifact(path: str | Path):
             distributions=distributions,
             lower_bounds=np.array([float(entry["lower_bound"]) for entry in points]),
             corrected_lower_bounds=np.array(corrected) if corrected else None,
-            thresholds={k: float(v) for k, v in payload["thresholds"].items()},
+            thresholds={k: float(v) for k, v in thresholds.items()},
         )
         config = payload.get("config", {})
     except (KeyError, TypeError, ValueError) as exc:

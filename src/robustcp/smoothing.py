@@ -134,7 +134,8 @@ def sample_gaussian(
     shared by every input (common random numbers).
     """
     x = _feature_rows(np.asarray(x, dtype=float))
-    noise = sigma * rng.standard_normal((n_samples, x.shape[-1]))
+    noise = rng.standard_normal((n_samples, x.shape[-1]))
+    noise *= sigma
     return (x[..., None, :] + noise).reshape(-1, x.shape[-1])
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax
 
 from .scores import aps_scores
 from .smoothing import substream
@@ -53,7 +52,7 @@ class GaussianMixtureTask:
         logits = scale * x @ self.means.T
         logits -= 0.5 * scale * np.sum(self.means**2, axis=1)[None, :]
         logits += np.log(self.priors)[None, :]
-        return softmax(logits, axis=1)
+        return _softmax_rows(logits)
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,37 @@ class BernoulliFeatureTask:
         off = np.log1p(-self.theta)
         logits = x @ (on - off).T + off.sum(axis=1)[None, :]
         logits += np.log(self.priors)[None, :]
-        return softmax(logits, axis=1)
+        return _softmax_rows(logits)
 
 
 SyntheticTask = GaussianMixtureTask | BernoulliFeatureTask
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """``scipy.special.softmax(logits, axis=1)``, bit for bit, one class column at a time.
+
+    Reducing along a few-wide class axis costs several times the
+    arithmetic, so the row max is a running ``np.maximum`` over the
+    columns (exact in any order), and the row sum adds the columns in
+    the order ``np.add.reduce`` adds the entries of a row.
+    """
+    columns = list(logits.T)
+    peak = columns[0].copy()
+    for column in columns[1:]:
+        np.maximum(peak, column, out=peak)
+    probs = logits - peak[:, None]
+    np.exp(probs, out=probs)
+    probs /= _row_sums(list(probs.T))[:, None]
+    return probs
+
+
+def _row_sums(columns: list[np.ndarray]) -> np.ndarray:
+    """Row sums in numpy's pairwise order for up to 128 columns (the tasks
+    have at most 10): eight running sums over every eighth column (zero
+    below 8) added as a tree, then the rest in turn."""
+    body = len(columns) - len(columns) % 8
+    r = [sum(columns[j:body:8], 0.0) for j in range(8)]
+    return sum(columns[body:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def make_gaussian_mixture(
@@ -98,6 +124,10 @@ def make_gaussian_mixture(
     """Class means at distance ``separation`` from the origin in random directions."""
     if not 2 <= n_classes <= 10 or not 1 <= dim <= 16:
         raise ValueError("supported sizes: 2-10 classes, 1-16 dimensions")
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = 1.0 / np.square(noise)  # as class_probabilities computes it
+    if not (noise > 0.0 and 0.0 < scale < np.inf):
+        raise ValueError("noise must be positive, with 1 / noise**2 positive and finite")
     rng = substream(seed, "task", "gaussian-means")
     means = rng.standard_normal((n_classes, dim))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)

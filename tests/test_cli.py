@@ -963,6 +963,18 @@ def _feature_bound_above_score(ws):
     (ws / "b.csv").write_text("point_id,score,lower_bound\n0,0.5,0.6\n1,0.4,0.1\n2,0.9,0.2\n")
 
 
+def _edited_thresholds(edit):
+    """An input writer that rewrites the calibrated artifact's thresholds with ``edit``."""
+    def write(ws):
+        artifact = ws / "calib" / "calibration.json"
+        payload = json.loads(artifact.read_text())
+        artifact.write_text(json.dumps({**payload, "thresholds": edit(payload["thresholds"])}))
+    return write
+
+
+_PREDICT = ["predict", "--artifact", "{ws}/calib/calibration.json", "--scores",
+            "{ws}/test.csv", "--labels", "{ws}/test-labels.csv", "--out", "{ws}/out"]
+
 # Input files with a defect that only shows once they are read: each
 # case writes its inputs, then names the command that reads them.
 _DEFECTIVE_INPUTS = {
@@ -981,6 +993,15 @@ _DEFECTIVE_INPUTS = {
         ["predict", "--artifact", "{ws}/calib/calibration.json", "--scores", "{ws}/one.bin",
          "--labels", "{ws}/one-labels.csv", "--out", "{ws}/out",
          "--set", "sigma=0.25", "--set", "radius=0.125"],
+    ),
+    # The method names alone, as a list: the right names in the wrong type.
+    "predict-thresholds-list": (_edited_thresholds(list), _PREDICT),
+    "predict-thresholds-without-vanilla": (
+        _edited_thresholds(lambda t: {k: v for k, v in t.items() if k != "vanilla"}), _PREDICT,
+    ),
+    # A corrected threshold on an artifact that stores no corrected bounds.
+    "predict-thresholds-extra-corrected": (
+        _edited_thresholds(lambda t: {**t, "corrected": t["calibration-time"]}), _PREDICT,
     ),
 }
 
@@ -1031,6 +1052,11 @@ _DEFECTIVE_CONFIGS = {
     "simulate-marginal-alphas-1.5": [*_SIMULATE, "--set", "experiment=marginal",
                                      "--set", "alphas=1.5"],
     "simulate-n-classes-1": [*_SIMULATE, "--set", "n_classes=1"],
+    "simulate-noise-0": [*_SIMULATE, "--set", "noise=0"],
+    "simulate-noise-inf": [*_SIMULATE, "--set", "noise=inf"],
+    # Finite, but 1 / noise**2 underflows the square to 0 or overflows it.
+    "simulate-noise-1e-170": [*_SIMULATE, "--set", "noise=1e-170"],
+    "simulate-noise-1e200": [*_SIMULATE, "--set", "noise=1e200"],
     "simulate-binary-dim-100": [*_SIMULATE, "--set", "task=binary-linear", "--set", "dim=100"],
     "simulate-binary-strength-0.7": [*_SIMULATE, "--set", "task=binary-linear",
                                      "--set", "strength=0.7"],

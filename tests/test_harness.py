@@ -6,7 +6,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
+from robustcp import tasks
 from robustcp.attacks import (
     _smooth_objective,
     evade_binary,
@@ -32,7 +34,7 @@ from robustcp.experiments import (
     worker_count,
 )
 from robustcp.poisoning import replay_label_witness
-from robustcp.smoothing import GaussianNoise, SparseFlipNoise, substream
+from robustcp.smoothing import GaussianNoise, SparseFlipNoise, sample_gaussian, substream
 from robustcp.tasks import make_binary_task, make_gaussian_mixture, oracle_for
 
 TINY_MARGINAL = ExperimentConfig(
@@ -112,6 +114,54 @@ def test_oracles_score_every_class_in_one_call():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         oracle_for(task, "raps")
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n_classes", range(2, 11))
+def test_softmax_rows_is_bit_exact_against_scipy(n_classes):
+    """The column-wise softmax has scipy's bits at every supported class
+    count, including numpy's pairwise row-sum order from 8 classes on."""
+    rng = substream(7, "softmax-bits", n_classes)
+    for n_rows in (1, 7, 4000, 16640):
+        for scale in (0.1, 1.0, 30.0, 300.0):
+            logits = scale * rng.standard_normal((n_rows, n_classes))
+            logits[-1] = logits[-1, 0]  # every class tied for the max
+            if n_rows > 2:
+                logits[1, :2] = logits[1].max() + 1.0  # two classes tied
+                # The other classes' exponentials underflow to 0.
+                logits[2] = -800.0 - np.arange(n_classes)
+                logits[2, 0] = 0.0
+            _assert_same_bits(tasks._softmax_rows(logits), softmax(logits, axis=1))
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        make_gaussian_mixture(n_classes=3, dim=4, seed=1),
+        make_gaussian_mixture(n_classes=10, dim=16, separation=4.0, noise=0.5, seed=2),
+        make_binary_task(n_classes=3, dim=64, seed=3),
+        make_binary_task(n_classes=9, dim=64, strength=0.1, seed=4),
+    ],
+    ids=["gaussian-3", "gaussian-10", "binary-3", "binary-9"],
+)
+def test_class_probabilities_keep_the_scipy_softmax_bits(task, monkeypatch):
+    points, _ = task.sample(3000, substream(8, "posterior-bits", task.n_classes))
+    got = task.class_probabilities(points)
+    monkeypatch.setattr(tasks, "_softmax_rows", lambda logits: softmax(logits, axis=1))
+    _assert_same_bits(got, task.class_probabilities(points))
+
+
+def test_sample_gaussian_keeps_the_broadcast_sum_bits():
+    """In-place noise gives the bits of ``x + sigma * noise``, for one input and a stack."""
+    rng = substream(9, "gaussian-inputs")
+    for x in (rng.standard_normal(4), rng.standard_normal((3, 4))):
+        got = sample_gaussian(x, 0.37, 500, substream(9, "gaussian-noise"))
+        noise = 0.37 * substream(9, "gaussian-noise").standard_normal((500, 4))
+        _assert_same_bits(got, (x[..., None, :] + noise).reshape(-1, 4))
 
 
 @pytest.mark.parametrize(
@@ -398,6 +448,8 @@ def test_config_refuses_what_every_trial_would_fail_on():
             ExperimentConfig(**fields)
     for fields in (
         {"n_classes": 1},
+        {"noise": 0.0},
+        {"noise": float("nan")},
         {"kind": "binary-linear", "dim": 100},
         {"kind": "binary-linear", "strength": 0.7},
     ):
