@@ -39,7 +39,7 @@ from .smoothing import (
     ScoreBatch,
     ScoreOracle,
     SmoothingScheme,
-    score_samples,
+    _scores_by_version,
     substream,
     summarize_blocks,
 )
@@ -223,22 +223,26 @@ def predict(
 
 
 def _sampled_blocks(oracle, inputs, config: EvasionConfig, seed: int, stream: str, point_ids):
-    """The point ids, and Monte-Carlo scores as one-point ``(points, block)`` pairs.
+    """The point ids, and Monte-Carlo scores as ``(rows, block)`` pairs of one row each.
 
     The Monte-Carlo twin of :func:`robustcp.formats.read_score_blocks`:
-    the ids are checked here, and point i's ``(1, classes, n_samples)``
-    block is drawn from ``substream(seed, stream, point_id)`` with one
-    noise batch and one oracle call when the blocks are read.
+    the ids are checked here, and point i's noise block is drawn from
+    ``substream(seed, stream, point_id)`` when the blocks are read.  Each
+    of its versions (a ``(versions, d)`` input has several) is one
+    ``(1, classes, n_samples)`` block, scored with one oracle call, at
+    row ``i * versions + v``.
     """
     point_ids = np.arange(len(inputs)) if point_ids is None else np.asarray(point_ids, dtype=int)
     if point_ids.shape != (len(inputs),):
         raise ValueError("need one point id per input")
 
     def blocks():
-        for i, (x, point_id) in enumerate(zip(inputs, point_ids.tolist())):
+        row = 0
+        for x, point_id in zip(inputs, point_ids.tolist()):
             rng = substream(seed, stream, point_id)
-            scores = score_samples(oracle, x, config.scheme, config.n_samples, rng)
-            yield slice(i, i + 1), scores.T[None]
+            for scores in _scores_by_version(oracle, x, config.scheme, config.n_samples, rng):
+                yield slice(row, row + 1), scores.T[None]
+                row += 1
 
     return point_ids, blocks()
 
@@ -258,6 +262,8 @@ def calibrate_smooth(
     permuting the calibration set permutes the calibration.
     """
     labels = np.asarray(labels, dtype=int)
+    if np.ndim(inputs) != 2:
+        raise ValueError("calibration inputs must be a (points, d) array")
     if len(inputs) != labels.size:
         raise ValueError("inputs and labels must have equal length")
     point_ids, blocks = _sampled_blocks(oracle, inputs, config, seed, "cal", point_ids)
@@ -277,9 +283,24 @@ def class_distributions(
     keyed by (seed, point id) as in :func:`calibrate_smooth`.  Splitting
     estimation from bounding lets callers reuse the same Monte-Carlo
     draws across several threat radii or bound kinds.
+
+    A ``(points, versions, d)`` stack (say, each clean point beside its
+    attacked copies) gives a ``(points, versions, classes)`` batch.  Each
+    point's noise block is drawn once and applied to its versions one at
+    a time, every oracle call starting from the generator state after the
+    draw, so each version's entries equal, bit for bit, those of a
+    separate call on that version alone.
     """
+    shape = np.shape(inputs)[:-1]
     _, blocks = _sampled_blocks(oracle, inputs, config, seed, "test", point_ids)
-    return summarize_blocks(blocks, config.grid)
+    batch = summarize_blocks(blocks, config.grid)
+    if len(shape) == 1:
+        return batch
+    shape += batch.shape[-1:]
+    return ScoreBatch(
+        batch.n_samples, batch.mean.reshape(shape), batch.variance.reshape(shape),
+        batch.grid, batch.cdf.reshape(shape + batch.cdf.shape[-1:]),
+    )
 
 
 def vanilla_worst_case_coverage(threshold: float, lower_bounds: np.ndarray) -> float:

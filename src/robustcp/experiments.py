@@ -296,23 +296,29 @@ def evasion_trial(config: ExperimentConfig, index: int) -> TrialResult:
     rows = []
     thresholds = {"clean": threshold}
 
-    # Calibration-time mode needs no bounds; only its vanilla sets are used.
-    clean = class_distributions(oracle, x_test, base, ts)
-    clean_sets = predict(clean, calibration, replace(base, mode="calibration-time"))
-    rows.append(
-        {"radius": 0.0, "method": "vanilla", **_metrics(clean_sets["vanilla"], y_test)}
-    )
-
-    for model in models_for(config):
+    models = models_for(config)
+    versions = [x_test]
+    for model in models:
         r = _radius_value(model)
-        attacked = [
+        versions.append([
             evade(
                 oracle, x_test[i], int(y_test[i]), model, base.scheme,
                 substream(ts, "attack", f"r={r:g}", i), config.attack_samples, maximize=False,
             )
             for i in range(len(y_test))
-        ]
-        per_test = class_distributions(oracle, attacked, base, ts)
+        ])
+    # Each test point's clean and attacked versions share its one noise block.
+    per_version = class_distributions(oracle, np.stack(versions, axis=1), base, ts)
+
+    # Calibration-time mode needs no bounds; only its vanilla sets are used.
+    clean_sets = predict(per_version[:, 0], calibration, replace(base, mode="calibration-time"))
+    rows.append(
+        {"radius": 0.0, "method": "vanilla", **_metrics(clean_sets["vanilla"], y_test)}
+    )
+
+    for j, model in enumerate(models, start=1):
+        r = _radius_value(model)
+        per_test = per_version[:, j]
         for kind in ("mean", "cdf"):
             cfg = replace(base, model=model, bound_kind=kind)
             sets = predict(per_test, calibration, cfg)

@@ -561,6 +561,10 @@ def read_calibration_artifact(path: str | Path):
         points = payload["points"]
         if not points:
             raise InputError(f"{path}: no calibration points")
+        ids = [entry["id"] for entry in points]
+        # int() would read 1.5 as 1 and take true or "3"; only a JSON integer is an id.
+        if any(type(point_id) is not int for point_id in ids):
+            raise InputError(f"{path}: point ids must be JSON integers")
         n_samples = {int(entry["n_samples"]) for entry in points}
         if len(n_samples) > 1:
             raise InputError(f"{path}: points disagree on n_samples")
@@ -581,14 +585,14 @@ def read_calibration_artifact(path: str | Path):
             cdf=np.array([entry["cdf"] for entry in points], dtype=float),
         )
         calibration = Calibration(
-            point_ids=np.array([int(entry["id"]) for entry in points], dtype=int),
+            point_ids=np.array(ids, dtype=int),
             distributions=distributions,
             lower_bounds=np.array([float(entry["lower_bound"]) for entry in points]),
             corrected_lower_bounds=np.array(corrected) if corrected else None,
             thresholds={k: float(v) for k, v in thresholds.items()},
         )
         config = payload.get("config", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed artifact ({exc})") from exc
     return calibration, config
 

@@ -8,15 +8,25 @@ certification routines in :mod:`robustcp.bounds` consume.  A batch holds
 any number of summaries as arrays; a single summary is a 0-d batch.
 Every batch of many points is built by :func:`summarize_blocks`, from
 blocks of whole points: a score tensor's read blocks, or one
-Monte-Carlo draw of :func:`score_samples` per point.
+Monte-Carlo draw of :func:`score_samples` per point (one noise block
+per point, applied to each version of it in turn).
+
+Bit flips are drawn as raw 64-bit words: a word ``w`` makes the double
+``(w >> 11) * 2**-53`` under ``rng.random()``, so ``u < p`` is the
+integer test ``w < ceil(p * 2**53) * 2**11``, which gives the same bits
+and leaves the generator in the same state.  The rule fits Philox (every
+:func:`substream`), PCG64, PCG64DXSM and SFC64; :func:`sample_sparse`
+refuses any other bit generator, such as MT19937, which builds a double
+from two 32-bit words.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +48,10 @@ __all__ = [
 # Rows of samples summarized per pass of :func:`summarize_samples`; bounds
 # the pass's temporaries to a few copies of this many rows.
 _SUMMARY_CHUNK_ROWS = 256
+
+# Bit generators whose ``random()`` double is ``(next_uint64 >> 11) * 2**-53``,
+# one raw word per double, so bit flips can be drawn from raw words.
+_WORD_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 # Batch score oracle: maps an (m, d) array of perturbed inputs to an
 # (m, n_classes) array of scores in [0, 1], every class from one forward
@@ -124,6 +138,16 @@ def _feature_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _gaussian_block(
+    x: np.ndarray, sigma: float, n_samples: int, rng: np.random.Generator
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Draw one scaled Gaussian block for ``x``'s features; return its adder."""
+    d = _feature_rows(x).shape[-1]
+    noise = rng.standard_normal((n_samples, d))
+    noise *= sigma
+    return lambda rows: (np.asarray(rows, dtype=float)[..., None, :] + noise).reshape(-1, d)
+
+
 def sample_gaussian(
     x: np.ndarray, sigma: float, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -133,28 +157,70 @@ def sample_gaussian(
     gives (k * n_samples, d), row-major by input, with one noise block
     shared by every input (common random numbers).
     """
-    x = _feature_rows(np.asarray(x, dtype=float))
-    noise = rng.standard_normal((n_samples, x.shape[-1]))
-    noise *= sigma
-    return (x[..., None, :] + noise).reshape(-1, x.shape[-1])
+    x = np.asarray(x, dtype=float)
+    return _gaussian_block(x, sigma, n_samples, rng)(x)
+
+
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    """``rng.random() < p`` for the doubles these raw words make, without making them."""
+    # (w >> 11) * 2**-53 < p  <=>  w < ceil(p * 2**53) * 2**11, a bound
+    # that is 2**64, past every word, at p = 1.
+    if p == 1.0:
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(math.ceil(p * 2.0**53) << 11)
+
+
+def _flip_block(
+    x: np.ndarray, p0: float, p1: float, n_samples: int, rng: np.random.Generator
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Check binary ``x``, draw one block of flip masks for its features; return its flipper."""
+    for name, p in (("p0", p0), ("p1", p1)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
+    if not isinstance(rng.bit_generator, _WORD_GENERATORS):
+        raise TypeError(
+            "sparse smoothing needs a generator whose doubles come from one 64-bit word "
+            f"(Philox, PCG64, PCG64DXSM or SFC64), not {type(rng.bit_generator).__name__}"
+        )
+    d = _feature_rows(x).shape[-1]
+    if not np.all((x == 0) | (x == 1)):
+        raise ValueError("sparse smoothing requires binary features")
+    words = rng.bit_generator.random_raw((n_samples, d))
+    flip0 = _below(words, p0)  # a zero turns on
+    stay1 = _below(words, p1)
+    del words
+    np.logical_not(stay1, out=stay1)  # a one stays on
+    differ = flip0 ^ stay1
+
+    def flipped(rows: np.ndarray) -> np.ndarray:
+        # flip0 ^ (on & (flip0 ^ stay1)): stay1 where a bit is on, flip0 where off.
+        out = (np.asarray(rows) == 1)[..., None, :] & differ
+        out ^= flip0
+        return out.view(np.int8).reshape(-1, d)
+
+    return flipped
 
 
 def sample_sparse(
     x: np.ndarray, p0: float, p1: float, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``n_samples`` bit-flip perturbations of binary ``x``.
+    """Draw ``n_samples`` bit-flip perturbations of binary ``x``, as int8.
 
     Shapes follow :func:`sample_gaussian`.  One block of uniforms ``u`` is
     shared by every input of a stack, and each input flips its own bits
     by their own value (``u < p1`` on ones, ``u < p0`` on zeros), so the
     law of every input's noise is exact.
+
+    The block is drawn as raw 64-bit words, and ``u < p`` is the word
+    test ``w < ceil(p * 2**53) * 2**11`` (every word passes at ``p = 1``):
+    the bits of ``rng.random((n_samples, d)) < p``, with ``rng`` left in
+    the same state.  That holds for Philox, PCG64, PCG64DXSM and SFC64;
+    any other bit generator (MT19937 builds a double from two 32-bit
+    words) is refused with ``TypeError``.  A rate outside [0, 1], or NaN,
+    is refused with ``ValueError``.
     """
-    x = _feature_rows(np.asarray(x))
-    if not np.all((x == 0) | (x == 1)):
-        raise ValueError("sparse smoothing requires binary features")
-    x = x.astype(np.int8)[..., None, :]
-    u = rng.random((n_samples, x.shape[-1]))
-    return (x ^ (u < np.where(x == 1, p1, p0))).reshape(-1, x.shape[-1])
+    x = np.asarray(x)
+    return _flip_block(x, p0, p1, n_samples, rng)(x)
 
 
 def sample_noise(
@@ -381,6 +447,17 @@ def summarize_blocks(
     return _trusted(m, mean, variance, grid, cdf)
 
 
+def _noise_block(
+    x: np.ndarray, scheme: SmoothingScheme, n_samples: int, rng: np.random.Generator
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Check ``x`` and draw one noise block of ``scheme`` for it; return its applier."""
+    if isinstance(scheme, GaussianNoise):
+        return _gaussian_block(x, scheme.sigma, n_samples, rng)
+    if isinstance(scheme, SparseFlipNoise):
+        return _flip_block(x, scheme.p0, scheme.p1, n_samples, rng)
+    raise TypeError(f"unknown smoothing scheme: {scheme!r}")
+
+
 def score_samples(
     score_fn: ScoreOracle,
     x: np.ndarray,
@@ -393,9 +470,36 @@ def score_samples(
     One noise batch and one oracle call; ``rng`` feeds the noise first,
     then any randomness inside the oracle.
     """
+    if np.ndim(x) != 1:
+        raise ValueError("x must be one feature vector")
+    return next(_scores_by_version(score_fn, x, scheme, n_samples, rng))
+
+
+def _scores_by_version(
+    score_fn: ScoreOracle,
+    x: np.ndarray,
+    scheme: SmoothingScheme,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> Iterator[np.ndarray]:
+    """Yield :func:`score_samples` of every version of one point, one at a time.
+
+    ``x`` is one input or a ``(versions, d)`` stack of versions of it (say,
+    a clean input and its attacked copies).  The noise block is drawn once
+    and applied to one version at a time, so no stack of noisy copies of
+    every version is made, and every version's oracle call starts from the
+    generator state right after the draw, so each version gets the scores
+    it would get alone.
+    """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    scores = np.asarray(score_fn(sample_noise(x, scheme, n_samples, rng), rng), dtype=float)
-    if scores.ndim != 2 or scores.shape[0] != n_samples:
-        raise ValueError("score oracle must return one row of class scores per sample")
-    return scores
+    x = np.asarray(x)
+    apply = _noise_block(x, scheme, n_samples, rng)
+    after_draw = rng.bit_generator.state if x.ndim == 2 else None
+    for version in x.reshape(-1, x.shape[-1]):
+        if after_draw is not None:
+            rng.bit_generator.state = after_draw
+        scores = np.asarray(score_fn(apply(version), rng), dtype=float)
+        if scores.ndim != 2 or scores.shape[0] != n_samples:
+            raise ValueError("score oracle must return one row of class scores per sample")
+        yield scores

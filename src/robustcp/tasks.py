@@ -128,6 +128,8 @@ def make_gaussian_mixture(
         scale = 1.0 / np.square(noise)  # as class_probabilities computes it
     if not (noise > 0.0 and 0.0 < scale < np.inf):
         raise ValueError("noise must be positive, with 1 / noise**2 positive and finite")
+    if not np.isfinite(separation):
+        raise ValueError("separation must be finite")
     rng = substream(seed, "task", "gaussian-means")
     means = rng.standard_normal((n_classes, dim))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)

@@ -972,6 +972,30 @@ def _edited_thresholds(edit):
     return write
 
 
+def _first_point_id(value):
+    """An input writer that sets the calibrated artifact's first point id to ``value``."""
+    def write(ws):
+        artifact = ws / "calib" / "calibration.json"
+        payload = json.loads(artifact.read_text())
+        payload["points"][0]["id"] = value
+        artifact.write_text(json.dumps(payload))
+    return write
+
+
+@pytest.mark.parametrize(
+    "point_id, message",
+    [(1.5, "JSON integers"), (1.0, "JSON integers"), (True, "JSON integers"),
+     ("3", "JSON integers"), (2**70, "malformed artifact")],
+)
+def test_artifact_reader_refuses_point_ids_that_are_not_int64_integers(
+    workspace, point_id, message
+):
+    artifact = calibrate(workspace)
+    _first_point_id(point_id)(workspace)
+    with pytest.raises(InputError, match=message):
+        formats.read_calibration_artifact(artifact)
+
+
 _PREDICT = ["predict", "--artifact", "{ws}/calib/calibration.json", "--scores",
             "{ws}/test.csv", "--labels", "{ws}/test-labels.csv", "--out", "{ws}/out"]
 
@@ -1003,6 +1027,8 @@ _DEFECTIVE_INPUTS = {
     "predict-thresholds-extra-corrected": (
         _edited_thresholds(lambda t: {**t, "corrected": t["calibration-time"]}), _PREDICT,
     ),
+    # int() would read it as 1.
+    "predict-point-id-1.5": (_first_point_id(1.5), _PREDICT),
 }
 
 
@@ -1057,6 +1083,8 @@ _DEFECTIVE_CONFIGS = {
     # Finite, but 1 / noise**2 underflows the square to 0 or overflows it.
     "simulate-noise-1e-170": [*_SIMULATE, "--set", "noise=1e-170"],
     "simulate-noise-1e200": [*_SIMULATE, "--set", "noise=1e200"],
+    "simulate-separation-nan": [*_SIMULATE, "--set", "separation=nan"],
+    "simulate-separation-inf": [*_SIMULATE, "--set", "separation=inf"],
     "simulate-binary-dim-100": [*_SIMULATE, "--set", "task=binary-linear", "--set", "dim=100"],
     "simulate-binary-strength-0.7": [*_SIMULATE, "--set", "task=binary-linear",
                                      "--set", "strength=0.7"],

@@ -102,6 +102,38 @@ def test_class_distributions_share_one_oracle_call(gaussian_setup):
             _same_distribution(d, summarize_samples(scores[:, c], config.grid))
 
 
+def _bits(batch):
+    return [np.asarray(getattr(batch, name)).view(np.int64) for name in ("mean", "variance", "cdf")]
+
+
+@pytest.mark.parametrize("score_kind", ["tps", "aps"])
+@pytest.mark.parametrize("family", ["gaussian", "binary"])
+def test_class_distributions_of_versions_match_separate_calls(family, score_kind):
+    """A (points, versions, d) stack draws each point's noise block once,
+    yet every version gets the bits of a call on that version alone,
+    APS tie-break draws included."""
+    if family == "gaussian":
+        task = make_gaussian_mixture(n_classes=3, dim=2, separation=2.0, seed=5)
+        scheme = GaussianNoise(sigma=0.25)
+    else:
+        task = make_binary_task(n_classes=3, dim=16, strength=0.2, seed=2)
+        scheme = SparseFlipNoise(0.1, 0.3)
+    x, _ = task.sample(4, substream(6, "versions"))
+    moved = substream(6, "moved").random((2,) + x.shape)
+    if family == "gaussian":
+        versions = [x, x + 0.1 * moved[0], x - 0.2 * moved[1]]
+    else:
+        versions = [x, x ^ (moved[0] < 0.1), x ^ (moved[1] < 0.2)]
+    config = EvasionConfig(scheme=scheme, model=L2Ball(radius=0.125), n_samples=300)
+    oracle = oracle_for(task, score_kind)
+    stacked = class_distributions(oracle, np.stack(versions, axis=1), config, 8, [3, 1, 4, 9])
+    assert stacked.shape == (4, 3, 3)
+    for v, inputs in enumerate(versions):
+        alone = class_distributions(oracle, inputs, config, 8, [3, 1, 4, 9])
+        for got, want in zip(_bits(stacked[:, v]), _bits(alone)):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_calibration_keeps_the_label_column(gaussian_setup, calibrated):
     _, oracle, x, y, config = gaussian_setup
     for i in (0, 5):
@@ -297,6 +329,9 @@ def test_length_mismatch_rejected(gaussian_setup):
         calibrate_smooth(oracle, x, y, ALPHA, config, seed=0, point_ids=[0, 1])
     with pytest.raises(ValueError, match="one point id per input"):
         class_distributions(oracle, x[:3], config, seed=0, point_ids=[0, 1])
+    # Calibration takes no versions axis: its labels index the classes.
+    with pytest.raises(ValueError, match=r"\(points, d\)"):
+        calibrate_smooth(oracle, np.stack([x, x], axis=1), y, ALPHA, config, seed=0)
 
 
 # ------------------------------------------------------ calibrate / predict --

@@ -166,6 +166,76 @@ def test_sample_sparse_zero_rates_copy_input():
     np.testing.assert_array_equal(samples, np.tile(x, (10, 1)))
 
 
+# Rates at the ends of [0, 1], at and below one step of the 53-bit grid
+# of doubles ``random()`` makes, and in between.
+_RATES = (0.0, 2.0**-60, 2.0**-53, 0.1, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def _state(rng):
+    return repr(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("p1", _RATES)
+@pytest.mark.parametrize("p0", _RATES)
+def test_sample_sparse_matches_the_float_reference(p0, p1):
+    """Flip masks from raw words give the bits of ``x ^ (random() < p)``,
+    for one input and for a stack, and leave the generator where
+    ``random()`` leaves it."""
+    data = substream(3, "sparse-reference")
+    stack = (data.random((4, 37)) < 0.5).astype(np.int8)
+    for x in (stack[0], stack):
+        got_rng, want_rng = (substream(3, "flips", f"{p0!r}:{p1!r}") for _ in range(2))
+        got = sample_sparse(x, p0, p1, 300, got_rng)
+        rows = x.reshape(-1, 1, 37)
+        want = rows ^ (want_rng.random((300, 37)) < np.where(rows == 1, p1, p0))
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, want.reshape(-1, 37))
+        assert _state(got_rng) == _state(want_rng)
+        np.testing.assert_array_equal(got_rng.random(5), want_rng.random(5))
+
+
+@pytest.mark.parametrize("p", _RATES)
+def test_word_bound_agrees_with_the_double_at_its_edges(p):
+    """``_below`` against the double numpy makes of each word, on the
+    words next to the rate's bound and at both ends of the range."""
+    k = min(int(np.ceil(p * 2.0**53)), 2**53)
+    words = np.array(
+        [w for base in (k - 1, k) for w in (base << 11, (base << 11) + 2047)
+         if 0 <= w < 2**64] + [0, 2**64 - 1],
+        dtype=np.uint64,
+    )
+    doubles = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    np.testing.assert_array_equal(smoothing._below(words, p), doubles < p)
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64]
+)
+def test_sample_sparse_takes_every_one_word_generator(bit_generator):
+    x = np.array([0, 1, 1, 0, 1], dtype=np.int8)
+    got_rng, want_rng = (np.random.Generator(bit_generator(8)) for _ in range(2))
+    got = sample_sparse(x, 0.3, 0.6, 200, got_rng)
+    want = x ^ (want_rng.random((200, 5)) < np.where(x == 1, 0.6, 0.3))
+    np.testing.assert_array_equal(got, want)
+    assert _state(got_rng) == _state(want_rng)
+
+
+def test_sample_sparse_refuses_what_the_word_rule_does_not_fit():
+    x = np.array([0, 1, 1, 0])
+    # MT19937 builds a double from two 32-bit words.
+    with pytest.raises(TypeError, match="MT19937"):
+        sample_sparse(x, 0.1, 0.1, 10, np.random.Generator(np.random.MT19937(0)))
+    for p0, p1 in ((np.nan, 0.1), (0.1, np.nan), (-0.1, 0.1), (0.1, 1.5), (1.5, 0.1)):
+        with pytest.raises(ValueError, match="must lie in"):
+            sample_sparse(x, p0, p1, 10, substream(1, "s"))
+
+
+def test_sample_sparse_rate_one_flips_every_bit():
+    x = np.array([0, 1, 1, 0])
+    samples = sample_sparse(x, 1.0, 1.0, 10, substream(1, "s"))
+    np.testing.assert_array_equal(samples, np.tile(1 - x, (10, 1)))
+
+
 def test_scheme_validation():
     with pytest.raises(ValueError):
         GaussianNoise(sigma=0.0)

@@ -14,7 +14,9 @@ and ``ROBUSTCP_WORKERS=1``, which runs a fixed set of commands through
   n_test=6, n_samples=400, attack_samples=32``, with TPS and APS scores,
   Gaussian and bit-flip tasks, and asymmetric flips (``1:2``,
   ``p0 != p1``), and evasion at 10 Gaussian and 9 bit-flip classes,
-  where the posterior's row sums go pairwise; the poisoning kinds also at
+  where the posterior's row sums go pairwise, and APS evasion at three
+  radii and two bit-flip balls, where each test point's clean and
+  attacked versions share one noise block; the poisoning kinds also at
   both ends of the rank search, the rank-0 sentinel (``alpha=0.04``) and
   budget 19 of 20 (every budget stays at most ``n_cal``, so no clamp
   warning prints a tree's own path);
@@ -76,6 +78,14 @@ SIMULATIONS = {
     "evasion-gaussian-aps": ["experiment=evasion", "score_kind=aps", "radii=0.125"],
     "evasion-binary": ["experiment=evasion", "flips=1:2,2:2", *BINARY_TASK],
     "evasion-binary-aps": ["experiment=evasion", "score_kind=aps", "flips=1:2", *BINARY_TASK],
+    # Several attacked versions of each test point share its noise block
+    # under APS tie-break draws.
+    "evasion-gaussian-aps-three-radii": [
+        "experiment=evasion", "score_kind=aps", "radii=0.125,0.25,0.5",
+    ],
+    "evasion-binary-aps-two-balls": [
+        "experiment=evasion", "score_kind=aps", "flips=1:2,2:1", *BINARY_TASK,
+    ],
     # Eight or more classes: the posterior's row sums take numpy's pairwise order.
     "evasion-gaussian-10-classes": ["experiment=evasion", "radii=0.125", "n_classes=10"],
     "evasion-binary-9-classes": ["experiment=evasion", "flips=1:2", "n_classes=9", *BINARY_TASK],
