@@ -193,6 +193,12 @@ def cmd_calibrate(args) -> int:
 
 def cmd_predict(args) -> int:
     calibration, artifact_config = formats.read_calibration_artifact(args.artifact)
+    # An absent key would silently take its default and certify another threat model.
+    if not isinstance(artifact_config, dict) or not set(_ARTIFACT_KEYS) <= artifact_config.keys():
+        raise InputError(
+            f"{args.artifact}: the config echo must be an object holding every certified key "
+            f"({', '.join(_ARTIFACT_KEYS)})"
+        )
     thresholds = calibration.thresholds
     cfg = _load_config(args, artifact_config)
     _validate_common(cfg)

@@ -11,6 +11,7 @@ Formats are documented field by field in ``docs/formats.md``.
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import os
@@ -56,7 +57,9 @@ SCORES_HEADER = ["point_id", "class_id", "sample_id", "score"]
 TENSOR_MAGIC = b"RCPT"
 TENSOR_VERSION = 1
 ARTIFACT_FORMAT = "robustcp-calibration"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+# The artifact's CDF matrix: little-endian float64, base64-encoded.
+_CDF_DTYPE = "<f8"
 WITNESS_FORMAT = "robustcp-poisoning"
 WITNESS_VERSION = 1
 # float32 values read per block of a packed tensor, rounded down to whole
@@ -214,24 +217,23 @@ def _binary_shape(path: Path) -> tuple[int, int, int]:
 
 
 def _binary_blocks(path: Path, shape: tuple[int, int, int]):
-    """The payload of a packed tensor in blocks of whole points, widened to float64."""
+    """The payload of a packed tensor in blocks of whole points, each a fresh float32 array."""
     n_points, n_classes, n_samples = shape
     per = max(1, _READ_BLOCK_VALUES // max(1, n_classes * n_samples))
-    buffer = np.empty(min(n_points, per) * n_classes * n_samples, dtype="<f4")
     with open(path, "rb") as handle:
         handle.seek(_HEAD_SIZE)
         for start in range(0, n_points, per):
             part = slice(start, min(start + per, n_points))
-            values = buffer[: (part.stop - start) * n_classes * n_samples]
+            values = np.empty((part.stop - start) * n_classes * n_samples, dtype="<f4")
             if handle.readinto(values) != values.nbytes:
                 raise InputError(f"{path}: payload ended early")
-            # Widening float32 to float64 is exact, so the float32 check is the float64 one.
             _check_scores(path, values)
-            yield part, values.reshape(-1, n_classes, n_samples).astype(float)
+            yield part, values.reshape(-1, n_classes, n_samples)
 
 
 def _check_scores(path: Path, values: np.ndarray) -> None:
-    if not ((values >= 0.0) & (values <= 1.0)).all():
+    # A NaN propagates through min and max, so it fails the first test too.
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         if not np.isfinite(values).all():
             raise InputError(f"{path}: scores must be finite")
         raise InputError(f"{path}: scores must lie in [0, 1]")
@@ -262,8 +264,9 @@ def read_score_blocks(path: str | Path):
 
     Returns ``(shape, blocks)``.  ``blocks`` yields ``(points, block)``
     pairs in point order: ``points`` is a slice of the point axis and
-    ``block`` the float64 ``(points, classes, samples)`` scores there,
-    each checked finite and in [0, 1].  A ``.bin`` block holds
+    ``block`` the ``(points, classes, samples)`` scores there, each
+    checked finite and in [0, 1]: float32 as stored for ``.bin``, float64
+    for ``.csv``.  A ``.bin`` block holds
     ``_READ_BLOCK_VALUES`` scores rounded down to whole points, and at
     least one point; the header, version and payload size are checked
     before this returns, and each block when it is read, so no payload
@@ -485,10 +488,7 @@ def _artifact_points(calibration):
     yield "[\n"
     for start in range(0, len(dists), _WRITE_BLOCK_POINTS):
         part = slice(start, start + _WRITE_BLOCK_POINTS)
-        columns = [
-            ['"cdf": [\n        ' + ",\n        ".join(row) + "\n      ]"
-             for row in _json_floats(dists.cdf[part])],
-        ]
+        columns = []
         if calibration.corrected_lower_bounds is not None:
             columns.append(
                 [f'"corrected_lower_bound": {v}'
@@ -509,16 +509,43 @@ def _artifact_points(calibration):
     yield "\n  ]"
 
 
+def _artifact_cdf(cdf: np.ndarray):
+    """The artifact's ``cdf`` member as ``json.dumps(indent=2)`` lays it out, in pieces.
+
+    The matrix's little-endian float64 bytes are base64-encoded
+    ``_WRITE_BLOCK_POINTS`` rows at a time.  Joined base64 pieces are
+    the base64 of the whole only when each piece encodes a multiple of 3
+    bytes, so the 0-2 bytes left over go into the next piece.
+    """
+    layout = _json_nested({"base64": "", "dtype": _CDF_DTYPE, "shape": list(cdf.shape)})
+    head, tail = layout.split('"base64": ""')
+    yield head + '"base64": "'
+    carry = b""
+    for start in range(0, len(cdf), _WRITE_BLOCK_POINTS):
+        data = carry + np.ascontiguousarray(
+            cdf[start:start + _WRITE_BLOCK_POINTS], dtype=_CDF_DTYPE
+        ).tobytes()
+        whole = len(data) - len(data) % 3
+        carry = data[whole:]
+        yield base64.b64encode(data[:whole]).decode("ascii")
+    yield base64.b64encode(carry).decode("ascii") + '"' + tail
+
+
 def write_calibration_artifact(
     path: str | Path, calibration, config: Mapping[str, object]
 ) -> None:
-    """Serialize a calibration's points and thresholds plus a config echo.
+    """Serialize a calibration's points, CDF matrix and thresholds plus a config echo.
 
     The bytes are those of ``json.dumps(payload, sort_keys=True,
-    indent=2)`` on the per-point dicts, written from the calibration's arrays
-    a block of points at a time, so the whole text is never held.
+    indent=2)``, where ``payload["points"]`` holds one dict per point
+    (its id, sample count, mean, variance and bounds) and
+    ``payload["cdf"]`` the base64 of the ``(points, inner edges)`` CDF
+    matrix as little-endian float64 (``docs/formats.md``).  It is written
+    from the calibration's arrays a block of points at a time, so the
+    whole text is never held.
     """
     members = {
+        "cdf": _artifact_cdf(calibration.distributions.cdf),
         "config": [_json_nested(dict(config))],
         "format": [_json_nested(ARTIFACT_FORMAT)],
         "grid_edges": [_json_nested([float(e) for e in calibration.distributions.grid.edges])],
@@ -536,12 +563,37 @@ def write_calibration_artifact(
     _atomic_write(path, (piece.encode("utf8") for piece in pieces()))
 
 
+def _read_cdf(path: Path, member: object, shape: tuple[int, int]) -> np.ndarray:
+    """The artifact's CDF matrix, decoded into a fresh native float64 array of ``shape``."""
+    if not isinstance(member, dict):
+        raise InputError(f"{path}: cdf must be an object")
+    if member.get("dtype") != _CDF_DTYPE:
+        raise InputError(f"{path}: cdf dtype must be {_CDF_DTYPE!r}")
+    stored = member.get("shape")
+    # A JSON 25.0 or true would compare equal to an integer.
+    if not (isinstance(stored, list) and all(type(n) is int for n in stored)) or (
+        stored != list(shape)
+    ):
+        raise InputError(
+            f"{path}: cdf shape {stored!r} is not [{shape[0]}, {shape[1]}]"
+            " (points, interior grid edges)"
+        )
+    try:
+        data = base64.b64decode(member["base64"], validate=True)
+    except ValueError as exc:
+        raise InputError(f"{path}: cdf is not valid base64 ({exc})") from exc
+    if len(data) != 8 * shape[0] * shape[1]:
+        raise InputError(f"{path}: cdf holds {len(data)} bytes, not 8 per entry of its shape")
+    return np.frombuffer(data, dtype=_CDF_DTYPE).reshape(shape).astype(float)
+
+
 def read_calibration_artifact(path: str | Path):
     """Load an artifact back into a :class:`~robustcp.evasion.Calibration` and config echo.
 
-    The points become one :class:`~robustcp.smoothing.ScoreBatch`,
-    validated once; every point must have the same ``n_samples``.  The
-    calibration carries no ledger.
+    The points' scalars and the decoded CDF matrix become one
+    :class:`~robustcp.smoothing.ScoreBatch`, validated once; every point
+    must have the same ``n_samples``.  An artifact of another version is
+    refused.  The calibration carries no ledger.
     """
     from .evasion import Calibration
 
@@ -582,7 +634,7 @@ def read_calibration_artifact(path: str | Path):
             mean=np.array([float(entry["mean"]) for entry in points]),
             variance=np.array([float(entry["variance"]) for entry in points]),
             grid=grid,
-            cdf=np.array([entry["cdf"] for entry in points], dtype=float),
+            cdf=_read_cdf(path, payload["cdf"], (len(points), grid.inner_edges.size)),
         )
         calibration = Calibration(
             point_ids=np.array(ids, dtype=int),

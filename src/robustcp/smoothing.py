@@ -366,6 +366,12 @@ class ScoreBatch:
 ScoreDistribution = ScoreBatch
 
 
+def _float32_floor(values: np.ndarray) -> np.ndarray:
+    """The largest float32 not above each value, so ``x <= v`` is ``x <= floor`` for float32 ``x``."""
+    near = values.astype(np.float32)
+    return np.where(near > values, np.nextafter(near, np.float32(-np.inf)), near)
+
+
 def summarize_samples(samples: np.ndarray, grid: BinGrid) -> ScoreBatch:
     """Summarize every row of raw smooth-score samples on ``grid``.
 
@@ -376,13 +382,22 @@ def summarize_samples(samples: np.ndarray, grid: BinGrid) -> ScoreBatch:
     Scores within 1e-9 of the [0, 1] boundary are clipped; anything
     farther out is a contract violation.  Rows are summarized a fixed
     number at a time, so the temporaries stay small at any batch size.
+
+    float32 samples (a packed tensor's blocks) give the bits of the same
+    samples widened to float64: the moments come from a float64 copy,
+    and the sort and counts stay in float32 against each edge rounded
+    down to float32.  Any other dtype is read as float64.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = np.asarray(samples)
+    narrow = samples.dtype == np.float32
+    if not narrow:
+        samples = samples.astype(float, copy=False)
     if samples.ndim < 1 or samples.shape[-1] < 2:
         raise ValueError("need at least 2 samples per row")
     batch_shape, m = samples.shape[:-1], samples.shape[-1]
     rows = samples.reshape(-1, m)
     edges = grid.inner_edges
+    keys = _float32_floor(edges) if narrow else edges
     mean = np.empty(rows.shape[0])
     variance = np.empty(rows.shape[0])
     cdf = np.empty((rows.shape[0], edges.size))
@@ -390,7 +405,8 @@ def summarize_samples(samples: np.ndarray, grid: BinGrid) -> ScoreBatch:
         part = slice(start, start + _SUMMARY_CHUNK_ROWS)
         block = rows[part]
         # A NaN fails neither comparison; ScoreBatch rejects its NaN mean.
-        if block.min() < -1e-9 or block.max() > 1.0 + 1e-9:
+        # float() makes the tolerance a float64 one for float32 blocks too.
+        if float(block.min()) < -1e-9 or float(block.max()) > 1.0 + 1e-9:
             raise ValueError("score oracle produced values outside [0, 1]")
         # One clipped, C-ordered copy: reducing along a strided axis (a
         # transposed view, say) would sum in another order and change the
@@ -403,10 +419,13 @@ def summarize_samples(samples: np.ndarray, grid: BinGrid) -> ScoreBatch:
         dev = chunk - chunk_mean[:, None]
         dev *= dev
         variance[part] = dev.sum(axis=1) / (m - 1)
+        if narrow:
+            # Widening is exact, so a float32 sort orders the same values.
+            chunk = np.clip(block, 0.0, 1.0, out=np.empty(block.shape, dtype=np.float32))
         chunk.sort(axis=1)
         counts = np.empty((chunk.shape[0], edges.size), dtype=np.intp)
         for row, out in zip(chunk, counts):
-            out[:] = row.searchsorted(edges, "right")
+            out[:] = row.searchsorted(keys, "right")
         np.divide(counts, m, out=cdf[part])
     return ScoreBatch(
         n_samples=m,

@@ -6,6 +6,7 @@ exit codes (2 input, 3 invariant, 4 configuration).
 """
 
 import ast
+import base64
 import csv
 import io
 import json
@@ -434,8 +435,21 @@ def test_calibrate_writes_artifact_that_round_trips(workspace):
         assert third.read_bytes() == again.read_bytes()
 
 
+def _encoded_cdf(cdf) -> dict:
+    """The artifact's ``cdf`` member for a matrix: base64 of all of its ``<f8`` bytes at once."""
+    cdf = np.ascontiguousarray(cdf, dtype="<f8")
+    data = base64.b64encode(cdf.tobytes()).decode("ascii")
+    return {"base64": data, "dtype": "<f8", "shape": list(cdf.shape)}
+
+
+def _decoded_cdf(member) -> np.ndarray:
+    data = base64.b64decode(member["base64"])
+    return np.frombuffer(data, dtype="<f8").reshape(member["shape"]).copy()
+
+
 def _reference_artifact_text(calibration, config) -> str:
-    """The artifact as one dict per point through ``json.dumps(indent=2)``."""
+    """The artifact as one dict per point and the whole CDF matrix through
+    ``json.dumps(indent=2)``."""
     points = []
     for i, dist in enumerate(calibration.distributions):
         entry = {
@@ -443,7 +457,6 @@ def _reference_artifact_text(calibration, config) -> str:
             "n_samples": int(dist.n_samples),
             "mean": float(dist.mean),
             "variance": float(dist.variance),
-            "cdf": [float(v) for v in dist.cdf],
             "lower_bound": float(calibration.lower_bounds[i]),
         }
         if calibration.corrected_lower_bounds is not None:
@@ -451,11 +464,12 @@ def _reference_artifact_text(calibration, config) -> str:
         points.append(entry)
     payload = {
         "format": "robustcp-calibration",
-        "version": 1,
+        "version": 2,
         "grid_edges": [float(e) for e in calibration.distributions.grid.edges],
         "thresholds": {k: float(v) for k, v in calibration.thresholds.items()},
         "config": dict(config),
         "points": points,
+        "cdf": _encoded_cdf(calibration.distributions.cdf),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -501,6 +515,7 @@ def test_artifact_writer_matches_json_dumps(tmp_path, eta):
     text = (tmp_path / "b.json").read_text()
     assert text == _reference_artifact_text(calibration, echo)
     assert "-0.0" in text
+    assert np.array_equal(_decoded_cdf(json.loads(text)["cdf"]).view(np.int64), cdf.view(np.int64))
     # Non-finite point columns take json.dumps's spellings, beside finite
     # values and each other.
     calibration.lower_bounds = np.array([-np.inf, np.inf, np.nan])
@@ -550,32 +565,125 @@ def test_predict_rejects_malformed_artifact_points(workspace):
     """Any one bad point in an artifact is malformed input (exit 2)."""
     artifact = calibrate(workspace)
     payload = json.loads(artifact.read_text())
-    n_edges = len(payload["points"][0]["cdf"])
+    cdf = _decoded_cdf(payload["cdf"])
+    n_edges = cdf.shape[1]
 
     def edit_point(point, **fields):
         points = [dict(p) for p in payload["points"]]
         points[point].update(fields)
-        return points
+        return {"points": points}
+
+    def edit_cdf(point, row):
+        edited = cdf.copy()
+        edited[point] = row
+        return {"cdf": _encoded_cdf(edited)}
 
     cases = {
-        "cdf not monotone": edit_point(3, cdf=[1.0] + [0.0] * (n_edges - 1)),
+        "cdf not monotone": edit_cdf(3, [1.0] + [0.0] * (n_edges - 1)),
         "mean above 1": edit_point(7, mean=1.5),
         "mean below 0": edit_point(0, mean=-0.25),
         "variance over its cap": edit_point(11, variance=0.5),
-        "every cdf one short": [
-            {**p, "cdf": p["cdf"][:-1]} for p in payload["points"]
-        ],
-        "ragged cdf": edit_point(5, cdf=payload["points"][5]["cdf"] + [1.0]),
-        "NaN in a cdf": edit_point(
-            9, cdf=[float("nan") if i == n_edges // 2 else v
-                    for i, v in enumerate(payload["points"][9]["cdf"])]
-        ),
+        "every cdf one short": {"cdf": _encoded_cdf(cdf[:, :-1])},
+        # One value past the matrix, under the matrix's own shape.
+        "ragged cdf": {"cdf": {
+            **payload["cdf"],
+            "base64": base64.b64encode(
+                cdf.astype("<f8").tobytes() + np.array([1.0], "<f8").tobytes()
+            ).decode("ascii"),
+        }},
+        "NaN in a cdf": edit_cdf(9, np.where(np.arange(n_edges) == n_edges // 2, np.nan, cdf[9])),
     }
-    for name, points in cases.items():
+    for name, edit in cases.items():
         path = workspace / "malformed.json"
-        path.write_text(json.dumps({**payload, "points": points}))
+        path.write_text(json.dumps({**payload, **edit}))
         assert predict(workspace, path, "malformed") == 2, name
     assert not (workspace / "malformed" / "sets.csv").exists()
+
+
+def test_predict_rejects_malformed_artifact_cdf(workspace, capsys):
+    """A ``cdf`` member that is not the base64 of a ``<f8`` matrix of one
+    row per point and one column per interior edge is malformed input
+    (exit 2), and so is a version 1 artifact."""
+    artifact = calibrate(workspace)
+    payload = json.loads(artifact.read_text())
+    member = payload["cdf"]
+    n_points, n_edges = member["shape"]
+    assert (n_points, n_edges) == (25, 49) and len(member["base64"]) % 4 == 0
+    data = base64.b64decode(member["base64"])
+    v1_points = [
+        {**point, "cdf": row.tolist()}
+        for point, row in zip(payload["points"], _decoded_cdf(member))
+    ]
+    v1 = {key: value for key, value in payload.items() if key != "cdf"}
+    cases = {
+        "base64 with a character outside the alphabet": {
+            "cdf": {**member, "base64": "!" + member["base64"][1:]}},
+        "base64 with a newline": {
+            "cdf": {**member, "base64": member["base64"][:76] + "\n" + member["base64"][76:]}},
+        "base64 short of its padding": {"cdf": {**member, "base64": member["base64"][:-1]}},
+        "base64 that is not a string": {"cdf": {**member, "base64": 7}},
+        "dtype <f4": {"cdf": {**member, "dtype": "<f4"}},
+        "dtype >f8": {"cdf": {**member, "dtype": ">f8"}},
+        "dtype missing": {"cdf": {key: v for key, v in member.items() if key != "dtype"}},
+        "shape one point short": {"cdf": {**member, "shape": [n_points - 1, n_edges]}},
+        "shape one edge over the grid": {"cdf": {**member, "shape": [n_points, n_edges + 1]}},
+        "shape flattened": {"cdf": {**member, "shape": [n_points * n_edges]}},
+        "shape of floats": {"cdf": {**member, "shape": [float(n_points), n_edges]}},
+        "decoded length one value short": {"cdf": {
+            **member, "base64": base64.b64encode(data[:-8]).decode("ascii")}},
+        "cdf missing": {"cdf": None},
+        "cdf a list": {"cdf": _decoded_cdf(member).tolist()},
+        "version 1": {**v1, "version": 1, "points": v1_points},
+    }
+    for name, edit in cases.items():
+        edited = {**payload, **edit}
+        if name == "cdf missing":
+            del edited["cdf"]
+        path = workspace / "malformed.json"
+        path.write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert predict(workspace, path, "malformed") == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
+    assert not (workspace / "malformed").exists()
+    # Untouched, the re-serialized payload predicts.
+    path.write_text(json.dumps(payload))
+    assert predict(workspace, path, "malformed") == 0
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.02])
+def test_artifact_round_trip_is_bit_exact_for_every_column(tmp_path, eta):
+    """Ids, sample count, mean, variance, CDF, bounds and thresholds come
+    back with their bits: ``-0.0`` beside ``0.0`` in the CDF, and
+    ``±inf`` and NaN in the bound columns."""
+    from robustcp.evasion import Calibration
+    from robustcp.smoothing import BinGrid, ScoreBatch
+
+    rng = substream(51, "artifact-round-trip")
+    n_points, grid = 700, BinGrid.uniform(9)
+    cdf = np.sort(rng.integers(0, 5, (n_points, 7)) / 4.0, axis=1)
+    cdf[cdf == 0.0] = rng.choice([0.0, -0.0], int((cdf == 0.0).sum()))
+    specials = np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 5e-324])
+    lower = rng.uniform(0, 1, n_points)
+    lower[:specials.size] = specials
+    calibration = Calibration(
+        point_ids=rng.permutation(n_points) * 3 - 2**40,
+        distributions=ScoreBatch(
+            n_samples=4, mean=rng.uniform(0, 1, n_points),
+            variance=rng.uniform(0, 1 / 3, n_points), grid=grid, cdf=cdf,
+        ),
+        lower_bounds=lower,
+        corrected_lower_bounds=lower[::-1].copy() if eta else None,
+        thresholds={"vanilla": 0.5, "none": -np.inf},
+    )
+    assert np.signbit(cdf[cdf == 0.0]).any() and (~np.signbit(cdf[cdf == 0.0])).any()
+    echo = {"alpha": 0.1, "eta": eta}
+    formats.write_calibration_artifact(tmp_path / "a.json", calibration, echo)
+    got, config = formats.read_calibration_artifact(tmp_path / "a.json")
+    assert config == echo
+    _assert_same_calibration(got, calibration)
+    assert got.distributions.cdf.flags.writeable and got.distributions.cdf.dtype == np.float64
+    formats.write_calibration_artifact(tmp_path / "b.json", got, config)
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
 
 def test_predict_rejects_artifact_without_one_sample_count(workspace):
@@ -797,7 +905,7 @@ def _edit_last_block(blob: bytes, offset_from_end: int, value: float) -> bytes:
 
 
 @pytest.mark.parametrize("case", ["nan in the last point", "1.5 in the last block",
-                                  "truncated by 4 bytes"])
+                                  "truncated by 4 bytes", "inf in the last block"])
 def test_late_block_failures_leave_no_outputs(tmp_path, monkeypatch, capsys, case):
     _block_inputs(tmp_path)
     codes, _ = _calibrate_predict(tmp_path, tmp_path / "scores.bin", tmp_path / "ok")
@@ -809,6 +917,7 @@ def test_late_block_failures_leave_no_outputs(tmp_path, monkeypatch, capsys, cas
         "nan in the last point": lambda: _edit_last_block(blob, 7, float("nan")),
         "1.5 in the last block": lambda: _edit_last_block(blob, 200, 1.5),
         "truncated by 4 bytes": lambda: blob[:-4],
+        "inf in the last block": lambda: _edit_last_block(blob, 200, float("inf")),
     }[case]())
     labels = str(tmp_path / "labels.csv")
     flags = ("--set", "sigma=0.25", "--set", "radius=0.125")
@@ -822,6 +931,12 @@ def test_late_block_failures_leave_no_outputs(tmp_path, monkeypatch, capsys, cas
         assert list((tmp_path / out).iterdir()) == []
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 2 and errors[0] == errors[1], errors
+    assert errors[0].endswith({
+        "nan in the last point": "scores must be finite",
+        "1.5 in the last block": "scores must lie in [0, 1]",
+        "truncated by 4 bytes": "payload size does not match the declared dims",
+        "inf in the last block": "scores must be finite",
+    }[case]), errors
 
 
 def test_header_size_and_label_errors_come_before_the_payload(tmp_path, capsys):
@@ -972,6 +1087,15 @@ def _edited_thresholds(edit):
     return write
 
 
+def _edited_config(edit):
+    """An input writer that rewrites the calibrated artifact's config echo with ``edit``."""
+    def write(ws):
+        artifact = ws / "calib" / "calibration.json"
+        payload = json.loads(artifact.read_text())
+        artifact.write_text(json.dumps({**payload, "config": edit(payload["config"])}))
+    return write
+
+
 def _first_point_id(value):
     """An input writer that sets the calibrated artifact's first point id to ``value``."""
     def write(ws):
@@ -1029,6 +1153,11 @@ _DEFECTIVE_INPUTS = {
     ),
     # int() would read it as 1.
     "predict-point-id-1.5": (_first_point_id(1.5), _PREDICT),
+    # An absent certified key would take its default: radius 0 here.
+    "predict-config-without-radius": (
+        _edited_config(lambda c: {k: v for k, v in c.items() if k != "radius"}), _PREDICT,
+    ),
+    "predict-config-empty": (_edited_config(lambda c: {}), _PREDICT),
 }
 
 

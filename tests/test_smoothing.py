@@ -413,6 +413,76 @@ def test_summary_is_bit_exact_against_a_per_row_reference(n_samples, grid, layou
             summarize_samples(broken, grid)
 
 
+def _float32_edge_rows(rng, n_rows, n_samples, edges):
+    """float32 scores on every interior edge (the float32 nearest it, and the
+    float32s either side of the edge) and one float32 ulp either side of
+    each of those, 0.0, -0.0 and 1.0, float32s just inside and outside
+    the 1e-9 tolerance, and plain uniforms."""
+    f32 = np.float32
+    near = edges.astype(f32)
+    below = np.where(near > edges, np.nextafter(near, f32(-1)), near)
+    above = np.where(near < edges, np.nextafter(near, f32(2)), near)
+    on = np.concatenate([near, below, above])
+    pool = np.concatenate([
+        on, np.nextafter(on, f32(-1)), np.nextafter(on, f32(2)),
+        np.array([0.0, -0.0, 1.0, -4e-10, np.nextafter(f32(0), f32(-1))], dtype=f32),
+        rng.uniform(0, 1, 8).astype(f32),
+    ])
+    assert pool.dtype == f32
+    return pool[rng.integers(0, pool.size, (n_rows, n_samples))]
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize(
+    "grid", [BinGrid.uniform(11), BinGrid.uniform(5), _RAGGED_GRID],
+    ids=["uniform", "dyadic", "ragged"],
+)
+@pytest.mark.parametrize("n_samples", [2, 7, 60])
+def test_float32_summary_is_bit_exact_against_the_widened_scores(n_samples, grid, layout):
+    """float32 rows (a packed tensor's dtype) summarize to the bits of the
+    same rows widened to float64, and of each widened row summarized alone;
+    the 1e-9 tolerance decides on the float64 value of a float32 score."""
+    rng = substream(n_samples, "float32-bit-exact", grid.edges.size, layout)
+    edges = grid.inner_edges
+    rows = _float32_edge_rows(rng, 600, n_samples, edges)
+    if layout == "F":
+        rows = np.asfortranarray(rows)
+        assert not rows.flags.c_contiguous
+    narrow, wide = summarize_samples(rows, grid), summarize_samples(rows.astype(float), grid)
+    for name in ("mean", "variance", "cdf"):
+        assert np.array_equal(_bits(getattr(narrow, name)), _bits(getattr(wide, name))), name
+    for i, row in enumerate(rows):
+        mean, variance, cdf = _reference_row(row.astype(float), edges)
+        assert _bits(narrow.mean[i]) == _bits(mean)
+        assert _bits(narrow.variance[i]) == _bits(variance)
+        assert np.array_equal(_bits(narrow.cdf[i]), _bits(cdf))
+    # Every float32 beside every edge, and both signed zeros, occurred.
+    f32_edges = edges.astype(np.float32)
+    assert np.isin(np.nextafter(f32_edges, np.float32(2)), rows).all()
+    assert np.isin(np.nextafter(f32_edges, np.float32(-1)), rows).all()
+    assert np.signbit(rows[rows == 0.0]).any() and (~np.signbit(rows[rows == 0.0])).any()
+
+    # The float32s either side of -1e-9 and of 1 + 1e-9 (1 and the next
+    # float32 up); each is refused exactly when its float64 value is.
+    lo = np.float32(-1e-9)
+    tolerance = [np.nextafter(lo, np.float32(-1)), lo, np.nextafter(lo, np.float32(1)),
+                 np.float32(1.0), np.nextafter(np.float32(1.0), np.float32(2))]
+    for value in tolerance:
+        edited = rows.copy(order="K")
+        edited[-1, -1] = value  # in the last, partial chunk
+        refused = float(value) < -1e-9 or float(value) > 1.0 + 1e-9
+        for given_rows in (edited, edited.astype(float)):
+            if refused:
+                with pytest.raises(ValueError, match="outside"):
+                    summarize_samples(given_rows, grid)
+            else:
+                summarize_samples(given_rows, grid)
+    edited = rows.copy(order="K")
+    edited[-1, -1] = np.nan
+    with pytest.raises(ValueError, match="mean"):
+        summarize_samples(edited, grid)
+
+
 def _split(tensor, sizes):
     """``(points, block)`` pairs of ``tensor`` cut into blocks of ``sizes`` points."""
     ends = np.cumsum(sizes)

@@ -47,10 +47,16 @@ fresh interpreter and records its exit code and standard output, so a
 demo edited alongside the package must still print the same thing.
 
 Every output file, plus each command's exit code and printed output, goes
-under one directory per tree.  The two directories are then compared
-byte for byte.  The script prints every difference and exits 1 if there
-is one, leaving both directories in place for inspection; it exits 0 and
-removes them when every file is identical.
+under one directory per tree.  Beside every ``calibration.json`` the
+tree's own ``read_calibration_artifact`` also writes
+``calibration.decoded.txt``: the point ids, sample count, means,
+variances, CDFs and bounds as hex floats, plus the thresholds, the grid
+and the config echo.  The two directories are then compared byte for
+byte, except that the raw ``calibration.json`` files are skipped when
+the trees' ``formats.ARTIFACT_VERSION`` differ: their artifacts are then
+compared by decoded content alone.  The script prints every difference
+and exits 1 if there is one, leaving both directories in place for
+inspection; it exits 0 and removes them when every file is identical.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from __future__ import annotations
 import contextlib
 import filecmp
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -261,6 +268,41 @@ def write_outputs(out: Path) -> None:
     ], out)
 
 
+def _hex(values) -> str:
+    return " ".join(map(float.hex, [float(v) for v in values]))
+
+
+def write_decoded_artifacts(out: Path) -> None:
+    """Beside every artifact under ``out``, its decoded content as hex floats."""
+    from robustcp import formats
+
+    for path in sorted(out.rglob("calibration.json")):
+        try:
+            calibration, config = formats.read_calibration_artifact(path)
+        except formats.InputError as exc:  # a refused artifact is recorded, and compared
+            text = f"unreadable: {type(exc).__name__}: {exc}\n"
+        else:
+            dists = calibration.distributions
+            names = sorted(calibration.thresholds)
+            corrected = calibration.corrected_lower_bounds
+            lines = [
+                f"config {json.dumps(config, sort_keys=True)}",
+                f"grid_edges {_hex(dists.grid.edges)}",
+                f"thresholds {' '.join(names)} {_hex(calibration.thresholds[k] for k in names)}",
+                f"n_samples {dists.n_samples}",
+                "id mean variance lower_bound corrected_lower_bound cdf...",
+            ]
+            for i, point_id in enumerate(calibration.point_ids.tolist()):
+                lines.append(" ".join([
+                    str(point_id),
+                    _hex([dists.mean[i], dists.variance[i], calibration.lower_bounds[i]]),
+                    "-" if corrected is None else float(corrected[i]).hex(),
+                    _hex(dists.cdf[i]),
+                ]))
+            text = "\n".join(lines) + "\n"
+        (path.parent / "calibration.decoded.txt").write_text(text)
+
+
 def run_demos(src: Path, out: Path, env: dict) -> None:
     """Record the exit code and standard output of every demo beside ``src``."""
     logs = out / "demos"
@@ -274,27 +316,36 @@ def run_demos(src: Path, out: Path, env: dict) -> None:
         )
 
 
-def _differences(a: Path, b: Path, prefix: str = "") -> list[str]:
+def _differences(a: Path, b: Path, skip: frozenset = frozenset(), prefix: str = "") -> list[str]:
+    """Every file only in one tree, or in both with other bytes; files named in ``skip`` aside."""
     cmp = filecmp.dircmp(a, b)
     found = [f"only in A: {prefix}{name}" for name in cmp.left_only]
     found += [f"only in B: {prefix}{name}" for name in cmp.right_only]
     for name in cmp.common_files:
-        if not filecmp.cmp(a / name, b / name, shallow=False):
+        if name not in skip and not filecmp.cmp(a / name, b / name, shallow=False):
             found.append(f"differs: {prefix}{name}")
     for name in cmp.common_dirs:
-        found += _differences(a / name, b / name, f"{prefix}{name}/")
+        found += _differences(a / name, b / name, skip, f"{prefix}{name}/")
     return found
+
+
+def _artifact_version(env: dict) -> str:
+    return subprocess.run(
+        [sys.executable, "-c", "from robustcp.formats import ARTIFACT_VERSION as v; print(v)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
 
 
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--write":
         write_outputs(Path(argv[1]))
+        write_decoded_artifacts(Path(argv[1]))
         return 0
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     work = Path(tempfile.mkdtemp(prefix="robustcp-compare-"))
-    outs = []
+    outs, versions = [], []
     for label, src in zip("AB", argv):
         src = Path(src).resolve()
         if not (src / "robustcp" / "__init__.py").exists():
@@ -308,14 +359,22 @@ def main(argv: list[str]) -> int:
         )
         run_demos(src, out, env)
         outs.append(out)
-    found = _differences(*outs)
+        versions.append(_artifact_version(env))
+    skip = frozenset()
+    if versions[0] != versions[1]:
+        skip = frozenset({"calibration.json"})
+        print(f"artifact versions {versions[0]} and {versions[1]}: "
+              "calibration.json compared by decoded content only")
+    found = _differences(*outs, skip)
     n_files = sum(len(files) for _, _, files in os.walk(outs[0]))
     if found:
         print("\n".join(found))
         print(f"{len(found)} difference(s) in {n_files} files; outputs kept in {work}")
         return 1
+    skipped = sum(1 for _ in outs[0].rglob("calibration.json")) if skip else 0
     shutil.rmtree(work)
-    print(f"all {n_files} files byte-identical")
+    print(f"all {n_files} files identical: {n_files - skipped} byte for byte"
+          + (f", {skipped} artifacts by decoded content" if skipped else ""))
     return 0
 
 
