@@ -64,7 +64,7 @@ def aps_scores(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     array of shape (m, n_classes)
         Scores in [0, 1].
     """
-    probs = np.asarray(probs, dtype=float)
+    probs = np.ascontiguousarray(probs, dtype=float)  # the class sum's order follows the layout
     u = np.asarray(u, dtype=float)
     if probs.ndim != 2 or probs.shape[1] < 2:
         raise ValueError("probabilities must be a 2-d array with at least 2 classes")

@@ -53,10 +53,10 @@ _SUMMARY_CHUNK_ROWS = 256
 # one raw word per double, so bit flips can be drawn from raw words.
 _WORD_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
-# Batch score oracle: maps an (m, d) array of perturbed inputs to an
-# (m, n_classes) array of scores in [0, 1], every class from one forward
-# pass.  The generator argument feeds randomized scores (e.g. a fresh
-# tie-break draw per noisy sample); deterministic oracles ignore it.
+# Batch score oracle: (m, d) perturbed inputs -> (m, n_classes) scores in
+# [0, 1], every class from one forward pass, in any layout callers accept
+# (the task oracles return a class-major array's transposed view).  The
+# generator feeds randomized scores (APS tie-breaks); others ignore it.
 ScoreOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 

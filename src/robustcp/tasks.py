@@ -10,6 +10,7 @@ exchangeability exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,13 +47,15 @@ class GaussianMixtureTask:
         x = self.means[y] + self.noise * rng.standard_normal((n, self.dim))
         return x, y
 
+    @cached_property
+    def _logit_terms(self) -> tuple[float, np.ndarray, np.ndarray]:
+        scale = 1.0 / self.noise**2  # the input scale, each class's bias and log-prior
+        return scale, -0.5 * scale * np.sum(self.means**2, axis=1), np.log(self.priors)
+
     def class_probabilities(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        scale = 1.0 / self.noise**2
-        logits = scale * x @ self.means.T
-        logits -= 0.5 * scale * np.sum(self.means**2, axis=1)[None, :]
-        logits += np.log(self.priors)[None, :]
-        return _softmax_rows(logits)
+        scale, bias, log_prior = self._logit_terms
+        return _softmax_classes(self.means @ (scale * x).T, bias, log_prior)
 
 
 @dataclass(frozen=True)
@@ -75,43 +78,40 @@ class BernoulliFeatureTask:
         x = (rng.random((n, self.dim)) < self.theta[y]).astype(np.int8)
         return x, y
 
+    @cached_property
+    def _logit_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        on, off = np.log(self.theta), np.log1p(-self.theta)  # weights, bias, log-prior
+        return on - off, off.sum(axis=1), np.log(self.priors)
+
     def class_probabilities(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        on = np.log(self.theta)
-        off = np.log1p(-self.theta)
-        logits = x @ (on - off).T + off.sum(axis=1)[None, :]
-        logits += np.log(self.priors)[None, :]
-        return _softmax_rows(logits)
+        weights, bias, log_prior = self._logit_terms
+        return _softmax_classes(weights @ x.T, bias, log_prior)
 
 
 SyntheticTask = GaussianMixtureTask | BernoulliFeatureTask
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """``scipy.special.softmax(logits, axis=1)``, bit for bit, one class column at a time.
-
-    Reducing along a few-wide class axis costs several times the
-    arithmetic, so the row max is a running ``np.maximum`` over the
-    columns (exact in any order), and the row sum adds the columns in
-    the order ``np.add.reduce`` adds the entries of a row.
-    """
-    columns = list(logits.T)
-    peak = columns[0].copy()
-    for column in columns[1:]:
-        np.maximum(peak, column, out=peak)
-    probs = logits - peak[:, None]
-    np.exp(probs, out=probs)
-    probs /= _row_sums(list(probs.T))[:, None]
-    return probs
+def _softmax_classes(logits: np.ndarray, *offsets: np.ndarray) -> np.ndarray:
+    """In place, the softmax over the class rows of ``(classes, points)`` logits
+    plus each per-class offset in turn, as a ``(points, classes)`` view with
+    ``scipy.special.softmax``'s bits.  Every step runs on whole class rows;
+    the sum adds them in the order ``np.add.reduce`` adds one point's row."""
+    for offset in offsets:
+        logits += offset[:, None]
+    logits -= logits.max(axis=0)
+    np.exp(logits, out=logits)
+    logits /= _class_sums(list(logits))
+    return logits.T
 
 
-def _row_sums(columns: list[np.ndarray]) -> np.ndarray:
-    """Row sums in numpy's pairwise order for up to 128 columns (the tasks
-    have at most 10): eight running sums over every eighth column (zero
-    below 8) added as a tree, then the rest in turn."""
-    body = len(columns) - len(columns) % 8
-    r = [sum(columns[j:body:8], 0.0) for j in range(8)]
-    return sum(columns[body:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+def _class_sums(rows: list[np.ndarray]) -> np.ndarray:
+    """Per-point sums of the class rows in numpy's pairwise order for up to
+    128 classes (the tasks have at most 10): eight running sums over every
+    eighth row (zero below 8) added as a tree, then the rest in turn."""
+    body = len(rows) - len(rows) % 8
+    r = [sum(rows[j:body:8], 0.0) for j in range(8)]
+    return sum(rows[body:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def make_gaussian_mixture(
@@ -163,9 +163,9 @@ def make_binary_task(
 def oracle_for(task: SyntheticTask, kind: str = "tps"):
     """Score oracle ``(points, rng) -> (m, n_classes)``, every class from one softmax.
 
-    "tps" scores are the class probabilities.  "aps" scores are
-    :func:`~robustcp.scores.aps_scores` of them, with one tie-break draw
-    ``u`` per evaluated point, shared by its classes.
+    "tps" scores are the class probabilities, a class-major array's transposed
+    view; callers accept any layout.  "aps" scores are :func:`~robustcp.scores.aps_scores`
+    of them, with one tie-break draw ``u`` per evaluated point, shared by its classes.
     """
     if kind == "tps":
         return lambda points, rng: task.class_probabilities(points)

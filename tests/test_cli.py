@@ -556,7 +556,15 @@ def test_artifact_writer_in_point_blocks(tmp_path, monkeypatch, eta):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert path.read_text() == want, block_points
+        # Lengths and the first differing offset first: pytest's diff of
+        # two unequal ~1 MB texts takes minutes.
+        text = path.read_text()
+        assert len(text) == len(want), (block_points, len(text), len(want))
+        if text != want:
+            at = next(i for i, (a, b) in enumerate(zip(text, want)) if a != b)
+            pytest.fail(f"block {block_points}: first difference at offset {at}: "
+                        f"{text[max(at - 40, 0):at + 40]!r} != {want[max(at - 40, 0):at + 40]!r}")
+        assert text == want, block_points
         if block_points == 16:
             assert peak < len(want) / 4, (peak, len(want))
 

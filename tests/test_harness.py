@@ -123,8 +123,9 @@ def _assert_same_bits(got, want):
 
 @pytest.mark.parametrize("n_classes", range(2, 11))
 def test_softmax_rows_is_bit_exact_against_scipy(n_classes):
-    """The column-wise softmax has scipy's bits at every supported class
-    count, including numpy's pairwise row-sum order from 8 classes on."""
+    """The class-major softmax gives each point's row scipy's bits at every
+    supported class count, including numpy's pairwise sum order from 8
+    classes on."""
     rng = substream(7, "softmax-bits", n_classes)
     for n_rows in (1, 7, 4000, 16640):
         for scale in (0.1, 1.0, 30.0, 300.0):
@@ -135,7 +136,8 @@ def test_softmax_rows_is_bit_exact_against_scipy(n_classes):
                 # The other classes' exponentials underflow to 0.
                 logits[2] = -800.0 - np.arange(n_classes)
                 logits[2, 0] = 0.0
-            _assert_same_bits(tasks._softmax_rows(logits), softmax(logits, axis=1))
+            got = tasks._softmax_classes(np.ascontiguousarray(logits.T))
+            _assert_same_bits(got, softmax(logits, axis=1))
 
 
 @pytest.mark.parametrize(
@@ -148,11 +150,34 @@ def test_softmax_rows_is_bit_exact_against_scipy(n_classes):
     ],
     ids=["gaussian-3", "gaussian-10", "binary-3", "binary-9"],
 )
-def test_class_probabilities_keep_the_scipy_softmax_bits(task, monkeypatch):
+def test_class_probabilities_keep_the_scipy_softmax_bits(task):
+    """Each task's posterior has the bits of scipy's softmax of its
+    point-major logits ``x @ W.T + b``, built here term by term."""
     points, _ = task.sample(3000, substream(8, "posterior-bits", task.n_classes))
-    got = task.class_probabilities(points)
-    monkeypatch.setattr(tasks, "_softmax_rows", lambda logits: softmax(logits, axis=1))
-    _assert_same_bits(got, task.class_probabilities(points))
+    x = points.astype(float)
+    if isinstance(task, tasks.GaussianMixtureTask):
+        scale = 1.0 / task.noise**2
+        logits = scale * x @ task.means.T
+        logits -= 0.5 * scale * np.sum(task.means**2, axis=1)[None, :]
+    else:
+        on, off = np.log(task.theta), np.log1p(-task.theta)
+        logits = x @ (on - off).T + off.sum(axis=1)[None, :]
+    logits += np.log(task.priors)[None, :]
+    _assert_same_bits(task.class_probabilities(points), softmax(logits, axis=1))
+
+
+@pytest.mark.parametrize("n_classes", range(2, 11))
+def test_class_major_product_has_the_point_major_bits(n_classes):
+    """``W @ X.T`` is ``(X @ W.T).T`` bit for bit, across BLAS's kernel
+    switches in the row count, so the class-major logits keep the bits."""
+    rng = substream(10, "class-major-product", n_classes)
+    for dim in (*range(1, 17), 64):
+        weights = rng.standard_normal((n_classes, dim))
+        for n_rows in (1, 2, 7, 256, 257, 511, 512, 4000, 16640):
+            x = rng.standard_normal((n_rows, dim))
+            got = weights @ x.T
+            assert got.flags.c_contiguous
+            _assert_same_bits(got, (x @ weights.T).T)
 
 
 def test_sample_gaussian_keeps_the_broadcast_sum_bits():

@@ -205,6 +205,17 @@ def test_aps_scores_rejects_malformed_input(probs, u):
         aps_scores(np.array(probs), np.array(u))
 
 
+def test_aps_scores_do_not_depend_on_the_layout_of_probs():
+    """C- and F-ordered probabilities give the same bits at 10 classes,
+    where the sum over the classes ranked above goes pairwise."""
+    rng = np.random.default_rng(11)
+    probs = rng.dirichlet(np.full(10, 0.3), size=500)
+    u = rng.random(500)
+    c_order = aps_scores(np.ascontiguousarray(probs), u)
+    f_order = aps_scores(np.asfortranarray(probs), u)
+    np.testing.assert_array_equal(c_order.view(np.int64), f_order.view(np.int64))
+
+
 @given(
     u1=st.floats(min_value=0.0, max_value=1.0),
     u2=st.floats(min_value=0.0, max_value=1.0),

@@ -14,12 +14,13 @@ and ``ROBUSTCP_WORKERS=1``, which runs a fixed set of commands through
   n_test=6, n_samples=400, attack_samples=32``, with TPS and APS scores,
   Gaussian and bit-flip tasks, and asymmetric flips (``1:2``,
   ``p0 != p1``), and evasion at 10 Gaussian and 9 bit-flip classes,
-  where the posterior's row sums go pairwise, and APS evasion at three
-  radii and two bit-flip balls, where each test point's clean and
-  attacked versions share one noise block; the poisoning kinds also at
-  both ends of the rank search, the rank-0 sentinel (``alpha=0.04``) and
-  budget 19 of 20 (every budget stays at most ``n_cal``, so no clamp
-  warning prints a tree's own path);
+  where the posterior's row sums go pairwise, with TPS and with APS
+  scores (whose sum over the classes ranked above goes pairwise too),
+  and APS evasion at three radii and two bit-flip balls, where each
+  test point's clean and attacked versions share one noise block; the
+  poisoning kinds also at both ends of the rank search, the rank-0
+  sentinel (``alpha=0.04``) and budget 19 of 20 (every budget stays at
+  most ``n_cal``, so no clamp warning prints a tree's own path);
 * ``calibrate`` then ``predict`` on seeded 200x4x60 score tensors, for
   Gaussian test-time, sparse asymmetric test-time, sparse mean-route
   calibration-time and corrected settings, one of them read from CSV;
@@ -96,6 +97,14 @@ SIMULATIONS = {
     # Eight or more classes: the posterior's row sums take numpy's pairwise order.
     "evasion-gaussian-10-classes": ["experiment=evasion", "radii=0.125", "n_classes=10"],
     "evasion-binary-9-classes": ["experiment=evasion", "flips=1:2", "n_classes=9", *BINARY_TASK],
+    # So does the APS sum over the classes ranked above, whatever the
+    # layout of the probabilities the oracle hands it.
+    "evasion-gaussian-aps-10-classes": [
+        "experiment=evasion", "score_kind=aps", "radii=0.125", "n_classes=10",
+    ],
+    "evasion-binary-aps-9-classes": [
+        "experiment=evasion", "score_kind=aps", "flips=1:2", "n_classes=9", *BINARY_TASK,
+    ],
     "label-poison": ["experiment=label-poison", "budgets=0,1,2"],
     "label-poison-aps": ["experiment=label-poison", "score_kind=aps", "budgets=0,2"],
     # Both ends of the mirrored rank search: floor(0.04 * 21) = 0 is the
