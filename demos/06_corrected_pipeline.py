@@ -54,7 +54,8 @@ plain = bound_for_clean(dist, model, scheme, "lower", "cdf")
 corrected = corrected_bound(dist, model, scheme, "lower", "cdf", ETA)
 print(f"\nlower bound at r=0.125: uncorrected {plain:.4f}, corrected {corrected:.4f}")
 
-# Full corrected calibration.  The ledger records every spend; the sum
+# Full corrected calibration.  Calibrating spends nothing: the ledger
+# belongs to the corrected predict, one entry per stage, and the sum
 # must stay within eta or the run aborts.
 task = make_gaussian_mixture(n_classes=3, dim=4, separation=2.0, noise=1.0, seed=7)
 oracle = oracle_for(task)
@@ -66,14 +67,22 @@ config = EvasionConfig(
 calibration = calibrate_smooth(oracle, x_cal, y_cal, 0.1, config, seed=9)
 thr_corrected = calibration.thresholds["corrected"]
 thr_plain = calibration.thresholds["calibration-time"]
-ledger = calibration.ledger
 print(f"\ncorrected calibration on 100 points:")
 print(f"  uncorrected threshold {thr_plain:.4f}")
 print(f"  corrected threshold   {thr_corrected:.4f}  (lower, as it must be)")
-print(f"  ledger spent {ledger.spent:.5f} of eta/2 = {ETA / 2:.5f} "
-      f"across {len(ledger.entries)} entries")
-ledger.assert_within()
 assert thr_corrected <= thr_plain
+
+# The stages every corrected predict spends on this calibration: a DKW
+# band per calibration point at eta / (2 n), then a Bernstein radius per
+# class at eta / (2 classes).  Each union bound is one entry.
+n_cal, n_classes = len(calibration), task.n_classes
+ledger = BudgetLedger(eta=ETA)
+ledger.spend("calibration cdf bands", ETA / (2 * n_cal), n_cal)
+ledger.spend("class mean radii", ETA / (2 * n_classes), n_classes)
+print("  corrected predict's ledger, one entry per stage:")
+for label, amount, count in ledger.entries:
+    print(f"    {label:<22} {count:>4} x {amount:.3g} = {amount * count:.5f}")
+print(f"    spent {ledger.spent:.5f} of eta = {ETA:.5f}")
 
 # Overspending the budget is a hard error, not a warning.
 probe = BudgetLedger(eta=ETA)

@@ -9,7 +9,7 @@ with probability 1 - eta over the sampling.  :func:`corrected_bound`
 widens a whole :class:`~robustcp.smoothing.ScoreBatch` at once.
 
 A :class:`BudgetLedger` tracks how composite pipelines split their
-failure budget; every spend is checked against the declared total.
+failure budget, one entry per stage, each checked against the total.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ def _check_eta(eta: float) -> float:
     if not 0.0 < eta < 1.0:
         raise ValueError("failure probability must lie in (0, 1)")
     return float(eta)
+
+
+def _band_level(eta: float, n: int) -> float:
+    """Each of ``n`` calibration points' share of half the budget: eta / (2 n)."""
+    return eta / (2.0 * n)
 
 
 def hoeffding_radius(n_samples: int, eta: float) -> float:
@@ -124,23 +129,26 @@ def corrected_bound(
 class BudgetLedger:
     """Accounting of a failure budget split across pipeline stages.
 
-    ``entries`` keeps every spend for auditing; ``spent`` is their
-    running total, summed in spend order.
+    ``entries`` keeps one ``(label, amount, count)`` per stage: a union
+    bound over ``count`` events, each failing with probability at most
+    ``amount``.  ``spent`` is the running total of ``amount * count``.
     """
 
     eta: float
-    entries: list[tuple[str, float]] = field(default_factory=list, init=False)
+    entries: list[tuple[str, float, int]] = field(default_factory=list, init=False)
     _spent: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_eta(self.eta)
 
-    def spend(self, label: str, amount: float) -> float:
-        """Record a spend and fail loudly if the declared budget is exceeded."""
-        if amount <= 0.0:
+    def spend(self, label: str, amount: float, count: int = 1) -> float:
+        """Record a stage and fail loudly if the declared budget is exceeded."""
+        if not amount > 0.0:
             raise ValueError("budget spends must be positive")
-        self.entries.append((label, float(amount)))
-        self._spent += float(amount)
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError("a spend's count must be a positive integer")
+        self.entries.append((label, float(amount), int(count)))
+        self._spent += float(amount) * int(count)
         if self._spent > self.eta + 1e-12:
             raise ValueError(
                 f"failure budget exceeded: spent {self._spent:.6g} of {self.eta:.6g}"

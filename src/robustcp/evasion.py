@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import ThreatModel, bound_batch
-from .correction import BudgetLedger, bernstein_radius, corrected_bound
+from .correction import BudgetLedger, _band_level, bernstein_radius, corrected_bound
 from .errors import ConfigurationError
 from .scores import conformal_quantile, inverse_quantile
 from .smoothing import (
@@ -89,8 +89,8 @@ class Calibration:
 
     ``distributions`` is a ``(points,)`` batch; the id and bound columns
     are aligned with it.  ``corrected_lower_bounds`` is None without
-    correction, and ``ledger`` is None without correction or when loaded
-    from an artifact.
+    correction.  It holds no ledger: :func:`predict` accounts for the
+    calibration side from ``len(calibration)`` and its own eta.
     """
 
     point_ids: np.ndarray
@@ -98,7 +98,6 @@ class Calibration:
     lower_bounds: np.ndarray
     corrected_lower_bounds: np.ndarray | None = None
     thresholds: dict[str, float] = field(default_factory=dict)
-    ledger: BudgetLedger | None = None
 
     def __len__(self) -> int:
         return len(self.distributions)
@@ -138,27 +137,23 @@ def calibrate(
     forward ball around each clean point.  With ``config.eta`` > 0 each
     point's binned CDF is also widened by a DKW band at eta / (2 n)
     before taking the lower bound, and "corrected" is the quantile of
-    those at level alpha - eta, leaving eta / 2 of the failure budget
-    for the test side (see :func:`predict`).
+    those at level alpha - eta.  Nothing is spent here: :func:`predict`
+    accounts for these n bands as one stage of its ledger.
     """
+    eta = config.eta
+    if eta > 0.0 and not alpha > eta:
+        raise ConfigurationError("alpha must exceed the correction budget eta")
     n = len(distributions)
     point_ids = np.arange(n) if point_ids is None else np.asarray(point_ids, dtype=int)
     calibration = Calibration(
         point_ids, distributions,
         bound_batch(distributions, config.model, config.scheme, "lower", config.bound_kind),
     )
-    eta = config.eta
     if eta > 0.0:
-        if not alpha > eta:
-            raise ConfigurationError("alpha must exceed the correction budget eta")
-        ledger = calibration.ledger = BudgetLedger(eta=eta)
-        per_point = eta / (2.0 * n)
-        for point_id in point_ids.tolist():
-            ledger.spend(f"calibration cdf band {point_id}", per_point)
         calibration.corrected_lower_bounds = corrected_bound(
-            distributions, config.model, config.scheme, "lower", config.bound_kind, per_point
+            distributions, config.model, config.scheme, "lower", config.bound_kind,
+            _band_level(eta, n),
         )
-        ledger.assert_within()
     calibration.thresholds = calibration.quantiles(alpha, eta)
     return calibration
 
@@ -177,7 +172,9 @@ def predict(
     lies in the reversed ball), and in calibration-time mode smooth means
     at the calibration-time one.
     With ``config.eta`` > 0 (calibration-time only), "corrected" sets
-    spend through one ledger per call, the calibration side first.
+    spend through one ledger per call, built the same way for every
+    calibration, in memory or loaded: its n CDF bands at eta / (2 n),
+    n = ``len(calibration)``, then each class's mean radius.
     """
     thresholds = calibration.thresholds
     corrected = config.eta > 0.0
@@ -197,21 +194,14 @@ def predict(
     else:
         named["robust"] = means >= thresholds["calibration-time"]
     if corrected:
-        # A calibration loaded from an artifact carries no ledger; the
-        # corrected calibration spends eta / 2 by construction.
-        calibration_side = (
-            calibration.ledger.spent if calibration.ledger is not None else config.eta / 2.0
-        )
         # Each class's mean gets an empirical Bernstein radius at
         # eta / (2 n_classes), so the true class's smooth score clears
         # the threshold whenever its bound would; every point spends so.
-        n_classes = distributions.shape[1]
+        n, n_classes = len(calibration), distributions.shape[1]
         per_class = config.eta / (2.0 * n_classes)
         ledger = BudgetLedger(eta=config.eta)
-        ledger.spend("calibration side", calibration_side)
-        for c in range(n_classes):
-            ledger.spend(f"class {c} mean radius", per_class)
-        ledger.assert_within()
+        ledger.spend("calibration cdf bands", _band_level(config.eta, n), n)
+        ledger.spend("class mean radii", per_class, n_classes)
         inflated = means + bernstein_radius(
             distributions.n_samples, distributions.variance, per_class
         )

@@ -593,7 +593,7 @@ def read_calibration_artifact(path: str | Path):
     The points' scalars and the decoded CDF matrix become one
     :class:`~robustcp.smoothing.ScoreBatch`, validated once; every point
     must have the same ``n_samples``.  An artifact of another version is
-    refused.  The calibration carries no ledger.
+    refused.
     """
     from .evasion import Calibration
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ThreatModel
-from .correction import BudgetLedger, corrected_bound, hoeffding_radius
+from .correction import BudgetLedger, _band_level, corrected_bound, hoeffding_radius
 from .errors import ConfigurationError
 from .scores import ALL_CLASSES_THRESHOLD, _order_index, conformal_quantile
 from .smoothing import ScoreBatch, SmoothingScheme
@@ -287,10 +287,10 @@ def corrected_feature_poison_threshold(
     if not 0.0 < eta < alpha:
         raise ConfigurationError("need 0 < eta < alpha")
     eps_mc = hoeffding_radius(n, eta)
+    per_point = _band_level(eta, n)
     ledger = BudgetLedger(eta=eta)
-    ledger.spend("calibration cdf bands", eta / 2.0)
+    ledger.spend("calibration cdf bands", per_point, n)
     ledger.spend("clean-score mc slack", eta / 2.0)
-    per_point = eta / (2.0 * n)
     reversed_ball = model.reversed()
     observed = distributions.mean
     lower = (
@@ -298,5 +298,4 @@ def corrected_feature_poison_threshold(
         - eps_mc
     )
     result = _rank_search(observed, np.minimum(lower, observed), budget, alpha - eta, False)
-    ledger.assert_within()
     return result, ledger

@@ -503,9 +503,9 @@ def test_criterion_8_corrected_pipelines(corrected_suite):
         for k in CORRECTED_SUITE.budgets
     )
     total = len(corrected) * len(CORRECTED_SUITE.budgets)
-    # Every trial asserts its ledgers internally (calibration side plus
-    # one per test point), so 200 completed trials certify the error
-    # budget was respected throughout.
+    # Every trial's ledgers refuse any spend past eta (the calibration
+    # bands, then the class radii or the clean-score slack), so 200
+    # completed trials certify the error budget was respected throughout.
     _finish(
         8, time.perf_counter() - t0 + corrected_s, 900.0,
         {
@@ -515,7 +515,7 @@ def test_criterion_8_corrected_pipelines(corrected_suite):
         },
         f"200 trials at eta=0.01, 10k draws: sets {sets_cov:.4f}, threshold "
         f"coverage min {min(thr_cov.values()):.4f}, dominance {dominated}/{total}, "
-        f"ledgers within eta (asserted per trial)",
+        f"ledgers within eta (checked at every spend)",
     )
 
 

@@ -412,7 +412,6 @@ def test_calibrate_writes_artifact_that_round_trips(workspace):
         artifact = calibrate(workspace, out=f"calib-{eta}", extra=extra)
         calibration, config = formats.read_calibration_artifact(artifact)
         assert calibration.point_ids.shape == (25,)
-        assert calibration.ledger is None
         thresholds = calibration.thresholds
         assert thresholds["calibration-time"] <= thresholds["vanilla"]
         assert ("corrected" in thresholds) == (eta > 0.0)
@@ -840,14 +839,14 @@ def test_corrected_predict_spends_through_one_ledger_per_call(workspace, monkeyp
     spends = []
     original = BudgetLedger.spend
 
-    def counted(self, label, amount):
-        spends.append(label)
-        return original(self, label, amount)
+    def counted(self, label, amount, count=1):
+        spends.append((label, count))
+        return original(self, label, amount, count)
 
     monkeypatch.setattr(BudgetLedger, "spend", counted)
     assert predict(workspace, artifact, "pred-eta", "--set", "mode=calibration-time") == 0
-    # One ledger for all 8 points: the calibration side, then the 3 classes.
-    assert spends == ["calibration side"] + [f"class {c} mean radius" for c in range(3)]
+    # One ledger for all 8 points: the 25 calibration bands, then the 3 classes.
+    assert spends == [("calibration cdf bands", 25), ("class mean radii", 3)]
     sets = formats.read_sets_csv(workspace / "pred-eta" / "sets.csv")
     assert set(sets) == {"vanilla", "robust", "corrected"}
 

@@ -144,7 +144,7 @@ class TestBudgetLedger:
         ledger.spend("test point", 0.05)
         assert ledger.spent == pytest.approx(0.09)
         ledger.assert_within()
-        assert ledger.entries == [("calibration", 0.04), ("test point", 0.05)]
+        assert ledger.entries == [("calibration", 0.04, 1), ("test point", 0.05, 1)]
 
     def test_overspend_raises_immediately(self):
         ledger = BudgetLedger(eta=0.05)
@@ -163,6 +163,34 @@ class TestBudgetLedger:
         with pytest.raises(ValueError):
             ledger.spend("free", 0.0)
 
+    def test_nan_spend_rejected(self):
+        # NaN fails every comparison: once in the total, no overspend would raise.
+        ledger = BudgetLedger(eta=0.1)
+        with pytest.raises(ValueError, match="must be positive"):
+            ledger.spend("x", float("nan"))
+        assert ledger.entries == [] and ledger.spent == 0.0
+        with pytest.raises(ValueError, match="failure budget exceeded"):
+            ledger.spend("y", 5.0)
+
+    @pytest.mark.parametrize("count", [0, -1, 1.5, 2.0, True, None, "3"])
+    def test_count_must_be_a_positive_integer(self, count):
+        ledger = BudgetLedger(eta=0.1)
+        with pytest.raises(ValueError, match="positive integer"):
+            ledger.spend("bands", 0.001, count)
+        assert ledger.entries == [] and ledger.spent == 0.0
+
+    def test_count_spends_amount_times_count(self):
+        # One entry for a union bound over n events, at exactly amount * n.
+        amount = 0.01 / 200
+        ledger = BudgetLedger(eta=0.01)
+        ledger.spend("calibration cdf bands", amount, np.int64(100))
+        assert ledger.entries == [("calibration cdf bands", amount, 100)]
+        assert ledger.spent == amount * 100
+        ledger.spend("class mean radii", 0.01 / 6, 3)
+        assert ledger.spent == amount * 100 + (0.01 / 6) * 3
+        with pytest.raises(ValueError, match="failure budget exceeded"):
+            BudgetLedger(eta=0.01).spend("calibration cdf bands", amount, 201)
+
     def test_bad_eta_rejected(self):
         with pytest.raises(ValueError):
             BudgetLedger(eta=0.0)
@@ -178,14 +206,15 @@ class TestBudgetLedger:
     def test_running_total_matches_summing_the_entries(self):
         rng = substream(46, "ledger")
         amounts = rng.uniform(0.1, 10.0, 3000)
-        amounts *= 0.5 / amounts.sum()
+        counts = rng.integers(1, 6, amounts.size)
+        amounts *= 0.5 / (amounts * counts).sum()
         ledger = BudgetLedger(eta=0.5)
-        for i, amount in enumerate(amounts):
-            ledger.spend(f"spend {i}", float(amount))
+        for i, (amount, count) in enumerate(zip(amounts, counts.tolist())):
+            ledger.spend(f"spend {i}", float(amount), count)
         # Left to right, as spends happen (sum() compensates from Python 3.12 on).
         total = 0.0
-        for _, amount in ledger.entries:
-            total += amount
+        for _, amount, count in ledger.entries:
+            total += amount * count
         assert ledger.spent == total
         assert len(ledger.entries) == amounts.size
         ledger.assert_within()

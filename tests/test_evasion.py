@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustcp import evasion
+from robustcp import evasion, formats
 from robustcp.bounds import BinaryBall, L2Ball, bound_batch, bound_for_clean
 from robustcp.correction import BudgetLedger, bernstein_radius, corrected_bound
 from robustcp.errors import ConfigurationError
@@ -223,17 +223,40 @@ def test_vanilla_worst_case_coverage_definition(calibrated):
     assert beta <= clean
 
 
+def _spends_of(fn, *args):
+    """``fn(*args)``, and every spend of its ``evasion`` ledgers as (label, amount, count)."""
+    spends = []
+
+    class RecordingLedger(BudgetLedger):
+        def spend(self, label, amount, count=1):
+            spends.append((label, amount, count))
+            return super().spend(label, amount, count)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evasion, "BudgetLedger", RecordingLedger)
+        return fn(*args), spends
+
+
+def _predict_stages(eta, n_cal, n_classes):
+    """The two stages a corrected predict spends, whatever the calibration's origin."""
+    return [
+        ("calibration cdf bands", eta / (2 * n_cal), n_cal),
+        ("class mean radii", eta / (2 * n_classes), n_classes),
+    ]
+
+
 def test_corrected_calibrate_dominates_plain(gaussian_setup, calibrated):
     _, oracle, x, y, config = gaussian_setup
     cfg = dataclasses.replace(config, mode="calibration-time", eta=0.05)
     corrected = calibrate_smooth(oracle, x, y, ALPHA, cfg, seed=17)
-    ledger = corrected.ledger
-    assert len(ledger.entries) == N_CAL
-    assert ledger.spent <= cfg.eta / 2 + 1e-12
+    test = class_distributions(oracle, x[:2], cfg, seed=31)
+    _, spends = _spends_of(predict, test, corrected, cfg)
+    assert spends == _predict_stages(cfg.eta, N_CAL, 3)
     assert np.all(corrected.corrected_lower_bounds <= corrected.lower_bounds + 1e-12)
     assert corrected.thresholds["corrected"] <= corrected.thresholds["calibration-time"]
-    # The plain thresholds do not depend on eta.
-    assert calibrated.ledger is None and "corrected" not in calibrated.thresholds
+    # The plain thresholds do not depend on eta, and a plain predict spends nothing.
+    assert "corrected" not in calibrated.thresholds
+    assert _spends_of(predict, test, calibrated, config)[1] == []
     assert corrected.thresholds["calibration-time"] == calibrated.thresholds["calibration-time"]
 
 
@@ -244,16 +267,7 @@ def corrected_prediction(gaussian_setup):
     cfg = dataclasses.replace(config, mode="calibration-time", eta=0.02)
     calibration = calibrate_smooth(oracle, x, y, ALPHA, cfg, seed=17)
     test = class_distributions(oracle, x[:4], cfg, seed=31)
-    spends = []
-
-    class RecordingLedger(BudgetLedger):
-        def spend(self, label, amount):
-            spends.append((label, amount))
-            return super().spend(label, amount)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evasion, "BudgetLedger", RecordingLedger)
-        sets = predict(test, calibration, cfg)
+    sets, spends = _spends_of(predict, test, calibration, cfg)
     return cfg, calibration, test, sets, spends
 
 
@@ -263,12 +277,9 @@ def test_corrected_set_contains_mean_set(corrected_prediction):
     wide = sets["corrected"]
     assert wide.shape == (4, 3) and wide.dtype == bool
     assert np.all((test.mean >= threshold) <= wide)
-    # Once for all four points: the calibration side, then one spend per
-    # class, each of eta / (2 * n_classes).
-    per_class = cfg.eta / (2 * 3)
-    assert spends == [("calibration side", calibration.ledger.spent)] + [
-        (f"class {c} mean radius", per_class) for c in range(3)
-    ]
+    # Once for all four points: the calibration's N_CAL bands, then the
+    # three classes, each of eta / (2 * n_classes).
+    assert spends == _predict_stages(cfg.eta, N_CAL, 3)
 
 
 def test_corrected_set_membership_rule(corrected_prediction):
@@ -378,10 +389,12 @@ def test_calibrate_and_predict_properties(
     config = EvasionConfig(
         scheme=scheme, model=model, mode=mode, bound_kind=bound_kind, grid=_GRID, eta=eta
     )
-    calibration = calibrate(
+    calibration, spends = _spends_of(
+        calibrate,
         summarize_samples(np.array([_random_samples(rng) for _ in range(n_cal)]), _GRID),
         ALPHA, config,
     )
+    assert spends == []
     thresholds = calibration.thresholds
 
     lower = [
@@ -400,11 +413,8 @@ def test_calibrate_and_predict_properties(
         assert thresholds["corrected"] == conformal_quantile(widened, ALPHA - eta)
         assert thresholds["corrected"] <= thresholds["calibration-time"]
         assert np.all(calibration.corrected_lower_bounds <= calibration.lower_bounds + 1e-12)
-        assert len(calibration.ledger.entries) == n_cal
-        assert calibration.ledger.spent == pytest.approx(eta / 2)
     else:
         assert set(thresholds) == {"vanilla", "calibration-time"}
-        assert calibration.ledger is None
 
     test = summarize_samples(np.array([
         [_random_samples(rng) for _ in range(n_classes)] for _ in range(n_test)
@@ -413,7 +423,8 @@ def test_calibrate_and_predict_properties(
         with pytest.raises(ConfigurationError):
             predict(test, calibration, config)
         return
-    sets = predict(test, calibration, config)
+    sets, spends = _spends_of(predict, test, calibration, config)
+    assert spends == (_predict_stages(eta, n_cal, n_classes) if eta > 0.0 else [])
     methods = {"vanilla", "robust", "corrected"} if eta > 0.0 else {"vanilla", "robust"}
     assert set(sets) == methods
     for mask in sets.values():
@@ -445,3 +456,52 @@ def test_calibrate_and_predict_properties(
                 calibration, thresholds={**thresholds, "vanilla": threshold}
             )
             assert predict(test, pinned, config)["robust"][0, 0] == inside
+
+
+# -------------------------------------------------------- failure budget --
+
+def _corrected_core(n_cal, eta=0.01, n_test=3, n_classes=3, seed=0):
+    """A calibration-time config at ``eta``, a ``(n_cal,)`` and a ``(n_test, n_classes)`` batch."""
+    rng = substream(seed, "budget")
+    config = EvasionConfig(
+        scheme=GaussianNoise(sigma=0.25), model=L2Ball(radius=0.125),
+        mode="calibration-time", grid=_GRID, eta=eta,
+    )
+    cal = summarize_samples(np.array([_random_samples(rng) for _ in range(n_cal)]), _GRID)
+    test = summarize_samples(np.array([
+        [_random_samples(rng) for _ in range(n_classes)] for _ in range(n_test)
+    ]), _GRID)
+    return config, cal, test
+
+
+@pytest.mark.parametrize("n_cal", [25, 300])
+def test_corrected_calibrate_spends_nothing_and_predict_two_stages(n_cal):
+    config, cal, test = _corrected_core(n_cal)
+    calibration, spends = _spends_of(calibrate, cal, ALPHA, config)
+    assert spends == []
+    _, spends = _spends_of(predict, test, calibration, config)
+    assert spends == _predict_stages(config.eta, n_cal, 3)
+
+
+def test_loaded_calibration_spends_like_the_in_memory_one(tmp_path):
+    # 100 bands at 0.01 / 200 sum to less than 0.01 / 2 in floating point,
+    # so a route that summed the bands would differ from one that assumed eta / 2.
+    config, cal, test = _corrected_core(100)
+    calibration = calibrate(cal, ALPHA, config)
+    formats.write_calibration_artifact(tmp_path / "cal.json", calibration, {"alpha": ALPHA})
+    loaded, _ = formats.read_calibration_artifact(tmp_path / "cal.json")
+    sets, spends = _spends_of(predict, test, calibration, config)
+    loaded_sets, loaded_spends = _spends_of(predict, test, loaded, config)
+    assert spends == loaded_spends == _predict_stages(config.eta, 100, 3)
+    assert sets.keys() == loaded_sets.keys()
+    for method, mask in sets.items():
+        np.testing.assert_array_equal(loaded_sets[method], mask)
+
+
+def test_calibrate_refuses_alpha_at_most_eta_before_bounding(monkeypatch):
+    config, cal, _ = _corrected_core(25, eta=ALPHA)
+    calls = []
+    monkeypatch.setattr(evasion, "bound_batch", lambda *args: calls.append(args))
+    with pytest.raises(ConfigurationError, match="alpha must exceed"):
+        calibrate(cal, ALPHA, config)
+    assert calls == []

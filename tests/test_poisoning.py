@@ -309,6 +309,10 @@ def test_corrected_feature_threshold_dominated_and_budgeted():
             )
             ledger.assert_within()
             assert ledger.spent <= eta + 1e-12
+            assert ledger.entries == [
+                ("calibration cdf bands", eta / (2 * 12), 12),
+                ("clean-score mc slack", eta / 2, 1),
+            ]
             # The uncorrected competitor sees the same bounds without widening.
             means = np.array([d.mean for d in dists])
             lower = np.array(
