@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,6 @@ from .evasion import EvasionConfig, calibrate, predict
 from .experiments import ExperimentConfig, TaskSpec, run_experiment
 from . import formats
 from .poisoning import (
-    brute_force_feature_threshold,
-    brute_force_label_threshold,
     feature_poison_threshold,
     label_poison_threshold,
     replay_feature_witness,
@@ -268,10 +265,9 @@ def cmd_certify_poisoning(args) -> int:
         raise ConfigurationError("poison_budget must be nonnegative")
     if kind == "feature":
         scores, lower = formats.read_feature_bounds_csv(args.input)
-        n, oracle_limit = scores.size, None if scores.size <= 12 else "at most 12 points"
+        n = scores.size
         result = feature_poison_threshold(scores, lower, budget, alpha)
         replayed = replay_feature_witness(scores, result.witness, alpha)
-        oracle = partial(brute_force_feature_threshold, scores, lower, budget, alpha)
     elif kind == "label":
         if not args.labels:
             raise InputError("label poisoning needs --labels")
@@ -279,25 +275,15 @@ def cmd_certify_poisoning(args) -> int:
         labels = formats.read_labels_csv(args.labels)
         _check_labels(labels, matrix.shape)
         n = matrix.shape[0]
-        small = n <= 12 and matrix.shape[1] <= 6
-        oracle_limit = None if small else "at most 12 points and 6 classes"
         result = label_poison_threshold(matrix, labels, budget, alpha)
         replayed = replay_label_witness(matrix, labels, result.witness, alpha)
-        oracle = partial(brute_force_label_threshold, matrix, labels, budget, alpha)
     else:
         raise ConfigurationError(f"unknown poison_kind {kind!r}")
-    # The threshold must replay from its witness and, on request, match
-    # the exhaustive oracle exactly.
-    found = {"witness replay": replayed}
-    if args.check_oracle:
-        if oracle_limit is not None:
-            raise ConfigurationError(f"--check-oracle supports {oracle_limit}")
-        found["brute-force oracle"] = oracle()
-    wrong = [
-        f"{name} gives {value!r}" for name, value in found.items() if value != result.threshold
-    ]
-    if wrong:
-        raise AssertionError(f"threshold {result.threshold!r}, but {'; '.join(wrong)}")
+    # The threshold must replay from its witness exactly.
+    if replayed != result.threshold:
+        raise AssertionError(
+            f"threshold {result.threshold!r}, but witness replay gives {replayed!r}"
+        )
     formats.write_witness_json(
         out / "witness.json", kind, alpha, budget, n, result.threshold, result.rank,
         result.witness.indices, values=result.witness.values, labels=result.witness.labels,
@@ -412,10 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="scores-and-bounds csv (or score matrix)")
     p.add_argument("--labels", help="labels csv (label poisoning only)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument(
-        "--check-oracle", action="store_true",
-        help="cross-check against the exhaustive oracle (small instances only)",
-    )
     _add_common(p)
     p.set_defaults(func=cmd_certify_poisoning)
 

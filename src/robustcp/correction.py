@@ -149,7 +149,7 @@ class BudgetLedger:
             raise ValueError("a spend's count must be a positive integer")
         self.entries.append((label, float(amount), int(count)))
         self._spent += float(amount) * int(count)
-        if self._spent > self.eta + 1e-12:
+        if self._over():
             raise ValueError(
                 f"failure budget exceeded: spent {self._spent:.6g} of {self.eta:.6g}"
             )
@@ -159,6 +159,10 @@ class BudgetLedger:
     def spent(self) -> float:
         return self._spent
 
+    def _over(self) -> bool:
+        # A few ulps of eta absorb the rounding of the running total.
+        return self._spent > self.eta + 4 * math.ulp(self.eta)
+
     def assert_within(self) -> None:
-        if self._spent > self.eta + 1e-12:
+        if self._over():
             raise AssertionError("failure budget exceeded")

@@ -8,16 +8,13 @@ admissible alteration.  Because only the order statistic matters, that
 combinatorial problem collapses to an exact one-dimensional rank search
 over candidate values; no integer programming is involved.  There is one
 search: the attacks' largest forced quantile is the same search run on
-negated scores at the mirrored rank.
-
-Brute-force enumerators over tiny instances serve as independent
-oracles for the rank search.
+negated scores at the mirrored rank.  Every threshold comes with a
+witness, an alteration that reaches it, so a caller can check it by
+replaying the witness.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +34,6 @@ __all__ = [
     "worst_case_label_quantile",
     "replay_feature_witness",
     "replay_label_witness",
-    "brute_force_feature_threshold",
-    "brute_force_label_threshold",
     "corrected_feature_poison_threshold",
 ]
 
@@ -64,7 +59,7 @@ class ConservativeThreshold:
     witness: PoisonWitness
 
 
-def _validate_instance(scores: np.ndarray, moved: np.ndarray, budget: int) -> None:
+def _validate_instance(scores: np.ndarray, moved: np.ndarray) -> None:
     if scores.ndim != 1 or scores.size == 0:
         raise ValueError("scores must be a nonempty 1-d array")
     if moved.shape != scores.shape:
@@ -131,7 +126,7 @@ def feature_poison_threshold(
     """
     scores = np.asarray(scores, dtype=float)
     lower = np.asarray(lower, dtype=float)
-    _validate_instance(scores, lower, budget)
+    _validate_instance(scores, lower)
     if np.any(lower > scores + 1e-12):
         raise ValueError("lower bounds must not exceed the observed scores")
     return _rank_search(scores, np.minimum(lower, scores), budget, alpha, False)
@@ -143,7 +138,7 @@ def worst_case_feature_quantile(
     """Attack counterpart: the largest quantile a feature poisoner can force."""
     scores = np.asarray(scores, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    _validate_instance(scores, upper, budget)
+    _validate_instance(scores, upper)
     if np.any(upper < scores - 1e-12):
         raise ValueError("upper bounds must not fall below the observed scores")
     return _rank_search(scores, np.maximum(upper, scores), budget, alpha, True)
@@ -214,52 +209,6 @@ def replay_label_witness(
         raise ValueError("a label-flip witness must record the substituted labels")
     flipped[list(witness.indices)] = witness.labels
     return conformal_quantile(score_matrix[np.arange(labels.size), flipped], alpha)
-
-
-_BRUTE_FORCE_LIMIT = 12
-
-
-def brute_force_feature_threshold(
-    scores: np.ndarray, lower: np.ndarray, budget: int, alpha: float
-) -> float:
-    """Exhaustive minimum over all altered subsets; oracle for tiny instances."""
-    scores = np.asarray(scores, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    n = scores.size
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError("brute force oracle is for tiny instances only")
-    k_order = _order_index(alpha, n)
-    if k_order == 0:
-        return ALL_CLASSES_THRESHOLD
-    best = math.inf
-    for size in range(min(budget, n) + 1):
-        for subset in itertools.combinations(range(n), size):
-            modified = scores.copy()
-            modified[list(subset)] = lower[list(subset)]
-            best = min(best, float(np.sort(modified)[k_order - 1]))
-    return best
-
-
-def brute_force_label_threshold(
-    score_matrix: np.ndarray, labels: np.ndarray, budget: int, alpha: float
-) -> float:
-    """Exhaustive minimum over all label reassignments of up to ``budget`` points."""
-    score_matrix, labels = _label_matrix(score_matrix, labels)
-    n, n_classes = score_matrix.shape
-    if n > _BRUTE_FORCE_LIMIT or n_classes > 6:
-        raise ValueError("brute force oracle is for tiny instances only")
-    k_order = _order_index(alpha, n)
-    if k_order == 0:
-        return ALL_CLASSES_THRESHOLD
-    best = math.inf
-    for size in range(min(budget, n) + 1):
-        for subset in itertools.combinations(range(n), size):
-            for assignment in itertools.product(range(n_classes), repeat=size):
-                flipped = labels.copy()
-                flipped[list(subset)] = assignment
-                observed = score_matrix[np.arange(n), flipped]
-                best = min(best, float(np.sort(observed)[k_order - 1]))
-    return best
 
 
 def corrected_feature_poison_threshold(

@@ -27,6 +27,8 @@ from robustcp.experiments import ExperimentConfig
 from robustcp.poisoning import PoisonWitness, replay_feature_witness
 from robustcp.smoothing import substream
 
+from test_poisoning import brute_force_feature_threshold, brute_force_label_threshold
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -1013,7 +1015,18 @@ def test_calibrate_and_predict_never_hold_the_whole_tensor(tmp_path, monkeypatch
         assert peak < limit, f"{name}: traced peak {peak} bytes, limit {limit:.0f}"
 
 
+def _replay_written_feature_witness(scores, path):
+    """The quantile of ``scores`` after the alteration a ``witness.json`` records."""
+    payload = formats.read_witness_json(path)
+    witness = PoisonWitness(
+        indices=tuple(payload["witness"]["indices"]),
+        values=tuple(payload["witness"].get("values", ())),
+    )
+    return replay_feature_witness(scores, witness, payload["alpha"])
+
+
 def test_certify_poisoning_feature_with_oracle(workspace):
+    """The written threshold is the tests' exhaustive minimum, and its witness replays to it."""
     rng = substream(43, "certify")
     scores = rng.uniform(0.3, 1.0, 10)
     lower = scores - rng.uniform(0.0, 0.2, 10)
@@ -1023,36 +1036,57 @@ def test_certify_poisoning_feature_with_oracle(workspace):
         "--input", str(workspace / "fb.csv"),
         "--out", str(workspace / "cert"),
         "--set", "poison_budget=2",
-        "--check-oracle",
     )
     assert code == 0
     payload = formats.read_witness_json(workspace / "cert" / "witness.json")
     assert payload["budget"] == 2
-    witness = PoisonWitness(
-        indices=tuple(payload["witness"]["indices"]),
-        values=tuple(payload["witness"].get("values", ())),
+    assert payload["threshold"] == brute_force_feature_threshold(
+        scores, lower, 2, payload["alpha"]
     )
     assert (
-        replay_feature_witness(scores, witness, payload["alpha"])
+        _replay_written_feature_witness(scores, workspace / "cert" / "witness.json")
         == payload["threshold"]
     )
 
 
 def test_certify_poisoning_label_kind(workspace):
+    """The written threshold is the tests' exhaustive minimum over label flips."""
     rng = substream(44, "certify-label")
     matrix = rng.uniform(0, 1, (8, 3))
     labels = rng.integers(0, 3, 8)
     formats.write_score_matrix_csv(workspace / "m.csv", matrix)
     formats.write_labels_csv(workspace / "m-labels.csv", labels)
-    code = run_cli(
-        "certify-poisoning",
-        "--input", str(workspace / "m.csv"),
-        "--labels", str(workspace / "m-labels.csv"),
-        "--out", str(workspace / "cert-l"),
-        "--set", "poison_kind=label", "--set", "poison_budget=1",
-        "--check-oracle",
-    )
-    assert code == 0
+    # At 8 points alpha = 0.1 gives the keep-everything sentinel; at 0.3
+    # the flip moves the threshold (rank 2).
+    for alpha in ("0.1", "0.3"):
+        code = run_cli(
+            "certify-poisoning",
+            "--input", str(workspace / "m.csv"),
+            "--labels", str(workspace / "m-labels.csv"),
+            "--out", str(workspace / f"cert-l-{alpha}"),
+            "--set", "poison_kind=label", "--set", "poison_budget=1",
+            "--set", f"alpha={alpha}",
+        )
+        assert code == 0
+        payload = formats.read_witness_json(workspace / f"cert-l-{alpha}" / "witness.json")
+        assert payload["threshold"] == brute_force_label_threshold(
+            matrix, labels, 1, payload["alpha"]
+        )
+
+
+def test_certify_poisoning_has_no_check_oracle_flag(workspace, capsys):
+    """The exhaustive oracle lives in the tests; the flag that ran it is a usage error."""
+    formats.write_feature_bounds_csv(workspace / "fb.csv", np.array([0.5]), np.array([0.4]))
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(
+            "certify-poisoning",
+            "--input", str(workspace / "fb.csv"),
+            "--out", str(workspace / "cert"),
+            "--check-oracle",
+        )
+    assert exit_info.value.code == 2
+    assert "--check-oracle" in capsys.readouterr().err
+    assert not (workspace / "cert").exists()
 
 
 @pytest.mark.parametrize(
@@ -1238,7 +1272,8 @@ def test_defective_configs_exit_4(workspace, case, capsys):
     assert not (workspace / "out").exists()
 
 
-def test_certify_oracle_refuses_large_instances(workspace):
+def test_certify_large_instance_replays_its_witness(workspace):
+    """An instance beyond any exhaustive search still writes a witness that replays exactly."""
     rng = substream(45, "certify-big")
     scores = rng.uniform(0, 1, 40)
     formats.write_feature_bounds_csv(workspace / "big.csv", scores, scores / 2)
@@ -1247,17 +1282,11 @@ def test_certify_oracle_refuses_large_instances(workspace):
         "--input", str(workspace / "big.csv"),
         "--out", str(workspace / "cert-big"),
         "--set", "poison_budget=2",
-        "--check-oracle",
-    )
-    assert code == 4
-    # Without the flag the same input certifies fine.
-    code = run_cli(
-        "certify-poisoning",
-        "--input", str(workspace / "big.csv"),
-        "--out", str(workspace / "cert-big"),
-        "--set", "poison_budget=2",
     )
     assert code == 0
+    path = workspace / "cert-big" / "witness.json"
+    threshold = formats.read_witness_json(path)["threshold"]
+    assert _replay_written_feature_witness(scores, path) == threshold
 
 
 def test_simulate_small_run_and_rerun(workspace, monkeypatch):
@@ -1365,7 +1394,7 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize("kind", ["feature", "label"])
 def test_certify_checks_survive_optimized_mode(workspace, kind):
-    """Under ``python -O`` a wrong threshold still fails its replay and oracle checks."""
+    """Under ``python -O`` a wrong threshold still fails its witness replay."""
     rng = substream(46, "certify-O", kind)
     if kind == "feature":
         scores = rng.uniform(0.3, 1.0, 10)
@@ -1379,13 +1408,12 @@ def test_certify_checks_survive_optimized_mode(workspace, kind):
     result = subprocess.run(
         [sys.executable, "-O", "-c", _OFF_BY_A_BIT, "certify-poisoning", *inputs,
          "--out", str(workspace / "cert"), "--set", f"poison_kind={kind}",
-         "--set", "poison_budget=2", "--check-oracle"],
+         "--set", "poison_budget=2"],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
         timeout=120,
     )
     assert result.returncode == 3, result.stderr
     assert "witness replay gives" in result.stderr
-    assert "brute-force oracle gives" in result.stderr
     assert not (workspace / "cert" / "witness.json").exists()
 
 

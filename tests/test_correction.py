@@ -158,6 +158,17 @@ class TestBudgetLedger:
         ledger.spend("other half", 0.05)
         ledger.assert_within()
 
+    def test_slack_is_relative_to_eta(self):
+        # An absolute slack of 1e-12 would let eta = 1e-13 absorb five times its budget.
+        with pytest.raises(ValueError, match="failure budget exceeded"):
+            BudgetLedger(eta=1e-13).spend("x", 5e-13)
+        ledger = BudgetLedger(eta=1e-13)
+        ledger.spend("all of it", 1e-13)
+        ledger.assert_within()
+        ledger._spent = 2e-13
+        with pytest.raises(AssertionError, match="failure budget exceeded"):
+            ledger.assert_within()
+
     def test_nonpositive_spend_rejected(self):
         ledger = BudgetLedger(eta=0.1)
         with pytest.raises(ValueError):
