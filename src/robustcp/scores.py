@@ -7,6 +7,10 @@ lower quantile: the k-th smallest calibration score with
 k = floor(alpha * (n + 1)).  The sets of a batch of points are the rows
 of one boolean ``(points, classes)`` mask, ``class_scores >= threshold``;
 at the ``-inf`` threshold every class is kept.
+
+``CoverageBeta.cdf`` imports ``scipy.stats`` when called, so that the
+CLI's fresh interpreters, which never need the Beta law, skip its
+0.5-0.8 s import and 20 MB (see :mod:`robustcp.bounds`).
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "aps_scores",
@@ -201,8 +204,10 @@ class CoverageBeta:
         return self.shape_a / (self.shape_a + self.shape_b)
 
     def cdf(self, x: float) -> float:
+        from scipy import stats
+
         if self.degenerate:
-            return 0.0 if x < 1.0 else 1.0
+            return math.nan if math.isnan(x) else float(x >= 1.0)
         return float(stats.beta.cdf(x, self.shape_a, self.shape_b))
 
 

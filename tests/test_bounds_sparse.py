@@ -10,6 +10,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.optimize import linprog
 
 from robustcp import bounds
@@ -96,6 +97,26 @@ def test_region_table_matches_enumeration(p0, p1):
             clean, adv = enumerate_region_masses(additions, deletions, p0, p1)
             np.testing.assert_allclose(table.clean_mass, clean, atol=1e-12)
             np.testing.assert_allclose(table.adv_mass, adv, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "additions,deletions,p0,p1",
+    [(1, 2, 0.2, 0.2), (3, 2, 0.05, 0.4), (4, 1, 0.3, 0.01), (2, 3, 0.0, 0.3),
+     (3, 1, 0.2, 0.0), (2, 3, 0.0, 0.0)],
+)
+def test_region_table_is_the_binomial_convolution_bit_for_bit(additions, deletions, p0, p1):
+    """The masses are exactly ``scipy.stats.binom.pmf`` terms convolved, zero regions dropped."""
+    def pmf(n, p):
+        return stats.binom.pmf(np.arange(n + 1), n, p)
+
+    clean = np.convolve(pmf(deletions, p1), pmf(additions, p0))
+    adv = np.convolve(pmf(deletions, 1.0 - p0), pmf(additions, 1.0 - p1))
+    keep = (clean > 0.0) | (adv > 0.0)
+    table = build_region_table(additions, deletions, p0, p1)
+    assert table.clean_mass.tobytes() == clean[keep].tobytes()
+    assert table.adv_mass.tobytes() == adv[keep].tobytes()
+    if p0 == p1 == 0.0:  # only the two centres' own regions are reachable
+        assert keep.sum() == 2 < keep.size
 
 
 def test_empty_ball_is_identity():

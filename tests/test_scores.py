@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from robustcp.scores import (
     ALL_CLASSES_THRESHOLD,
@@ -174,6 +176,23 @@ def test_coverage_distribution_degenerate_when_rank_zero():
     cb = coverage_distribution(5, 0.05)
     assert cb.degenerate
     assert cb.shape_b == 0.0
+    # Coverage is the constant 1: a step at one, NaN in and NaN out.
+    assert [cb.cdf(x) for x in (-1.0, 0.0, 0.5, 1.0 - 1e-16, 1.0, 2.0)] == [0, 0, 0, 0, 1, 1]
+    assert math.isnan(cb.cdf(math.nan))
+
+
+def test_coverage_cdf_is_the_beta_law_bit_for_bit():
+    cb = coverage_distribution(100, 0.1)
+    for x in (-1.0, -0.0, 0.0):
+        assert cb.cdf(x) == 0.0
+    for x in (1.0, 1.5):
+        assert cb.cdf(x) == 1.0
+    for x in (1e-3, 0.5, 0.85, 0.9, 0.91, 0.95, 0.999):
+        got = cb.cdf(x)
+        assert got == float(stats.beta.cdf(x, 91.0, 10.0))
+        ref = float(mpmath.betainc(91, 10, 0, mpmath.mpf(x), regularized=True))
+        assert abs(got - ref) <= 1e-12
+    assert math.isnan(cb.cdf(math.nan))
 
 
 def test_aps_score_frozen_examples():
